@@ -4,7 +4,7 @@ export PYTHONPATH := src
 .PHONY: test test-stats test-stats-matrix bench bench-smoke \
 	bench-backends bench-spectral bench-hosking-blocked \
 	bench-aggregate bench-aggregate-scale bench-chunked bench-bakeoff \
-	bench-ipc
+	bench-ipc perfbench
 
 # Statistical/property harness: seeded-randomized eq. 7 transform
 # properties, the Appendix A Hurst-invariance check, the ESS closed
@@ -136,3 +136,20 @@ bench-bakeoff:
 bench-ipc:
 	REPRO_BENCH_JSON=BENCH_hosking.json \
 	$(PYTHON) -m pytest benchmarks/test_ablation_ipc.py -q
+
+# The repository benchmark (BENCHMARK.json, perfbench/README.md): every
+# workload timed with tracing off (end-to-end metrics), then every
+# workload traced (per-layer metrics; Chrome trace events land in
+# perfbench/out/).  SECONDS bounds each timed loop.
+PERFBENCH_WORKLOADS := is_sweep aggregate_mux trace_model
+SEED ?= 1
+SECONDS ?= 30
+
+perfbench:
+	for trace in 0 1; do \
+		for workload in $(PERFBENCH_WORKLOADS); do \
+			python3 perfbench/run.py --workload $$workload \
+			    --seed $(SEED) --seconds $(SECONDS) --trace $$trace \
+			    || exit 1; \
+		done; \
+	done

@@ -71,16 +71,25 @@ class RsEstimate:
         return np.log10(self.rs_values)
 
 
+def _rescaled_range(block: np.ndarray, s: float) -> float:
+    """R/S of a validated block whose standard deviation ``s`` is known.
+
+    The shared core of :func:`rs_statistic` and :func:`rs_estimate`:
+    the block is checked and its standard deviation computed once by
+    the caller.
+    """
+    w = np.cumsum(block - block.mean())
+    spread = max(0.0, float(w.max())) - min(0.0, float(w.min()))
+    return spread / s
+
+
 def rs_statistic(values: Sequence[float]) -> float:
     """Return the R/S statistic of a single block (paper eq. 8)."""
     arr = check_min_length(values, "values", 2)
-    deviations = arr - arr.mean()
-    w = np.cumsum(deviations)
-    spread = max(0.0, float(w.max())) - min(0.0, float(w.min()))
     s = float(arr.std(ddof=0))
     if s == 0:
         raise EstimationError("block has zero variance; R/S is undefined")
-    return spread / s
+    return _rescaled_range(arr, s)
 
 
 def rs_estimate(
@@ -133,10 +142,11 @@ def rs_estimate(
             if t + n > n_total:
                 continue
             block = arr[t : t + n]
-            if block.std(ddof=0) == 0:
+            s = float(block.std(ddof=0))
+            if s == 0:
                 continue
             lengths.append(n)
-            statistics.append(rs_statistic(block))
+            statistics.append(_rescaled_range(block, s))
     if len(lengths) < 2:
         raise EstimationError(
             "not enough (starting point, block length) pairs for R/S"

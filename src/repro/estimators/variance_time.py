@@ -19,7 +19,7 @@ import numpy as np
 
 from .._validation import check_min_length, check_positive_int
 from ..exceptions import EstimationError
-from ..stats.aggregate import aggregate_series, aggregation_levels
+from ..stats.aggregate import _block_means, aggregation_levels
 from .regression import LineFit, fit_loglog_line
 
 __all__ = ["MIN_LENGTH", "VarianceTimeEstimate", "variance_time_estimate"]
@@ -112,9 +112,7 @@ def variance_time_estimate(
         raise EstimationError(
             "need at least two aggregation levels with two or more blocks"
         )
-    variances = np.array(
-        [aggregate_series(arr, m).var(ddof=0) for m in usable]
-    )
+    variances = np.array([_block_means(arr, m).var(ddof=0) for m in usable])
     if np.any(variances <= 0):
         raise EstimationError(
             "an aggregated series has zero variance; cannot take logs"

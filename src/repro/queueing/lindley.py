@@ -1,8 +1,11 @@
 """Lindley recursion and workload processes (paper eq. 16-17).
 
 All functions operate on arrival arrays whose *last* axis is time, so a
-batch of replications ``(size, k)`` is processed with one vectorised
-time loop.
+batch of replications ``(size, k)`` is processed in one call.  The
+infinite-buffer recursion is evaluated in closed form over fixed blocks
+of 4096 slots (the reflection map of eq. 16, see
+:func:`lindley_recursion`); the finite-buffer recursion steps slot by
+slot through :func:`lindley_step`.
 """
 
 from __future__ import annotations
@@ -23,6 +26,12 @@ __all__ = [
     "first_passage_times",
 ]
 
+#: Slots per block of the closed-form Lindley kernel.  A fixed block
+#: bounds every partial sum the kernel forms to ``_BLOCK`` increments,
+#: so a slot's rounding error does not grow with the trace length
+#: (DESIGN.md §5k).
+_BLOCK = 4096
+
 
 def _check_arrivals(arrivals: np.ndarray) -> np.ndarray:
     arr = np.asarray(arrivals, dtype=float)
@@ -32,6 +41,8 @@ def _check_arrivals(arrivals: np.ndarray) -> np.ndarray:
         )
     if arr.shape[-1] == 0:
         raise ValidationError("arrivals must contain at least one slot")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("arrivals must contain only finite values")
     return arr
 
 
@@ -45,10 +56,11 @@ def lindley_step(
     With ``capacity=None`` (infinite buffer) this is the eq. 16 step
     ``q' = max(q + d, 0)`` and ``overflow`` is ``None``; with a finite
     ``capacity`` the step is ``q' = clip(q + d, 0, cap)`` and
-    ``overflow`` is the work shed above capacity in this slot.  Both
-    :func:`lindley_recursion` and the finite-buffer
-    :class:`~repro.queueing.multiplexer.AtmMultiplexer` run exactly
-    this step, so their per-slot arithmetic can never drift apart.
+    ``overflow`` is the work shed above capacity in this slot.
+    :func:`finite_lindley_recursion`, and through it the finite-buffer
+    :class:`~repro.queueing.multiplexer.AtmMultiplexer`, runs exactly
+    this step.  :func:`lindley_recursion` does not: it evaluates the
+    infinite-buffer recursion in closed form.
     """
     q = q + increment
     if capacity is None:
@@ -66,6 +78,14 @@ def lindley_recursion(
     """Queue-length paths ``Q_1 .. Q_k`` from the Lindley recursion.
 
     .. math:: Q_k = \\max(Q_{k-1} + Y_k - \\mu,\\; 0)
+
+    Evaluated in closed form over fixed blocks of 4096 slots.  With
+    ``S`` the in-block partial sums of ``Y - mu`` and ``q`` the queue
+    carried in from the previous block, the reflection map gives
+    ``Q_j = S_j - min(-q, S_1, ..., S_j)``: a cumulative sum, a running
+    minimum and a subtraction per block instead of one step per slot.
+    The result is not bitwise equal to stepping the recursion slot by
+    slot; the two differ by rounding only (DESIGN.md §5k).
 
     Parameters
     ----------
@@ -86,16 +106,17 @@ def lindley_recursion(
     """
     arr = _check_arrivals(arrivals)
     mu = check_positive_float(service_rate, "service_rate")
-    increments = arr - mu
-    out = np.empty_like(increments)
-    q = np.broadcast_to(
-        np.asarray(initial, dtype=float), increments[..., 0].shape
-    ).copy()
+    out = arr - mu
+    q = np.broadcast_to(np.asarray(initial, dtype=float), out.shape[:-1])
     if np.any(q < 0):
         raise ValidationError("initial queue content must be non-negative")
-    for j in range(increments.shape[-1]):
-        q, _ = lindley_step(q, increments[..., j])
-        out[..., j] = q
+    for start in range(0, out.shape[-1], _BLOCK):
+        block = out[..., start : start + _BLOCK]
+        np.cumsum(block, axis=-1, out=block)
+        floor = np.minimum(block, -q[..., None])
+        np.minimum.accumulate(floor, axis=-1, out=floor)
+        block -= floor
+        q = block[..., -1]
     return out
 
 

@@ -150,7 +150,7 @@ class AtmMultiplexer:
         records a ``mux.queue_occupancy`` histogram over
         :data:`OCCUPANCY_BUCKETS`, plus ``mux.loss_events`` /
         ``mux.lost_work`` / ``mux.offered_work`` counters — binned in
-        bulk with numpy, so the per-slot loop is untouched.
+        bulk with numpy, so the queue computation is untouched.
         """
         ctx = ensure_context(metrics)
         arr = np.asarray(arrivals, dtype=float)

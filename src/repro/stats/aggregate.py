@@ -42,6 +42,15 @@ def aggregate_series(values: Sequence[float], m: int) -> np.ndarray:
         raise ValidationError(
             f"block size m={m} exceeds series length {arr.size}"
         )
+    return _block_means(arr, m)
+
+
+def _block_means(arr: np.ndarray, m: int) -> np.ndarray:
+    """Means of the complete length-``m`` blocks of a validated ``arr``.
+
+    The shared core of :func:`aggregate_series` and the variance-time
+    estimator, which validates its series once for every level.
+    """
     blocks = arr.size // m
     return arr[: blocks * m].reshape(blocks, m).mean(axis=1)
 

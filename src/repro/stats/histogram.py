@@ -103,6 +103,35 @@ class Histogram:
         return float(self.centers[int(np.argmax(self.counts))])
 
 
+#: Fewest float spacings, at the data's scale, that one equal-width bin
+#: may span.  numpy cannot place bin edges closer than a few spacings
+#: apart, and a piecewise-linear CDF over narrower bins inverts no better
+#: than about ``1 / (2 * _MIN_SPACINGS_PER_BIN)`` in probability.
+_MIN_SPACINGS_PER_BIN = 2**20
+
+
+def _resolvable_range(
+    low: float, high: float, bins: int
+) -> Optional[Tuple[float, float]]:
+    """A deterministic widening of a degenerate ``[low, high]``, or None.
+
+    A bin must span ``_MIN_SPACINGS_PER_BIN`` float spacings at the
+    data's scale, and at least the smallest normal float: below it the
+    slope of a CDF segment, mass over width, overflows.  A range too
+    narrow for ``bins`` such bins (zero included) is replaced by the
+    narrowest wide enough, centred on it; any other range is kept
+    (None).
+    """
+    scale = max(abs(low), abs(high))
+    width = bins * max(
+        _MIN_SPACINGS_PER_BIN * np.spacing(scale), np.finfo(float).tiny
+    )
+    if high - low >= width:
+        return None
+    middle = low + (high - low) / 2
+    return (middle - width / 2, middle + width / 2)
+
+
 def frequency_histogram(
     values: Sequence[float],
     *,
@@ -122,13 +151,29 @@ def frequency_histogram(
         Explicit bin edges; overrides ``bins``/``value_range``.
     value_range:
         ``(low, high)`` range for equal-width binning; defaults to the
-        data range.
+        data range.  A range too narrow to hold ``bins`` bins at float
+        resolution (constant data, say) is widened symmetrically to the
+        narrowest one that does.
     """
     arr = check_1d_array(values, "values")
     if edges is not None:
         edge_arr = check_1d_array(edges, "edges")
+        if edge_arr.size < 2 or np.any(np.diff(edge_arr) <= 0):
+            raise ValidationError(
+                "edges must hold at least two strictly increasing values"
+            )
         counts, out_edges = np.histogram(arr, bins=edge_arr)
     else:
         bins = check_positive_int(bins, "bins")
+        if value_range is None:
+            low, high = float(arr.min()), float(arr.max())
+        else:
+            low, high = (float(v) for v in value_range)
+            if not (np.isfinite(low) and np.isfinite(high) and low <= high):
+                raise ValidationError(
+                    "value_range must be a finite (low, high) with "
+                    f"low <= high, got {value_range!r}"
+                )
+        value_range = _resolvable_range(low, high, bins) or value_range
         counts, out_edges = np.histogram(arr, bins=bins, range=value_range)
     return Histogram(edges=out_edges, counts=counts.astype(float))

@@ -75,3 +75,15 @@ class TestEmpiricalDistribution:
     def test_rejects_single_sample(self):
         with pytest.raises(ValidationError):
             EmpiricalDistribution([1.0])
+
+
+class TestDegenerateSamples:
+    def test_subnormal_range_cdf_ppf_consistent(self):
+        # The case Hypothesis found against the histogram layer: four
+        # samples spanning one subnormal spacing.
+        data = np.array([0.0, 0.0, 0.0, 5e-324])
+        d = EmpiricalDistribution(data, bins=20)
+        for q in (0.01, 0.25, 0.5, 0.99):
+            value = float(d.ppf(q))
+            assert data.min() - 1e-9 <= value <= data.max() + 1e-9
+            assert float(d.cdf(value)) == pytest.approx(q, abs=1e-6)

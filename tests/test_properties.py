@@ -285,6 +285,88 @@ class TestEmpiricalDistributionProperties:
         assert float(dist.cdf(value)) == pytest.approx(q, abs=1e-6)
 
 
+def _finite_floats(min_size, max_size):
+    """The float strategy of the empirical-CDF consistency test."""
+    return st.lists(
+        st.floats(min_value=-1e5, max_value=1e5,
+                  allow_nan=False, allow_infinity=False),
+        min_size=min_size, max_size=max_size,
+    )
+
+
+class TestHistogramEntryPoints:
+    """Every entry point that builds a histogram, on the float strategy
+    above without its constant-data guard: subnormal, sub-resolution
+    and zero ranges either work or raise a library error."""
+
+    @FAST
+    @given(data=_finite_floats(4, 120), bins=st.integers(1, 200))
+    def test_frequency_histogram(self, data, bins):
+        h = frequency_histogram(data, bins=bins)
+        assert h.total == len(data)
+        assert h.edges[0] <= min(data) and max(data) <= h.edges[-1]
+
+    @FAST
+    @given(data=_finite_floats(4, 120), q=st.floats(0.01, 0.99))
+    def test_empirical_distribution(self, data, q):
+        from repro.marginals.empirical import EmpiricalDistribution
+
+        dist = EmpiricalDistribution(data, bins=20)
+        value = float(dist.ppf(q))
+        # ppf stays inside the bins that hold data.
+        width = float(dist.histogram.widths.max())
+        assert min(data) - width <= value <= max(data) + width
+        assert float(dist.cdf(value)) == pytest.approx(q, abs=1e-6)
+
+    @FAST
+    @given(data=_finite_floats(4, 120),
+           method=st.sampled_from(["histogram", "exact"]))
+    def test_marginal_transform(self, data, method):
+        from repro.marginals.empirical import EmpiricalDistribution
+
+        transform = MarginalTransform(
+            EmpiricalDistribution(data, bins=20, method=method)
+        )
+        y = transform(np.linspace(-6.0, 6.0, 25))
+        assert np.all(np.isfinite(y))
+        assert np.all(np.diff(y) >= 0)
+
+    @FAST
+    @given(data=_finite_floats(40, 200),
+           method=st.sampled_from(["histogram", "exact"]))
+    def test_unified_fit(self, data, method):
+        from repro.core import UnifiedVBRModel
+        from repro.exceptions import ReproError
+
+        model = UnifiedVBRModel(
+            max_lag=10, histogram_bins=20, marginal_method=method,
+            attenuation_method="analytic",
+        )
+        try:
+            model.fit(np.asarray(data))
+        except ReproError:
+            pass
+        # The marginal step runs first and always completes.
+        assert model.transform_ is not None
+
+    @FAST
+    @given(data=_finite_floats(40, 200))
+    def test_composite_fit(self, data):
+        from repro.core import CompositeMPEGModel
+        from repro.exceptions import ReproError
+        from repro.video.gop import GopStructure
+        from repro.video.trace import VideoTrace
+
+        trace = VideoTrace(np.abs(data), gop=GopStructure("IBBP"))
+        model = CompositeMPEGModel(
+            max_lag_i=10, histogram_bins=20, attenuation_method="analytic"
+        )
+        try:
+            model.fit(trace)
+        except ReproError:
+            pass
+
+
 class TestNorrosProperties:
     @FAST
     @given(

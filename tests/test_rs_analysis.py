@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.estimators.rs_analysis import rs_estimate, rs_statistic
+from repro.estimators.rs_analysis import MIN_LENGTH, rs_estimate, rs_statistic
 from repro.exceptions import EstimationError
 from repro.processes.fgn import fgn_generate
 
@@ -68,3 +68,51 @@ class TestRsEstimate:
     def test_rejects_degenerate(self):
         with pytest.raises(EstimationError):
             rs_estimate(np.ones(64), block_lengths=[16, 32])
+
+
+def _pinned_series(n):
+    """A seeded fGn series; from 2^16 frames on it carries a constant
+    stretch, so the zero-variance-block skip is part of the pin."""
+    x = fgn_generate(0.8, n, random_state=n)
+    if n >= 1 << 16:
+        x[6553:6753] = 3.0
+    return x
+
+
+def _reference_pox(arr, k=10, min_block=10, points_per_decade=6):
+    """The default R/S pox diagram, one checked ``rs_statistic`` call per
+    (starting point, block length) pair."""
+    n_total = arr.size
+    count = max(2, int(np.ceil(
+        (np.log10(n_total) - np.log10(min_block)) * points_per_decade
+    )))
+    grid = np.logspace(np.log10(min_block), np.log10(n_total), count)
+    lengths, statistics = [], []
+    for n in sorted({int(round(b)) for b in grid}):
+        for t in [int(i * n_total / k) for i in range(k)]:
+            if n < 2 or t + n > n_total:
+                continue
+            block = arr[t : t + n]
+            if block.std(ddof=0) == 0:
+                continue
+            lengths.append(n)
+            statistics.append(rs_statistic(block))
+    return np.asarray(lengths, dtype=float), np.asarray(statistics)
+
+
+class TestBitwisePin:
+    @pytest.mark.parametrize("n", [MIN_LENGTH, 32, 1 << 16])
+    def test_pox_diagram_matches_per_block_reference(self, n):
+        x = _pinned_series(n)
+        est = rs_estimate(x)
+        lengths, statistics = _reference_pox(x)
+        np.testing.assert_array_equal(est.block_lengths, lengths)
+        np.testing.assert_array_equal(est.rs_values, statistics)
+
+    def test_pin_exercises_zero_variance_skip(self):
+        x = _pinned_series(1 << 16)
+        lengths, _ = _reference_pox(x)
+        # Ten starting points per length; the second one, t=6553,
+        # opens a 200-frame constant stretch, so its shortest blocks
+        # are skipped.
+        assert np.sum(lengths == 10) == 9

@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.estimators.variance_time import variance_time_estimate
+from repro.estimators.variance_time import (
+    MIN_LENGTH,
+    variance_time_estimate,
+)
 from repro.exceptions import EstimationError, ValidationError
 from repro.processes.fgn import fgn_generate
+from repro.stats.aggregate import aggregate_series, aggregation_levels
 
 
 class TestVarianceTime:
@@ -51,3 +55,18 @@ class TestVarianceTime:
     def test_rejects_tiny_series(self):
         with pytest.raises(ValidationError):
             variance_time_estimate([1.0, 2.0])
+
+
+class TestBitwisePin:
+    @pytest.mark.parametrize("n", [MIN_LENGTH, 1 << 16])
+    def test_variances_match_per_level_reference(self, n):
+        x = fgn_generate(0.8, n, random_state=n)
+        est = variance_time_estimate(x)
+        levels = aggregation_levels(
+            n, min_m=min(10, max(1, n // 20)), min_blocks=10,
+            points_per_decade=10,
+        )
+        usable = [m for m in levels if n // m >= 2]
+        want = np.array([aggregate_series(x, m).var(ddof=0) for m in usable])
+        np.testing.assert_array_equal(est.levels, usable)
+        np.testing.assert_array_equal(est.variances, want)
