@@ -4,7 +4,7 @@ export PYTHONPATH := src
 .PHONY: test test-stats test-stats-matrix bench bench-smoke \
 	bench-backends bench-spectral bench-hosking-blocked \
 	bench-aggregate bench-aggregate-scale bench-chunked bench-bakeoff \
-	bench-ipc perfbench
+	bench-ipc perfbench perfbench-pairs
 
 # Statistical/property harness: seeded-randomized eq. 7 transform
 # properties, the Appendix A Hurst-invariance check, the ESS closed
@@ -153,3 +153,16 @@ perfbench:
 			    || exit 1; \
 		done; \
 	done
+
+# Alternating-pair comparison for a claimed gain (tools/perfpairs.py):
+# PAIRS runs of WORKLOAD per side at BENCHMARK.json's run_seconds, BASE
+# (a git revision, checked out in a temporary worktree) against this
+# working tree, alternating which side runs first.  Prints each side's
+# median and quartiles, the pairs the change won and failed/attempted.
+BASE ?= HEAD
+PAIRS ?= 10
+
+perfbench-pairs:
+	$(if $(WORKLOAD),,$(error WORKLOAD is required, e.g. make perfbench-pairs WORKLOAD=is_sweep))
+	python3 tools/perfpairs.py --workload $(WORKLOAD) --seed $(SEED) \
+	    --pairs $(PAIRS) --base $(BASE)

@@ -18,6 +18,7 @@ Number = Union[int, float]
 __all__ = [
     "check_positive_int",
     "check_nonnegative_int",
+    "check_finite_float",
     "check_positive_float",
     "check_nonnegative_float",
     "check_in_range",
@@ -47,9 +48,21 @@ def check_nonnegative_int(value: int, name: str) -> int:
     return int(value)
 
 
+def check_finite_float(value: Number, name: str) -> float:
+    """Return ``value`` as ``float`` if it is a finite real number, else raise."""
+    if isinstance(value, bool) or not isinstance(
+        value, (int, float, np.integer, np.floating)
+    ):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    result = float(value)
+    if not np.isfinite(result):
+        raise ValidationError(f"{name} must be finite, got {value}")
+    return result
+
+
 def check_positive_float(value: Number, name: str) -> float:
     """Return ``value`` as ``float`` if it is strictly positive, else raise."""
-    value = _as_float(value, name)
+    value = check_finite_float(value, name)
     if not value > 0:
         raise ValidationError(f"{name} must be positive, got {value}")
     return value
@@ -57,7 +70,7 @@ def check_positive_float(value: Number, name: str) -> float:
 
 def check_nonnegative_float(value: Number, name: str) -> float:
     """Return ``value`` as ``float`` if it is non-negative, else raise."""
-    value = _as_float(value, name)
+    value = check_finite_float(value, name)
     if not value >= 0:
         raise ValidationError(f"{name} must be non-negative, got {value}")
     return value
@@ -73,7 +86,7 @@ def check_in_range(
     inclusive_high: bool = True,
 ) -> float:
     """Return ``value`` as ``float`` if it lies in the given interval."""
-    value = _as_float(value, name)
+    value = check_finite_float(value, name)
     ok_low = value >= low if inclusive_low else value > low
     ok_high = value <= high if inclusive_high else value < high
     if not (ok_low and ok_high):
@@ -140,14 +153,3 @@ def check_choice(value: str, name: str, choices: Sequence[str]) -> str:
             f"{name} must be one of {listed}, got {value!r}"
         )
     return value
-
-
-def _as_float(value: Number, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(
-        value, (int, float, np.integer, np.floating)
-    ):
-        raise ValidationError(f"{name} must be a real number, got {value!r}")
-    result = float(value)
-    if not np.isfinite(result):
-        raise ValidationError(f"{name} must be finite, got {value}")
-    return result

@@ -34,6 +34,7 @@ from typing import Callable, Sequence, Tuple, Union
 import numpy as np
 
 from .._validation import (
+    check_finite_float,
     check_positive_float,
     check_positive_int,
 )
@@ -129,7 +130,8 @@ class TwistedBackground:
     horizon:
         Maximum number of steps.
     twisted_mean:
-        The twist ``m*`` (0 gives plain Monte Carlo with ``L = 1``).
+        The twist ``m*`` (0 gives plain Monte Carlo with ``L = 1``);
+        a non-finite twist raises :class:`~repro.exceptions.ValidationError`.
     size:
         Number of parallel replications.
     random_state:
@@ -174,7 +176,7 @@ class TwistedBackground:
         block_size: BlockSizeArg = None,
         metrics=None,
     ) -> None:
-        self.twisted_mean = float(twisted_mean)
+        self.twisted_mean = check_finite_float(twisted_mean, "twisted_mean")
         self._metrics = ensure_context(metrics)
         if isinstance(correlation, GaussianSource):
             source = registry.resolve(
@@ -379,7 +381,7 @@ def is_overflow_probability(
         transform, service_rate, buffer_size, horizon, replications
     )
     ctx = ensure_context(metrics)
-    twist = float(twisted_mean)
+    twist = check_finite_float(twisted_mean, "twisted_mean")
     with ctx.time("is.leg_seconds", twist=twist):
         background = TwistedBackground(
             correlation,
@@ -496,7 +498,7 @@ def is_transient_overflow_curve(
     if initial < 0:
         raise ValidationError("initial queue content must be non-negative")
     ctx = ensure_context(metrics)
-    twist = float(twisted_mean)
+    twist = check_finite_float(twisted_mean, "twisted_mean")
     with ctx.time("is.leg_seconds", twist=twist, initial=float(initial)):
         background = TwistedBackground(
             correlation,

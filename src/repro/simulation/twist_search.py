@@ -36,7 +36,11 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from .._validation import check_1d_array, check_positive_int
+from .._validation import (
+    check_1d_array,
+    check_finite_float,
+    check_positive_int,
+)
 from ..exceptions import SimulationError, SimulationWarning, ValidationError
 from ..observability import ensure_context
 from ..processes.coeff_table import (
@@ -459,7 +463,12 @@ def refine_twisted_mean(
     probing order) whose :attr:`~TwistSearchResult.best_twist` is the
     refined choice.  ``metrics`` records the probing trajectory exactly
     as :func:`search_twisted_mean` does (probe index = probing order).
+    A non-finite ``bracket`` endpoint raises
+    :class:`~repro.exceptions.ValidationError`; a pair that is not
+    increasing raises :class:`~repro.exceptions.SimulationError`.
     """
+    for endpoint in bracket:
+        check_finite_float(endpoint, "bracket")
     if len(bracket) != 2 or not bracket[0] < bracket[1]:
         raise SimulationError(
             f"bracket must be an increasing pair, got {bracket!r}"

@@ -24,6 +24,7 @@ from repro.simulation.importance import (
     is_overflow_probability,
     is_transient_overflow_curve,
 )
+from repro.simulation.runner import overflow_vs_buffer_curve
 
 
 def identity_transform(x):
@@ -89,6 +90,38 @@ class TestTwistedBackground:
             expected = -(2 * x * m_star + m_star**2) / 2.0
             np.testing.assert_allclose(step.log_lr_increment, expected,
                                        atol=1e-12)
+
+
+_TWIST_ENTRY_POINTS = {
+    "TwistedBackground": lambda m: TwistedBackground(
+        ExponentialCorrelation(0.3), 10, twisted_mean=m, size=4,
+        random_state=0,
+    ),
+    "is_overflow_probability": lambda m: is_overflow_probability(
+        ExponentialCorrelation(0.3), identity_transform, service_rate=3.5,
+        buffer_size=8.0, horizon=20, twisted_mean=m, replications=10,
+        random_state=0,
+    ),
+    "is_transient_overflow_curve": lambda m: is_transient_overflow_curve(
+        ExponentialCorrelation(0.3), identity_transform, service_rate=3.5,
+        buffer_size=8.0, horizon=20, twisted_mean=m, replications=10,
+        random_state=0,
+    ),
+    "overflow_vs_buffer_curve": lambda m: overflow_vs_buffer_curve(
+        ExponentialCorrelation(0.3), identity_transform, utilization=0.6,
+        buffer_sizes=[4.0, 8.0], twisted_mean=m, replications=10,
+        random_state=0, workers=1,
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_TWIST_ENTRY_POINTS))
+@pytest.mark.parametrize("twist", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_twist(entry, twist):
+    # A NaN twist used to return probability 0.0 and an infinite one
+    # NaN — plausible-looking wrong answers instead of an error.
+    with pytest.raises(ValidationError, match="twisted_mean"):
+        _TWIST_ENTRY_POINTS[entry](twist)
 
 
 class TestIsOverflowProbability:

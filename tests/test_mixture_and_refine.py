@@ -134,3 +134,8 @@ class TestRefineTwistedMean:
     def test_rejects_bad_bracket(self):
         with pytest.raises(SimulationError):
             self._refine(bracket=(2.0, 1.0))
+
+    @pytest.mark.parametrize("bracket", [(0.0, np.inf), (np.nan, 1.0)])
+    def test_rejects_non_finite_bracket(self, bracket):
+        with pytest.raises(ValidationError, match="bracket"):
+            self._refine(bracket=bracket)

@@ -1,5 +1,7 @@
 """Tests for the marginal inversion transform (eq. 7)."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -8,9 +10,62 @@ from repro.exceptions import ValidationError
 from repro.marginals.empirical import EmpiricalDistribution
 from repro.marginals.parametric import (
     GammaDistribution,
+    LognormalDistribution,
     NormalDistribution,
 )
 from repro.marginals.transform import MarginalTransform
+from repro.video.synthetic import SyntheticCodecConfig, SyntheticMPEGCodec
+
+_GAMMA_VALUES = np.random.default_rng(11).gamma(3.0, 1.0, size=500)
+
+# Targets that take the generic copula branch: both empirical methods
+# and one scipy-backed parametric marginal without a fast path.
+_GENERIC_TARGETS = (
+    EmpiricalDistribution(_GAMMA_VALUES),
+    EmpiricalDistribution(_GAMMA_VALUES, method="exact"),
+    LognormalDistribution(1.0, 0.5),
+)
+
+# Phi edge values: both infinities, NaN, beyond the saturation of Phi,
+# both signed zeros and the smallest subnormal.
+_PHI_EDGES = np.array(
+    [-np.inf, np.inf, np.nan, -40.0, 40.0, -0.0, 0.0, 5e-324]
+)
+
+
+def _reference_h(target, x):
+    """Reference ``h`` with Phi from ``scipy.stats.norm.cdf``."""
+    u = np.clip(stats.norm.cdf(x), 1e-300, float(np.nextafter(1, 0)))
+    return target.ppf(u)
+
+
+def _reference_inverse(target, y):
+    """Reference ``h^{-1}`` with Phi^{-1} from ``scipy.stats.norm.ppf``."""
+    return stats.norm.ppf(target.cdf(y))
+
+
+def _assert_same_outcome(actual, reference, arg):
+    """``actual(arg)`` equals ``reference(arg)`` bit for bit (NaN == NaN),
+    or raises ``ValueError`` where the reference does (numpy's quantile
+    rejects a NaN level in the exact empirical ppf)."""
+    try:
+        expected = reference(arg)
+    except ValueError:
+        with pytest.raises(ValueError):
+            actual(arg)
+        return
+    out = actual(arg)
+    assert np.shape(out) == np.shape(arg)
+    assert np.array_equal(out, expected, equal_nan=True)
+
+
+def _shapes(values):
+    """The argument shapes ``h`` accepts: scalar, 0-d, (n,) and (m, n)."""
+    flat = np.asarray(values, dtype=float).ravel()
+    args = [float(v) for v in flat[: _PHI_EDGES.size]]
+    args += [np.asarray(v) for v in flat[: _PHI_EDGES.size]]
+    args += [flat, flat[: flat.size - flat.size % 8].reshape(-1, 8)]
+    return args
 
 
 class TestMarginalTransform:
@@ -114,13 +169,60 @@ class TestFastPaths:
         assert np.all(np.isfinite(tr(x)))
 
     def test_generic_path_still_used_for_empirical(self):
-        values = np.random.default_rng(11).gamma(3.0, 1.0, size=500)
-        target = EmpiricalDistribution(values)
-        tr = MarginalTransform(target)
-        assert tr._fast == "generic"
-        x = np.linspace(-3, 3, 64)
-        u = np.clip(stats.norm.cdf(x), 1e-300, float(np.nextafter(1, 0)))
-        np.testing.assert_array_equal(tr(x), target.ppf(u))
+        x = np.concatenate(
+            [
+                _PHI_EDGES,
+                np.linspace(-3, 3, 64),
+                np.random.default_rng(13).normal(scale=3.0, size=256),
+            ]
+        )
+        for target in _GENERIC_TARGETS:
+            tr = MarginalTransform(target)
+            assert tr._fast == "generic"
+            for arg in _shapes(x):
+                _assert_same_outcome(tr, partial(_reference_h, target), arg)
+
+    def test_inverse_matches_scipy_norm_ppf(self):
+        for target in _GENERIC_TARGETS:
+            tr = MarginalTransform(target)
+            # Outside the support (below the data, at and below zero
+            # for the lognormal, above the data) plus foreground draws.
+            y = np.concatenate(
+                [
+                    _PHI_EDGES,
+                    [-1.0, _GAMMA_VALUES.min(), _GAMMA_VALUES.max(), 1e3],
+                    target.sample(256, np.random.default_rng(17)),
+                ]
+            )
+            for arg in _shapes(y):
+                _assert_same_outcome(
+                    tr.inverse, partial(_reference_inverse, target), arg
+                )
+
+    @pytest.mark.parametrize(
+        "case", ["transform", "inverse", "codec-intra", "codec-ibp"]
+    )
+    def test_phi_skips_scipy_stats_dispatch(self, monkeypatch, case):
+        # Phi / Phi^{-1} are the scipy.special ufuncs on the copula
+        # paths; scipy.stats.norm's per-call dispatch must stay off them.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scipy.stats.norm dispatch on a copula path")
+
+        monkeypatch.setattr(stats.norm, "cdf", forbidden)
+        monkeypatch.setattr(stats.norm, "ppf", forbidden)
+        tr = MarginalTransform(EmpiricalDistribution(_GAMMA_VALUES))
+        if case == "transform":
+            assert np.all(np.isfinite(tr(np.linspace(-3, 3, 64))))
+        elif case == "inverse":
+            assert np.all(np.isfinite(tr.inverse(np.linspace(1.0, 5.0, 64))))
+        else:
+            config = (
+                SyntheticCodecConfig.intraframe_paper_like(num_frames=3000)
+                if case == "codec-intra"
+                else SyntheticCodecConfig.paper_like(num_frames=3000)
+            )
+            trace = SyntheticMPEGCodec(config).generate(random_state=1)
+            assert trace.sizes.size == 3000
 
     def test_scalar_inputs_keep_float_semantics(self):
         tr = MarginalTransform(GammaDistribution(2.0, 1.5))

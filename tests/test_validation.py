@@ -5,6 +5,7 @@ import pytest
 
 from repro._validation import (
     check_1d_array,
+    check_finite_float,
     check_hurst,
     check_in_range,
     check_min_length,
@@ -47,6 +48,17 @@ class TestCheckNonnegativeInt:
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
             check_nonnegative_int(-1, "x")
+
+
+class TestCheckFiniteFloat:
+    @pytest.mark.parametrize("value", [-2.5, 0, -0.0, np.float32(1.5)])
+    def test_accepts_any_finite_real(self, value):
+        assert check_finite_float(value, "x") == float(value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_naming_argument(self, value):
+        with pytest.raises(ValidationError, match="twist must be finite"):
+            check_finite_float(value, "twist")
 
 
 class TestCheckPositiveFloat:
