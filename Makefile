@@ -4,7 +4,7 @@ export PYTHONPATH := src
 .PHONY: test test-stats test-stats-matrix bench bench-smoke \
 	bench-backends bench-spectral bench-hosking-blocked \
 	bench-aggregate bench-aggregate-scale bench-chunked bench-bakeoff \
-	bench-ipc perfbench perfbench-pairs
+	bench-ipc perfbench perfbench-pairs loc
 
 # Statistical/property harness: seeded-randomized eq. 7 transform
 # properties, the Appendix A Hurst-invariance check, the ESS closed
@@ -50,7 +50,9 @@ bench:
 # loop at the acceptance workload and a < 2% block_size=1 bypass
 # overhead; the bake-off bench snapshots the cross-estimator
 # bias/RMSE matrix and asserts MAVAR beats R/S and variance-time plus
-# the < 2% metrics-off overhead bound.
+# the < 2% metrics-off overhead bound; the IPC bench forces every
+# partial sum through shared memory (REPRO_SHM_MIN_BYTES=0) and asserts
+# >= 90% of the bytes move zero-copy.
 bench-smoke:
 	REPRO_BENCH_SCALE=0.2 REPRO_BENCH_JSON=BENCH_hosking.json \
 	$(PYTHON) -m pytest benchmarks/test_ablation_hosking_batch.py \
@@ -127,12 +129,13 @@ bench-bakeoff:
 	REPRO_BENCH_JSON=BENCH_hosking.json \
 	$(PYTHON) -m pytest benchmarks/test_ablation_bakeoff.py -q
 
-# IPC ablation alone: pool lifetime and result transport on the
-# N=10^6 aggregate workload — shm vs pickle partial-sum transport
-# (bit-identical, >= 90% of result bytes zero-copy) and the
-# persistent shared pool vs per-call pools on a 4-replication
-# loss_vs_n sweep (>= 2x on >= 4 cores), with a zero-leaked-segments
-# check after every phase.  Results land in REPRO_BENCH_JSON.
+# IPC ablation alone: result transport on the N=10^6 aggregate
+# workload — the same pooled generation with REPRO_SHM_MIN_BYTES at 0
+# (every partial sum through a shared-memory segment) and above every
+# result (all pickled): bit-identical feeds, >= 90% of result bytes
+# zero-copy in the shm run, no segment in the pickle run, and a
+# zero-leaked-segments check after each run.  Results land in
+# REPRO_BENCH_JSON.
 bench-ipc:
 	REPRO_BENCH_JSON=BENCH_hosking.json \
 	$(PYTHON) -m pytest benchmarks/test_ablation_ipc.py -q
@@ -166,3 +169,13 @@ perfbench-pairs:
 	$(if $(WORKLOAD),,$(error WORKLOAD is required, e.g. make perfbench-pairs WORKLOAD=is_sweep))
 	python3 tools/perfpairs.py --workload $(WORKLOAD) --seed $(SEED) \
 	    --pairs $(PAIRS) --base $(BASE)
+
+# Python line counts of the source, test, bench, perfbench and tool
+# trees (the net src/ figure each CHANGES.md entry reports).
+LOC_DIRS := src tests benchmarks perfbench tools
+
+loc:
+	@for dir in $(LOC_DIRS); do \
+		printf '%-12s %s\n' $$dir \
+		    "$$(find $$dir -name '*.py' -print0 | xargs -0 cat | wc -l)"; \
+	done

@@ -1,25 +1,24 @@
-"""Ablation — pool lifetime and cross-process result transport (IPC).
+"""Ablation — cross-process result transport (IPC).
 
-The parallel runtime moved two costs out of the hot path: pool
-spin-up (a process-wide reusable executor instead of one
-``ProcessPoolExecutor`` per call) and result pickling (shared-memory
-descriptors instead of pipe round trips for large ndarray partials).
-This bench isolates both on the acceptance aggregate workload
+Pooled process runs return large ndarray results through shared-memory
+descriptors instead of pipe round trips; ``REPRO_SHM_MIN_BYTES`` (the
+only transport setting) decides which results take that path.  This
+bench isolates the transport on the acceptance aggregate workload
 (N=10^6 sources scaled by ``REPRO_BENCH_SCALE``, 2048-slot horizon):
 
-- **Transport:** one full-scale pooled generation per transport
-  flavour (``shm`` vs ``pickle``), bit-identical by construction and
-  asserted so.  During the shm run, >= 90% of the partial-sum bytes
-  crossing the process boundary must move zero-copy (asserted via the
-  ``shm.*`` metrics; holds at ``processes=2`` even on a 1-core box).
-- **Pool lifetime:** a ``loss_vs_n`` capacity sweep (4 replications
-  per N) under the persistent shared pool vs the per-call baseline.
-  On a multi-core runner (>= 4 cores, the ``test_ablation_chunked``
-  gating idiom) the persistent pool must be >= 2x faster; a 1-core
-  box still records both timings.
-- **Leaks:** every phase must end with zero live segments — checked
-  through the ``segments_live`` gauge *and* a raw ``/dev/shm``
-  listing under this process's sweep prefix.
+- **Transport:** one full-scale pooled generation with the threshold at
+  0 (every partial sum through a segment) and one with a threshold
+  above every result (everything pickled), bit-identical by
+  construction and asserted so.  During the shm run, >= 90% of the
+  partial-sum bytes crossing the process boundary must move zero-copy
+  (asserted via the ``shm.*`` metrics; holds at ``processes=2`` even on
+  a 1-core box), and the pickle run must create no segment.  The
+  threshold is forced both ways because task results straddle the
+  64 KiB default: 2 blocks (32 KiB) per task at smoke scale, 128 KiB
+  at full scale.
+- **Leaks:** each run must end with zero live segments — checked
+  through the ``segments_live`` gauge *and* a raw ``/dev/shm`` listing
+  under this process's sweep prefix.
 """
 
 import os
@@ -30,9 +29,7 @@ import pytest
 
 from repro.core.aggregate import ShardedAggregateModel
 from repro.observability import RunContext
-from repro.queueing.capacity import loss_vs_n
 from repro.simulation import shm
-from repro.simulation.parallel import shutdown_shared_pool
 
 from .conftest import SCALE, format_series
 from .test_ablation_aggregate import heterogeneous_population
@@ -45,20 +42,10 @@ SCALE_BATCH = 1024
 #: Fraction of cross-process result bytes that must move through
 #: shared-memory segments during the shm-transport run.
 ZERO_COPY_BOUND = 0.9
-#: Persistent-vs-per-call acceptance on a multi-core runner.
-POOL_SPEEDUP_BOUND = 2.0
-#: Capacity sweep for the pool-lifetime phase: small per-call work so
-#: the pool spin-up cost is a measurable share of each generation.
-LOSS_N_VALUES = (2_000, 4_000)
-LOSS_REPLICATIONS = 4
-LOSS_HORIZON = 1024
-LOSS_BATCH = 128
-
-
-def _timed(thunk):
-    start = time.perf_counter()
-    thunk()
-    return max(time.perf_counter() - start, 1e-9)
+#: ``REPRO_SHM_MIN_BYTES`` of each run: every ndarray result through a
+#: segment, and a threshold above every result (all pickled).
+SHM_ALL = "0"
+SHM_NONE = str(2**40)
 
 
 def _assert_no_leaks(phase):
@@ -72,77 +59,62 @@ def _assert_no_leaks(phase):
         assert leftovers == [], f"{phase}: {leftovers}"
 
 
-def test_ipc_transport_and_pool_lifetime(benchmark, emit, record_bench):
+def _shm_series(ctx):
+    series = {e["name"]: e.get("value") for e in ctx.snapshot()}
+    return (
+        series["shm.bytes_zero_copy"],
+        series["shm.bytes_pickled"],
+        series["shm.segments"],
+    )
+
+
+def test_ipc_transport(benchmark, emit, record_bench, monkeypatch):
     if not shm.shm_available():
         pytest.skip("POSIX shared memory unavailable")
     cores = os.cpu_count() or 1
     processes = min(max(cores, 2), 16)
     population = heterogeneous_population().scaled_to(SCALE_SOURCES)
 
-    # -- Transport ablation: identical pooled generation, only the
-    # result path differs.  The ctx is per-run so the shm.* series
-    # measure exactly one generation each.
+    # Identical pooled generation, only the result path differs.  Each
+    # run has its own ctx so the shm.* series measure exactly one
+    # generation.
     shm.reset_shm_stats()
     shm_ctx = RunContext()
+    pickle_ctx = RunContext()
     shm_engine = ShardedAggregateModel(
         population, batch_size=SCALE_BATCH, metrics=shm_ctx
     )
-    pickle_engine = ShardedAggregateModel(population, batch_size=SCALE_BATCH)
+    pickle_engine = ShardedAggregateModel(
+        population, batch_size=SCALE_BATCH, metrics=pickle_ctx
+    )
     shm_feed = None
-    pickle_feed = None
 
     def run_shm():
         nonlocal shm_feed
         shm_feed = shm_engine.generate(
-            SCALE_HORIZON, shards=16, processes=processes,
-            transport="shm", random_state=42,
+            SCALE_HORIZON, shards=16, processes=processes, random_state=42,
         )
 
-    def run_pickle():
-        nonlocal pickle_feed
-        pickle_feed = pickle_engine.generate(
-            SCALE_HORIZON, shards=16, processes=processes,
-            transport="pickle", random_state=42,
-        )
-
+    monkeypatch.setenv(shm.MIN_BYTES_ENV, SHM_ALL)
     start = time.perf_counter()
     benchmark.pedantic(run_shm, rounds=1, iterations=1)
     shm_seconds = max(time.perf_counter() - start, 1e-9)
-    pickle_seconds = _timed(run_pickle)
+    _assert_no_leaks("shm run")
+
+    monkeypatch.setenv(shm.MIN_BYTES_ENV, SHM_NONE)
+    start = time.perf_counter()
+    pickle_feed = pickle_engine.generate(
+        SCALE_HORIZON, shards=16, processes=processes, random_state=42,
+    )
+    pickle_seconds = max(time.perf_counter() - start, 1e-9)
+    _assert_no_leaks("pickle run")
     np.testing.assert_array_equal(shm_feed.arrivals, pickle_feed.arrivals)
-    assert shm_feed.transport == "shm"
-    assert pickle_feed.transport == "pickle"
 
-    series = {e["name"]: e for e in shm_ctx.snapshot()}
-    zero_copy = series["shm.bytes_zero_copy"]["value"]
-    pickled = series.get("shm.bytes_pickled", {}).get("value", 0.0)
+    zero_copy, pickled, segments = _shm_series(shm_ctx)
     zero_copy_fraction = zero_copy / max(zero_copy + pickled, 1.0)
-    _assert_no_leaks("transport ablation")
-
-    # -- Pool-lifetime ablation: the same capacity sweep, persistent
-    # shared pool vs one private pool per generation.  Spinning the
-    # shared pool down first charges the persistent run its one
-    # spin-up.
-    loss_kwargs = dict(
-        utilization=0.9, buffer_size=0.0, horizon=LOSS_HORIZON,
-        replications=LOSS_REPLICATIONS, batch_size=LOSS_BATCH,
-        processes=processes, random_state=7,
+    pickle_zero_copy, pickle_pickled, pickle_segments = _shm_series(
+        pickle_ctx
     )
-    base = heterogeneous_population()
-    shutdown_shared_pool()
-    persistent = {}
-    per_call = {}
-    persistent_seconds = _timed(lambda: persistent.update(
-        result=loss_vs_n(base, LOSS_N_VALUES, pool="shared", **loss_kwargs)
-    ))
-    per_call_seconds = _timed(lambda: per_call.update(
-        result=loss_vs_n(base, LOSS_N_VALUES, pool="per-call", **loss_kwargs)
-    ))
-    np.testing.assert_array_equal(
-        persistent["result"].loss_ratios, per_call["result"].loss_ratios
-    )
-    pool_speedup = per_call_seconds / persistent_seconds
-    _assert_no_leaks("pool-lifetime ablation")
 
     emit(
         f"== IPC ablation: N={SCALE_SOURCES} aggregate "
@@ -159,21 +131,10 @@ def test_ipc_transport_and_pool_lifetime(benchmark, emit, record_bench):
                     f"{(zero_copy + pickled) / 2**20:.0f} MiB",
                     f">= {ZERO_COPY_BOUND:.0%}",
                 ),
-                (
-                    "loss_vs_n persistent pool",
-                    f"{persistent_seconds:.2f}s",
-                    "-",
-                ),
-                (
-                    "loss_vs_n per-call pools",
-                    f"{per_call_seconds:.2f}s "
-                    f"({pool_speedup:.1f}x slower)",
-                    f">= {POOL_SPEEDUP_BOUND:.0f}x ({cores} >= 4 cores)",
-                ),
             ],
         ),
-        "feeds bit-identical across transports and pool lifetimes; "
-        "zero live segments after every phase",
+        "feeds bit-identical across transports; zero live segments "
+        "after every run",
     )
     record_bench(
         "ipc_transport",
@@ -186,21 +147,12 @@ def test_ipc_transport_and_pool_lifetime(benchmark, emit, record_bench):
         pickle_seconds=pickle_seconds,
         zero_copy_bytes=zero_copy,
         pickled_bytes=pickled,
+        segments=segments,
         zero_copy_fraction=zero_copy_fraction,
-        loss_n_values=list(LOSS_N_VALUES),
-        loss_replications=LOSS_REPLICATIONS,
-        persistent_seconds=persistent_seconds,
-        per_call_seconds=per_call_seconds,
-        pool_speedup=pool_speedup,
     )
+    assert segments > 0
     assert zero_copy_fraction >= ZERO_COPY_BOUND, (
         f"{zero_copy_fraction:.1%} of result bytes moved zero-copy"
     )
-    # The pool-amortization bound only means something with cores to
-    # run on; a 1-core box still records both timings above.
-    if cores >= 4:
-        assert pool_speedup >= POOL_SPEEDUP_BOUND, (
-            f"persistent pool only {pool_speedup:.2f}x faster "
-            f"({persistent_seconds:.2f}s vs {per_call_seconds:.2f}s) "
-            f"with {processes} processes on {cores} cores"
-        )
+    assert pickle_zero_copy == 0 and pickle_segments == 0
+    assert pickle_pickled == zero_copy + pickled

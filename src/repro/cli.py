@@ -247,15 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
             "REPRO_PROCESSES or 1; never changes output bits)"
         ),
     )
-    simulate.add_argument(
-        "--transport", choices=("auto", "shm", "pickle"), default="auto",
-        help=(
-            "cross-process result transport for pooled generation: "
-            "auto routes large ndarray results through shared-memory "
-            "segments when available, shm forces that path, pickle "
-            "restores the pipe round trip (never changes output bits)"
-        ),
-    )
     simulate.add_argument("--seed", type=int, default=None)
     simulate.add_argument(
         "--metrics-out", default=None, metavar="PATH",
@@ -557,7 +548,6 @@ def _print_capacity_panel(
         horizon,
         shards=args.shards,
         processes=args.processes,
-        transport=args.transport,
         random_state=rng_feed,
     )
     print(
@@ -621,7 +611,6 @@ def _print_chunked_panel(
         source,
         chunk_frames=args.chunk_frames,
         processes=args.processes,
-        transport=args.transport,
         metrics=chunked_ctx,
     )
     generator.generate(horizon, random_state=rng_chunk)

@@ -58,7 +58,7 @@ from uuid import uuid4
 
 import numpy as np
 
-from .._validation import check_choice, check_positive_int
+from .._validation import check_positive_int
 from ..exceptions import NotFittedError, ValidationError
 from ..marginals.parametric import MarginalDistribution
 from ..marginals.transform import MarginalTransform
@@ -379,10 +379,6 @@ class AggregateFeed:
     processes:
         Resolved process-pool size the blocks were generated on
         (accounting only; the arrivals are bit-identical at any value).
-    transport:
-        Effective cross-process result transport the generation used:
-        ``"inline"`` (no pool), ``"shm"``, or ``"pickle"`` (accounting
-        only; the arrivals are bit-identical at any value).
     """
 
     arrivals: np.ndarray
@@ -390,7 +386,6 @@ class AggregateFeed:
     num_sources: int
     shards: int
     processes: int = 1
-    transport: str = "inline"
 
     @property
     def horizon(self) -> int:
@@ -619,8 +614,6 @@ class ShardedAggregateModel:
         processes: Optional[int] = None,
         dtype=None,
         random_state: RandomState = None,
-        transport: str = "auto",
-        pool: str = "shared",
     ) -> AggregateFeed:
         """Generate one aggregate arrival path of length ``horizon``.
 
@@ -629,14 +622,7 @@ class ShardedAggregateModel:
         generation onto a process pool (``None`` defers to the
         ``REPRO_PROCESSES`` environment variable, default 1 = in-line);
         the returned feed is bit-identical for any value of either
-        (see the module seeding contract).  ``transport`` selects how
-        partial sums travel back from pool workers (``"auto"`` —
-        shared-memory segments for large results, pickle otherwise —
-        ``"shm"``, or ``"pickle"``) and ``pool`` selects the
-        process-wide reusable pool (``"shared"``, the default) or a
-        private build-and-tear-down pool (``"per-call"``); both are
-        pure wall-clock knobs, bit-identical in every combination (see
-        :mod:`repro.simulation.parallel`).  ``dtype`` selects the feed
+        (see the module seeding contract).  ``dtype`` selects the feed
         accumulator precision: float64 (default) or, opt-in, float32 —
         partial sums are always computed in float64 and only the
         running feed is stored narrow, halving feed memory at scale
@@ -647,13 +633,10 @@ class ShardedAggregateModel:
         """
         horizon = check_positive_int(horizon, "horizon")
         shards = check_positive_int(shards, "shards")
-        check_choice(transport, "transport", ("auto", "shm", "pickle"))
-        check_choice(pool, "pool", ("shared", "per-call"))
         # Lazy import: repro.simulation.__init__ pulls in the runner,
         # which imports this module back — resolving at call time keeps
         # the cycle out of import order.
         from ..simulation.parallel import resolve_processes
-        from ..simulation.shm import shm_available
 
         procs = resolve_processes(processes)
         out_dtype = _check_feed_dtype(dtype)
@@ -662,12 +645,6 @@ class ShardedAggregateModel:
         children = spawn_rngs(random_state, len(blocks))
         total = np.zeros(horizon, dtype=out_dtype)
         pooled = procs > 1 and len(blocks) > 1
-        effective_transport = "inline"
-        if pooled:
-            effective_transport = (
-                "shm" if transport != "pickle" and shm_available()
-                else "pickle"
-            )
         ctx.set("aggregate.batch_size", float(self.batch_size))
         ctx.set("aggregate.horizon", float(horizon))
         ctx.set("aggregate.processes", float(procs))
@@ -675,9 +652,7 @@ class ShardedAggregateModel:
         start = time.perf_counter()
         with ctx.time("aggregate.generate_seconds"):
             if pooled:
-                self._generate_pooled(
-                    total, blocks, children, shards, procs, transport, pool
-                )
+                self._generate_pooled(total, blocks, children, shards, procs)
             else:
                 self._generate_serial(total, blocks, children, shards)
         elapsed = time.perf_counter() - start
@@ -706,7 +681,6 @@ class ShardedAggregateModel:
             num_sources=self.num_sources,
             shards=shards,
             processes=procs,
-            transport=effective_transport,
         )
 
     def _generate_serial(
@@ -745,8 +719,6 @@ class ShardedAggregateModel:
         children: List[np.random.Generator],
         shards: int,
         procs: int,
-        transport: str,
-        pool: str,
     ) -> None:
         """Process-pooled block generation with a streaming ordered fold.
 
@@ -755,21 +727,10 @@ class ShardedAggregateModel:
         folds the rows into ``total`` strictly in global block order
         through :func:`~repro.simulation.parallel.reduce_tasks`, so the
         additions are exactly the serial path's, in the serial order.
-        ``pool="shared"`` serves every shard from the process-wide
-        reusable pool via
-        :func:`~repro.simulation.parallel.pool_scope`; ``"per-call"``
-        builds a private pool for this generation, the pre-runtime
-        behaviour.  ``transport`` picks the partial-sum return path
-        (shared-memory descriptors vs pickle); the fold below never
-        retains the transient zero-copy views it is handed.
+        Every shard is served by the process-wide shared pool; the fold
+        below never retains the transient zero-copy views it is handed.
         """
-        from concurrent.futures import ProcessPoolExecutor
-
-        from ..simulation.parallel import (
-            _prewarm_worker,
-            pool_scope,
-            reduce_tasks,
-        )
+        from ..simulation.parallel import reduce_tasks
 
         ctx = self._metrics
         classes = self.population.classes
@@ -792,65 +753,54 @@ class ShardedAggregateModel:
         classes = tuple(classes)
         horizon = total.size
         reduction_bytes = 0
-        if pool == "shared":
-            scope = pool_scope(procs, metrics=ctx)
-        else:
-            scope = ProcessPoolExecutor(
-                max_workers=procs, initializer=_prewarm_worker
-            )
-        with scope as pool_exec:
-            for shard_blocks in np.array_split(
-                np.arange(len(blocks)), shards
-            ):
-                if shard_blocks.size:
-                    ctx.inc("aggregate.shards")
-                with ctx.time("aggregate.shard_seconds"):
-                    if not shard_blocks.size:
-                        continue
-                    # A few tasks per worker amortizes pickling without
-                    # starving the pool; the cap bounds task payloads.
-                    per_task = max(
-                        1,
-                        min(32, -(-int(shard_blocks.size) // (4 * procs))),
-                    )
-                    tasks = []
-                    task_specs = []
-                    for low in range(0, shard_blocks.size, per_task):
-                        ids = shard_blocks[low:low + per_task]
-                        specs = tuple(blocks[i] for i in ids)
-                        tasks.append((
-                            self._task_key,
-                            classes,
-                            horizon,
-                            specs,
-                            tuple(children[i] for i in ids),
-                        ))
-                        task_specs.append(specs)
+        for shard_blocks in np.array_split(np.arange(len(blocks)), shards):
+            if shard_blocks.size:
+                ctx.inc("aggregate.shards")
+            with ctx.time("aggregate.shard_seconds"):
+                if not shard_blocks.size:
+                    continue
+                # A few tasks per worker amortizes pickling without
+                # starving the pool; the cap bounds task payloads.
+                per_task = max(
+                    1,
+                    min(32, -(-int(shard_blocks.size) // (4 * procs))),
+                )
+                tasks = []
+                task_specs = []
+                for low in range(0, shard_blocks.size, per_task):
+                    ids = shard_blocks[low:low + per_task]
+                    specs = tuple(blocks[i] for i in ids)
+                    tasks.append((
+                        self._task_key,
+                        classes,
+                        horizon,
+                        specs,
+                        tuple(children[i] for i in ids),
+                    ))
+                    task_specs.append(specs)
 
-                    def fold(partials, index):
-                        nonlocal reduction_bytes, total
-                        partials = np.asarray(partials)
-                        reduction_bytes += partials.nbytes
-                        for row, (class_index, _offset, _rows) in zip(
-                            partials, task_specs[index]
-                        ):
-                            total += row
-                            ctx.inc(
-                                "aggregate.blocks",
-                                source_class=classes[class_index].name,
-                            )
+                def fold(partials, index):
+                    nonlocal reduction_bytes, total
+                    partials = np.asarray(partials)
+                    reduction_bytes += partials.nbytes
+                    for row, (class_index, _offset, _rows) in zip(
+                        partials, task_specs[index]
+                    ):
+                        total += row
+                        ctx.inc(
+                            "aggregate.blocks",
+                            source_class=classes[class_index].name,
+                        )
 
-                    reduce_tasks(
-                        _block_partials_task,
-                        tasks,
-                        fold,
-                        workers=procs,
-                        kind="process",
-                        executor=pool_exec,
-                        metrics=ctx,
-                        prefix="aggregate_pool",
-                        transport=transport,
-                    )
+                reduce_tasks(
+                    _block_partials_task,
+                    tasks,
+                    fold,
+                    workers=procs,
+                    kind="process",
+                    metrics=ctx,
+                    prefix="aggregate_pool",
+                )
         ctx.inc("aggregate.reduction_bytes", reduction_bytes)
 
     def __repr__(self) -> str:

@@ -468,20 +468,11 @@ class ChunkedGenerator:
         stepping, else bridge), ``"exact"``, or ``"bridge"``.
     processes:
         Chunk-job pool size; ``None`` defers to ``REPRO_PROCESSES``
-        (default 1 = in-line).  Bridge jobs run on a process pool,
+        (default 1 = in-line).  Bridge jobs run on the process-wide
+        shared pool (:func:`~repro.simulation.parallel.shared_pool`),
         exact-mode noise jobs on a thread pool (they share the
         coefficient table; BLAS releases the GIL).  Never changes
         output bits.
-    executor:
-        Optional caller-managed :class:`concurrent.futures.Executor`
-        reused for the chunk jobs (must match the mode's flavour).
-        Without one, bridge jobs are served by the process-wide shared
-        pool (:func:`~repro.simulation.parallel.shared_pool`).
-    transport:
-        ``"auto"`` (default), ``"shm"``, or ``"pickle"`` — how bridge
-        chunk legs travel back from pool workers (see
-        :mod:`repro.simulation.parallel`).  Ignored in exact mode
-        (threads share memory already).  Never changes output bits.
     metrics:
         Optional :class:`~repro.observability.RunContext`; records the
         ``chunked.*`` series (see docs/observability.md).
@@ -498,8 +489,6 @@ class ChunkedGenerator:
         stitch_window: int = DEFAULT_STITCH_WINDOW,
         stitch: str = "auto",
         processes: Optional[int] = None,
-        executor=None,
-        transport: str = "auto",
         metrics=None,
     ) -> None:
         if not isinstance(source, GaussianSource):
@@ -537,10 +526,7 @@ class ChunkedGenerator:
         # any simulation work), but remember whether the caller gave an
         # explicit count so generate() can re-read the environment.
         _parallel().resolve_processes(processes)
-        check_choice(transport, "transport", ("auto", "shm", "pickle"))
         self._processes = processes
-        self._executor = executor
-        self._transport = transport
         self._metrics = ensure_context(metrics)
         self._bridge_cache: Dict[Tuple[int, int], np.ndarray] = {}
         self.last_report: Optional[ChunkReport] = None
@@ -587,10 +573,8 @@ class ChunkedGenerator:
             payloads,
             workers=count,
             kind="process",
-            executor=self._executor,
             metrics=ctx,
             prefix="chunked",
-            transport=self._transport,
         )
         peak_bytes = max(raw.nbytes for raw in raws)
         x = np.empty(plan.horizon, dtype=float)
@@ -687,7 +671,6 @@ class ChunkedGenerator:
                 payloads,
                 workers=count,
                 kind="thread",
-                executor=self._executor,
                 metrics=ctx,
                 prefix="chunked",
             )
@@ -832,7 +815,6 @@ def chunked_generate(
     stitch_window: int = DEFAULT_STITCH_WINDOW,
     stitch: str = "auto",
     processes: Optional[int] = None,
-    transport: str = "auto",
     mean: float = 0.0,
     random_state: RandomState = None,
     metrics=None,
@@ -847,7 +829,6 @@ def chunked_generate(
         stitch_window=stitch_window,
         stitch=stitch,
         processes=processes,
-        transport=transport,
         metrics=metrics,
     ).generate(n, mean=mean, random_state=random_state)
 

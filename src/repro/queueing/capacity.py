@@ -311,8 +311,6 @@ def loss_vs_n(
     batch_size: int = 256,
     shards: int = 1,
     processes: Optional[int] = None,
-    transport: str = "auto",
-    pool: str = "shared",
     random_state: RandomState = None,
     metrics=None,
 ) -> LossVsN:
@@ -328,12 +326,8 @@ def loss_vs_n(
     formula at ``buffer_size = 0``, Norros' ``P(Q > b)`` otherwise.
     ``processes`` is forwarded to the engine's pooled generation path
     (``None`` defers to ``REPRO_PROCESSES``); like ``shards``, it never
-    changes the simulated bits.  ``transport`` and ``pool`` are
-    forwarded too: by default every replication at every ``n`` reuses
-    the process-wide shared worker pool and moves partial sums through
-    shared memory instead of rebuilding a pool (and re-pickling
-    results) per ``generate()`` call — ``pool="per-call"`` restores the
-    old behaviour for ablation.  Neither changes the simulated bits.
+    changes the simulated bits.  Every replication at every ``n``
+    reuses the process-wide shared worker pool.
     """
     ctx = ensure_context(metrics)
     utilization = check_in_range(
@@ -368,8 +362,6 @@ def loss_vs_n(
                     horizon,
                     shards=shards,
                     processes=processes,
-                    transport=transport,
-                    pool=pool,
                     random_state=rngs[i * replications + r],
                 )
                 result = mux.simulate(feed.arrivals, metrics=ctx)

@@ -14,12 +14,7 @@ from .importance import (
     is_overflow_probability,
     is_transient_overflow_curve,
 )
-from .parallel import (
-    pool_scope,
-    pool_stats,
-    shared_pool,
-    shutdown_shared_pool,
-)
+from .parallel import pool_stats, shared_pool, shutdown_shared_pool
 from .shm import shm_stats
 from .runner import (
     ModelComparisonResult,
@@ -41,7 +36,6 @@ __all__ = [
     "ISEstimate",
     "effective_sample_size",
     "shared_pool",
-    "pool_scope",
     "shutdown_shared_pool",
     "pool_stats",
     "shm_stats",

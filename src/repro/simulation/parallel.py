@@ -8,7 +8,9 @@ runs, so results are bit-for-bit identical whatever the worker count
 or completion order — parallelism only reorders wall-clock time, never
 randomness.
 
-Two pool flavours share one execution engine (:func:`run_tasks`):
+Two pool flavours share one private execution engine, reached through
+:func:`run_tasks` (collect every result) and :func:`reduce_tasks`
+(stream results into an ordered fold):
 
 - **Threads** for the leg runners (:func:`run_legs`): the heavy
   per-step work (BLAS matrix-vector products, bulk normal draws)
@@ -26,9 +28,8 @@ Process pools are expensive to build (fork + interpreter warm-up per
 worker), and the capacity runners used to pay that price once per
 ``generate()`` call.  :func:`shared_pool` keeps one process-wide,
 lazily created :class:`~concurrent.futures.ProcessPoolExecutor` alive
-across calls; ``run_tasks``/``reduce_tasks`` use it by default for
-``kind="process"`` (``pool="shared"``) and ``pool="per-call"`` restores
-the old build-and-tear-down behaviour.  The pool is rebuilt only when a
+across calls, and ``run_tasks``/``reduce_tasks`` serve every
+``kind="process"`` run from it.  The pool is rebuilt only when a
 different size is requested or a worker died, and it is shut down by an
 :mod:`atexit` hook (or explicitly via :func:`shutdown_shared_pool`).
 Each worker runs :func:`_prewarm_worker` once at spawn, paying the
@@ -38,15 +39,15 @@ results are bit-identical whichever pool serves them.
 
 Zero-copy transport
 -------------------
-``transport=`` selects how ndarray results cross the process boundary:
-``"auto"`` (default) parks results of at least
-``REPRO_SHM_MIN_BYTES`` bytes in :mod:`multiprocessing.shared_memory`
-segments and sends back only tiny descriptors (see
-:mod:`repro.simulation.shm`), ``"shm"`` forces that path for every
-ndarray result, and ``"pickle"`` restores the byte-for-byte pipe round
-trip.  When shared memory is unavailable the engine falls back to
-pickle automatically.  Transport only moves bytes — results are
-bit-identical across all three settings.
+Pooled process runs park ndarray results of at least
+``REPRO_SHM_MIN_BYTES`` bytes (default 64 KiB) in
+:mod:`multiprocessing.shared_memory` segments and send back only tiny
+descriptors (see :mod:`repro.simulation.shm`); smaller results, and
+everything else, ride the pickle pipe.  The threshold is the only
+transport setting: ``0`` sends every ndarray result through a segment,
+a value above every result pickles them all.  When shared memory is
+unavailable the engine falls back to pickle.  Transport only moves
+bytes — results are bit-identical at any threshold.
 
 Knobs and precedence
 --------------------
@@ -64,12 +65,6 @@ non-integer, or whitespace) raises
 :class:`~repro.exceptions.ValidationError` naming the variable and the
 offending value.  Neither knob ever changes results: pool sizing only
 reorders wall-clock time.
-
-Callers may also hand :func:`run_tasks` / :func:`run_legs` an
-``executor=`` instance (any :class:`concurrent.futures.Executor`) to
-reuse a long-lived pool across calls; the pool is used as-is and never
-shut down here.  :func:`pool_scope` is the recommended way to get such
-an executor for process tasks.
 """
 
 from __future__ import annotations
@@ -78,9 +73,9 @@ import atexit
 import os
 import threading
 import time
-from contextlib import contextmanager
+from collections import deque
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -96,7 +91,6 @@ __all__ = [
     "default_processes",
     "resolve_processes",
     "shared_pool",
-    "pool_scope",
     "shutdown_shared_pool",
     "pool_stats",
     "reset_pool_stats",
@@ -113,9 +107,6 @@ WORKERS_ENV = "REPRO_WORKERS"
 
 #: Environment variable consulted when ``processes=None`` (chunk jobs).
 PROCESSES_ENV = "REPRO_PROCESSES"
-
-_POOL_CHOICES = ("shared", "per-call")
-_TRANSPORT_CHOICES = ("auto", "shm", "pickle")
 
 
 def _env_count(name: str) -> int:
@@ -252,20 +243,6 @@ def shared_pool(
         return pool
 
 
-@contextmanager
-def pool_scope(
-    processes: Optional[int] = None, *, metrics=None
-) -> Iterator[ProcessPoolExecutor]:
-    """Context manager handing out the shared pool *without* shutting it down.
-
-    The drop-in replacement for ``with ProcessPoolExecutor(...) as p:``
-    in engine code: the body gets a ready executor, and exit leaves the
-    pool alive for the next caller.  Use :func:`shutdown_shared_pool`
-    to end its life explicitly (tests), or rely on the atexit hook.
-    """
-    yield shared_pool(processes, metrics=metrics)
-
-
 def shutdown_shared_pool() -> None:
     """Shut down the shared pool (if live) and forget it.
 
@@ -321,7 +298,7 @@ def _timed_call(fn, payload):
 def _drain_futures(futures: Sequence, timed: bool) -> None:
     """Cancel or await leftover futures, unlinking any shm results.
 
-    The error path of the pooled runners: once a task or the reducer
+    The error path of the pooled engine: once a task or the consumer
     has raised, every in-flight future may still complete and park a
     segment that nobody will redeem.  Cancel what has not started,
     await the rest, and discard any descriptors they produced so the
@@ -341,28 +318,115 @@ def _drain_futures(futures: Sequence, timed: bool) -> None:
             _shm.discard(result)
 
 
-def _transport_setup(
-    fn, kind: str, executor: Optional[Executor], pooled: bool, transport: str, ctx
-):
-    """Resolve the effective transport for a pooled run.
+def _execute(
+    fn: Callable[[P], T],
+    payloads: Sequence[P],
+    deliver: Callable[[T, int], None],
+    *,
+    workers: Optional[int],
+    kind: str,
+    metrics,
+    prefix: str,
+    collect: bool,
+) -> int:
+    """The one engine behind :func:`run_tasks` and :func:`reduce_tasks`.
 
-    Returns ``(task_fn, cross_process)`` where ``task_fn`` is ``fn``
-    possibly wrapped in a :class:`ShmExportTask`.  The shm threshold is
-    resolved here, in the parent, so workers never consult their
-    (possibly stale) environment.
+    Runs ``fn(payload)`` per payload — in-line, on the shared process
+    pool, or on a private thread pool — and hands each result to
+    ``deliver(result, index)`` strictly in submission order.
+    ``collect=True`` is the :func:`run_tasks` schedule: every task is
+    submitted at once and shared-memory results are copied out into
+    caller-owned arrays.  Otherwise at most ``2 x pool size`` tasks are
+    in flight and a zero-copy result reaches ``deliver`` as a transient
+    view into the worker's segment, unlinked as soon as ``deliver``
+    returns.  The shm threshold is resolved here, in the parent, so
+    workers never consult their (possibly stale) environment.  Returns
+    the number of payloads run.
     """
-    cross_process = pooled and (
-        isinstance(executor, ProcessPoolExecutor)
-        if executor is not None
-        else kind == "process"
-    )
-    if not cross_process or transport == "pickle":
-        return fn, cross_process
-    if not _shm.shm_available():  # pragma: no cover - shm exists on Linux CI
-        _shm.note_fallback()
-        ctx.inc("shm.fallbacks")
-        return fn, cross_process
-    return ShmExportTask(fn, _shm.resolve_min_bytes(transport)), cross_process
+    payloads = list(payloads)
+    check_choice(kind, "kind", ("thread", "process"))
+    if kind == "process":
+        count = resolve_processes(workers)
+    else:
+        count = resolve_workers(workers)
+    ctx = ensure_context(metrics)
+    pooled = count > 1 and len(payloads) > 1
+    pool_size = min(count, len(payloads)) if pooled else 1
+    ctx.set(f"{prefix}.workers", pool_size)
+    ctx.inc(f"{prefix}.legs", len(payloads))
+    cross_process = pooled and kind == "process"
+    task_fn = fn
+    if cross_process:
+        if _shm.shm_available():
+            task_fn = ShmExportTask(fn, _shm.resolve_min_bytes())
+        else:
+            _shm.note_fallback()
+            ctx.inc("shm.fallbacks")
+    timed = ctx.enabled
+    job_seconds: List[float] = []
+    tally = {"zero_copy": 0, "pickled": 0, "segments": 0}
+
+    def hand_over(outcome, index: int) -> None:
+        if timed:
+            result, seconds = outcome
+            job_seconds.append(seconds)
+        else:
+            result = outcome
+        if isinstance(result, ShmArrayRef):
+            tally["zero_copy"] += result.nbytes
+            tally["segments"] += 1
+            if collect:
+                deliver(_shm.redeem_copy(result), index)
+                return
+            array, segment = _shm.attach(result)
+            try:
+                deliver(array, index)
+            finally:
+                del array
+                _shm.release(result, segment)
+            return
+        if cross_process and isinstance(result, np.ndarray):
+            tally["pickled"] += result.nbytes
+            _shm.note_pickled(result.nbytes)
+        deliver(result, index)
+
+    def run_pooled(pool_exec: Executor) -> None:
+        window = len(payloads) if collect else 2 * pool_size
+        pending: deque = deque()
+        submitted = 0
+        try:
+            for index in range(len(payloads)):
+                while submitted < len(payloads) and len(pending) < window:
+                    payload = payloads[submitted]
+                    pending.append(
+                        pool_exec.submit(_timed_call, task_fn, payload)
+                        if timed
+                        else pool_exec.submit(task_fn, payload)
+                    )
+                    submitted += 1
+                hand_over(pending.popleft().result(), index)
+        finally:
+            _drain_futures(pending, timed)
+
+    wall_start = time.perf_counter()
+    if not pooled:
+        for index, payload in enumerate(payloads):
+            hand_over(_timed_call(fn, payload) if timed else fn(payload), index)
+    elif kind == "process":
+        run_pooled(shared_pool(count, metrics=ctx))
+    else:
+        with ThreadPoolExecutor(max_workers=pool_size) as pool_exec:
+            run_pooled(pool_exec)
+    if cross_process:
+        ctx.inc("shm.bytes_zero_copy", tally["zero_copy"])
+        ctx.inc("shm.bytes_pickled", tally["pickled"])
+        ctx.inc("shm.segments", tally["segments"])
+    if timed:
+        wall = time.perf_counter() - wall_start
+        ctx.observe_many(f"{prefix}.job_seconds", job_seconds)
+        if wall > 0.0:
+            ctx.set(f"{prefix}.occupancy", sum(job_seconds) / wall)
+    return len(payloads)
 
 
 def run_tasks(
@@ -371,16 +435,14 @@ def run_tasks(
     *,
     workers: Optional[int] = None,
     kind: str = "thread",
-    executor: Optional[Executor] = None,
     metrics=None,
     prefix: str = "parallel",
-    pool: str = "shared",
-    transport: str = "auto",
 ) -> List[T]:
     """Run ``fn(payload)`` for each payload, serially or on a pool.
 
-    This is the shared execution engine behind :func:`run_legs`
-    (threads) and the chunked generation pipeline (processes).  Results
+    The collecting entry point to the engine behind :func:`run_legs`
+    (threads), the chunked generation pipeline and the replication
+    runners (processes).  Every task is submitted at once, and results
     are returned in submission order; any task exception propagates to
     the caller as it would serially.
 
@@ -397,13 +459,9 @@ def run_tasks(
         ``1`` — or an empty/singleton payload list — runs in-line with
         no pool.
     kind:
-        ``"thread"`` or ``"process"``.  Ignored when ``executor`` is
-        given.
-    executor:
-        Optional caller-managed :class:`concurrent.futures.Executor`;
-        tasks are submitted to it as-is and it is *not* shut down here.
-        The caller remains responsible for matching the executor flavour
-        to the task functions (process pools need picklable tasks).
+        ``"thread"`` (a private pool per call) or ``"process"`` (the
+        process-wide :func:`shared_pool`; ndarray results cross the
+        process boundary as described in the module docstring).
     metrics:
         Optional :class:`~repro.observability.RunContext`.  Records a
         ``<prefix>.workers`` gauge, a ``<prefix>.legs`` counter, a
@@ -417,116 +475,18 @@ def run_tasks(
     prefix:
         Metric-name prefix (``"parallel"`` for the leg runners,
         ``"chunked"`` for the chunk pipeline).
-    pool:
-        ``"shared"`` (default) serves ``kind="process"`` tasks from the
-        process-wide :func:`shared_pool`; ``"per-call"`` builds and
-        tears down a private pool, the pre-runtime behaviour.  Ignored
-        for threads and when ``executor`` is given.
-    transport:
-        ``"auto"`` (default), ``"shm"``, or ``"pickle"`` — how ndarray
-        results cross a process boundary (see module docstring).
-        Ignored for threads and in-line runs.  Never changes result
-        bits.
     """
-    payloads = list(payloads)
-    check_choice(kind, "kind", ("thread", "process"))
-    check_choice(pool, "pool", _POOL_CHOICES)
-    check_choice(transport, "transport", _TRANSPORT_CHOICES)
-    if executor is not None and not isinstance(executor, Executor):
-        raise ValidationError(
-            "executor must be a concurrent.futures.Executor, got "
-            f"{type(executor).__name__}"
-        )
-    if workers is None and executor is not None:
-        # A caller-managed pool decides its own size; it only needs to
-        # be engaged when there is more than one task.
-        count = 2 if len(payloads) > 1 else 1
-    elif kind == "process":
-        count = resolve_processes(workers)
-    else:
-        count = resolve_workers(workers)
-    ctx = ensure_context(metrics)
-    pooled = count > 1 and len(payloads) > 1
-    pool_size = min(count, len(payloads)) if pooled else 1
-    ctx.set(f"{prefix}.workers", pool_size)
-    ctx.inc(f"{prefix}.legs", len(payloads))
-    task_fn, cross_process = _transport_setup(
-        fn, kind, executor, pooled, transport, ctx
+    results: List[T] = []
+    _execute(
+        fn,
+        payloads,
+        lambda result, _index: results.append(result),
+        workers=workers,
+        kind=kind,
+        metrics=metrics,
+        prefix=prefix,
+        collect=True,
     )
-    tally = {"zero_copy": 0, "pickled": 0, "segments": 0}
-
-    def redeem(result):
-        if isinstance(result, ShmArrayRef):
-            tally["zero_copy"] += result.nbytes
-            tally["segments"] += 1
-            return _shm.redeem_copy(result)
-        if cross_process and isinstance(result, np.ndarray):
-            tally["pickled"] += result.nbytes
-            _shm.note_pickled(result.nbytes)
-        return result
-
-    def run_inline() -> tuple:
-        if not ctx.enabled:
-            return [fn(payload) for payload in payloads], None
-        results: List[T] = []
-        job_seconds: List[float] = []
-        for payload in payloads:
-            result, seconds = _timed_call(fn, payload)
-            results.append(result)
-            job_seconds.append(seconds)
-        return results, job_seconds
-
-    def run_pooled(pool_exec: Executor) -> tuple:
-        timed = ctx.enabled
-        futures = [
-            pool_exec.submit(_timed_call, task_fn, payload)
-            if timed
-            else pool_exec.submit(task_fn, payload)
-            for payload in payloads
-        ]
-        results: List[T] = []
-        job_seconds: Optional[List[float]] = [] if timed else None
-        consumed = 0
-        try:
-            for future in futures:
-                outcome = future.result()
-                consumed += 1
-                if timed:
-                    result, seconds = outcome
-                    job_seconds.append(seconds)
-                else:
-                    result = outcome
-                results.append(redeem(result))
-        except BaseException:
-            _drain_futures(futures[consumed:], timed)
-            raise
-        return results, job_seconds
-
-    wall_start = time.perf_counter()
-    if not pooled:
-        results, job_seconds = run_inline()
-    elif executor is not None:
-        results, job_seconds = run_pooled(executor)
-    elif kind == "process":
-        if pool == "shared":
-            results, job_seconds = run_pooled(shared_pool(count, metrics=ctx))
-        else:
-            with ProcessPoolExecutor(
-                max_workers=pool_size, initializer=_prewarm_worker
-            ) as pool_exec:
-                results, job_seconds = run_pooled(pool_exec)
-    else:
-        with ThreadPoolExecutor(max_workers=pool_size) as pool_exec:
-            results, job_seconds = run_pooled(pool_exec)
-    if cross_process:
-        ctx.inc("shm.bytes_zero_copy", tally["zero_copy"])
-        ctx.inc("shm.bytes_pickled", tally["pickled"])
-        ctx.inc("shm.segments", tally["segments"])
-    if job_seconds is not None:
-        wall = time.perf_counter() - wall_start
-        ctx.observe_many(f"{prefix}.job_seconds", job_seconds)
-        if wall > 0.0:
-            ctx.set(f"{prefix}.occupancy", sum(job_seconds) / wall)
     return results
 
 
@@ -537,12 +497,8 @@ def reduce_tasks(
     *,
     workers: Optional[int] = None,
     kind: str = "process",
-    executor: Optional[Executor] = None,
     metrics=None,
     prefix: str = "parallel",
-    max_pending: Optional[int] = None,
-    pool: str = "shared",
-    transport: str = "auto",
 ) -> int:
     """Run ``fn(payload)`` per payload and *stream* results into ``reducer``.
 
@@ -552,8 +508,8 @@ def reduce_tasks(
     feed).  ``reducer(result, index)`` is called strictly in submission
     order — index 0 first, then 1, and so on — and each result is
     released before the next is awaited, so peak memory is bounded by
-    the in-flight window (at most ``max_pending`` undelivered results,
-    default ``2 x pool size``), **not** by ``len(payloads)``.
+    the in-flight window (at most ``2 x pool size`` undelivered
+    results), **not** by ``len(payloads)``.
 
     The ordered fold is what keeps floating-point reductions
     bit-identical at any pool size: the reducer observes exactly the
@@ -569,124 +525,21 @@ def reduce_tasks(
 
     Parameters mirror :func:`run_tasks` (``workers=None`` defers to
     ``REPRO_PROCESSES`` for ``kind="process"`` / ``REPRO_WORKERS`` for
-    threads; ``executor=`` reuses a caller-managed pool; ``pool=`` and
-    ``transport=`` select the shared pool and the shm transport);
-    ``metrics`` records the same ``<prefix>.workers`` / ``.legs`` /
-    ``.job_seconds`` / ``.occupancy`` series plus the ``pool.*`` /
-    ``shm.*`` runtime series.  Returns the number of payloads reduced.
+    threads), and ``metrics`` records the same ``<prefix>.workers`` /
+    ``.legs`` / ``.job_seconds`` / ``.occupancy`` series plus the
+    ``pool.*`` / ``shm.*`` runtime series.  Returns the number of
+    payloads reduced.
     """
-    payloads = list(payloads)
-    check_choice(kind, "kind", ("thread", "process"))
-    check_choice(pool, "pool", _POOL_CHOICES)
-    check_choice(transport, "transport", _TRANSPORT_CHOICES)
-    if executor is not None and not isinstance(executor, Executor):
-        raise ValidationError(
-            "executor must be a concurrent.futures.Executor, got "
-            f"{type(executor).__name__}"
-        )
-    if workers is None and executor is not None:
-        count = 2 if len(payloads) > 1 else 1
-    elif kind == "process":
-        count = resolve_processes(workers)
-    else:
-        count = resolve_workers(workers)
-    ctx = ensure_context(metrics)
-    pooled = count > 1 and len(payloads) > 1
-    pool_size = min(count, len(payloads)) if pooled else 1
-    if max_pending is None:
-        max_pending = 2 * pool_size
-    max_pending = check_positive_int(max_pending, "max_pending")
-    ctx.set(f"{prefix}.workers", pool_size)
-    ctx.inc(f"{prefix}.legs", len(payloads))
-    task_fn, cross_process = _transport_setup(
-        fn, kind, executor, pooled, transport, ctx
+    return _execute(
+        fn,
+        payloads,
+        reducer,
+        workers=workers,
+        kind=kind,
+        metrics=metrics,
+        prefix=prefix,
+        collect=False,
     )
-    tally = {"zero_copy": 0, "pickled": 0, "segments": 0}
-
-    def reduce_inline() -> Optional[List[float]]:
-        if not ctx.enabled:
-            for index, payload in enumerate(payloads):
-                reducer(fn(payload), index)
-            return None
-        job_seconds: List[float] = []
-        for index, payload in enumerate(payloads):
-            result, seconds = _timed_call(fn, payload)
-            job_seconds.append(seconds)
-            reducer(result, index)
-        return job_seconds
-
-    def reduce_pooled(pool_exec: Executor) -> Optional[List[float]]:
-        timed = ctx.enabled
-        job_seconds: Optional[List[float]] = [] if timed else None
-        pending: List = []
-        submitted = 0
-        delivered = 0
-        try:
-            while delivered < len(payloads):
-                while (
-                    submitted < len(payloads)
-                    and len(pending) < max_pending
-                ):
-                    payload = payloads[submitted]
-                    pending.append(
-                        pool_exec.submit(_timed_call, task_fn, payload)
-                        if timed
-                        else pool_exec.submit(task_fn, payload)
-                    )
-                    submitted += 1
-                future = pending.pop(0)
-                outcome = future.result()
-                if timed:
-                    result, seconds = outcome
-                    job_seconds.append(seconds)
-                else:
-                    result = outcome
-                if isinstance(result, ShmArrayRef):
-                    tally["zero_copy"] += result.nbytes
-                    tally["segments"] += 1
-                    array, segment = _shm.attach(result)
-                    try:
-                        reducer(array, delivered)
-                    finally:
-                        del array
-                        _shm.release(result, segment)
-                else:
-                    if cross_process and isinstance(result, np.ndarray):
-                        tally["pickled"] += result.nbytes
-                        _shm.note_pickled(result.nbytes)
-                    reducer(result, delivered)
-                result = None  # release before awaiting the next
-                delivered += 1
-        finally:
-            _drain_futures(pending, timed)
-        return job_seconds
-
-    wall_start = time.perf_counter()
-    if not pooled:
-        job_seconds = reduce_inline()
-    elif executor is not None:
-        job_seconds = reduce_pooled(executor)
-    elif kind == "process":
-        if pool == "shared":
-            job_seconds = reduce_pooled(shared_pool(count, metrics=ctx))
-        else:
-            with ProcessPoolExecutor(
-                max_workers=pool_size, initializer=_prewarm_worker
-            ) as pool_exec:
-                job_seconds = reduce_pooled(pool_exec)
-    else:
-        with ThreadPoolExecutor(max_workers=pool_size) as pool_exec:
-            job_seconds = reduce_pooled(pool_exec)
-    if cross_process:
-        ctx.inc("shm.bytes_zero_copy", tally["zero_copy"])
-        ctx.inc("shm.bytes_pickled", tally["pickled"])
-        ctx.inc("shm.segments", tally["segments"])
-    if job_seconds is not None:
-        wall = time.perf_counter() - wall_start
-        ctx.observe_many(f"{prefix}.job_seconds", job_seconds)
-        if wall > 0.0:
-            ctx.set(f"{prefix}.occupancy", sum(job_seconds) / wall)
-    return len(payloads)
 
 
 def run_legs(
@@ -694,7 +547,6 @@ def run_legs(
     workers: Optional[int] = None,
     *,
     metrics=None,
-    executor: Optional[Executor] = None,
 ) -> List[T]:
     """Run independent zero-argument jobs, serially or on a thread pool.
 
@@ -709,17 +561,12 @@ def run_legs(
     wall-clock seconds, i.e. the average number of busy workers.  All
     bookkeeping happens outside the jobs themselves, so seeded jobs
     remain bit-identical.
-
-    ``executor`` optionally reuses a caller-managed thread pool (see
-    :func:`run_tasks`); leg jobs are closures, so a process pool is not
-    a valid executor here.
     """
     return run_tasks(
         _invoke,
         jobs,
         workers=workers,
         kind="thread",
-        executor=executor,
         metrics=metrics,
         prefix="parallel",
     )

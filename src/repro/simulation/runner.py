@@ -522,7 +522,6 @@ def aggregate_overflow_curve(
     shards: int = 1,
     warmup: int = 0,
     processes: Optional[int] = None,
-    transport: str = "auto",
     random_state: RandomState = None,
     metrics=None,
 ) -> OverflowCurve:
@@ -542,9 +541,7 @@ def aggregate_overflow_curve(
     shared pool (each pre-seeded from :func:`spawn_rngs`, so the curve
     is bit-identical at any worker count); with a single replication
     the budget is forwarded to the engine's block-level pooled
-    generation instead.  ``transport`` picks the cross-process result
-    path (see :mod:`repro.simulation.parallel`).  Neither changes the
-    curve's bits.
+    generation instead.  Neither changes the curve's bits.
 
     Variance across replications is the sample variance of the
     per-path estimates over ``replications`` (NaN for a single path,
@@ -592,7 +589,6 @@ def aggregate_overflow_curve(
                 kind="process",
                 metrics=ctx,
                 prefix="runner_pool",
-                transport=transport,
             )
             for r, row in enumerate(rows):
                 probabilities[r] = row
@@ -602,7 +598,6 @@ def aggregate_overflow_curve(
                     horizon,
                     shards=shards,
                     processes=procs,
-                    transport=transport,
                     random_state=rngs[r],
                 )
                 per_path = steady_state_overflow_from_trace(

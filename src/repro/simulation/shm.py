@@ -75,9 +75,9 @@ __all__ = [
     "sweep_segments",
 ]
 
-#: Results smaller than this (bytes) ride the pickle path even under
-#: ``transport="auto"`` — a pipe round trip beats segment setup for
-#: tiny arrays.  Overridden by ``REPRO_SHM_MIN_BYTES``.
+#: Results smaller than this (bytes) ride the pickle path — a pipe
+#: round trip beats segment setup for tiny arrays.  Overridden by
+#: ``REPRO_SHM_MIN_BYTES``.
 DEFAULT_MIN_BYTES = 64 * 1024
 
 #: Environment variable overriding :data:`DEFAULT_MIN_BYTES`.
@@ -300,17 +300,14 @@ def discard(ref: ShmArrayRef) -> None:
     release(ref, segment)
 
 
-def resolve_min_bytes(transport: str) -> int:
-    """Zero-copy size threshold for a transport choice.
+def resolve_min_bytes() -> int:
+    """Zero-copy size threshold: ``REPRO_SHM_MIN_BYTES`` or the default.
 
-    ``"shm"`` forces every ndarray result through shared memory;
-    ``"auto"`` applies ``REPRO_SHM_MIN_BYTES`` (default
-    :data:`DEFAULT_MIN_BYTES`).  Resolved in the parent at call time so
-    the environment is read from the calling process, never from a
-    long-lived worker's stale copy.
+    ``0`` sends every ndarray result through shared memory; a value
+    above every result pickles them all.  Resolved in the parent at call
+    time so the environment is read from the calling process, never
+    from a long-lived worker's stale copy.
     """
-    if transport == "shm":
-        return 0
     raw = os.environ.get(MIN_BYTES_ENV, "")
     stripped = raw.strip()
     if not raw:
@@ -364,7 +361,7 @@ def note_pickled(nbytes: int) -> None:
 
 
 def note_fallback() -> None:
-    """Record a forced-shm request served by pickle (shm unavailable)."""
+    """Record a pooled process run served by pickle (shm unavailable)."""
     with _lock:
         _stats["fallbacks"] += 1
 

@@ -25,6 +25,7 @@ from repro.processes.correlation import (
     FGNCorrelation,
 )
 from repro.stats.random import spawn_rngs
+from tests.conftest import SHM_THRESHOLDS
 
 
 @pytest.fixture()
@@ -421,42 +422,58 @@ class TestProcessInvariance:
                 )
                 np.testing.assert_array_equal(feed.arrivals, reference)
 
-    def test_transport_pool_matrix_bit_identical(self, mixed_population):
-        # The acceptance matrix: pool lifetime and result transport are
-        # pure plumbing — the feed must be bit-identical to the serial
-        # reference at every combination.
+    def test_transport_pool_matrix_bit_identical(
+        self, mixed_population, shm_threshold
+    ):
+        # The acceptance matrix: the shm threshold only picks the
+        # result path — the feed must be bit-identical to the serial
+        # reference at every process count and every threshold.
         engine = ShardedAggregateModel(mixed_population, batch_size=4)
         reference = engine.generate(128, random_state=21).arrivals
         for processes in (1, 2, 7, 16):
-            for transport in ("pickle", "shm"):
-                for pool in ("shared", "per-call"):
-                    feed = engine.generate(
-                        128,
-                        processes=processes,
-                        transport=transport,
-                        pool=pool,
-                        random_state=21,
-                    )
-                    np.testing.assert_array_equal(feed.arrivals, reference)
+            for threshold in SHM_THRESHOLDS.values():
+                shm_threshold(threshold)
+                feed = engine.generate(
+                    128, processes=processes, random_state=21
+                )
+                np.testing.assert_array_equal(feed.arrivals, reference)
 
-    def test_feed_reports_effective_transport(self, mixed_population):
+    def test_feed_reports_effective_transport(
+        self, mixed_population, shm_threshold
+    ):
+        # The shm.* series report the path that actually ran.  Each task
+        # returns one 512-byte partial sum, far under the default 64 KiB
+        # threshold: by default every partial-sum byte is pickled, and
+        # only a zero threshold moves them through segments.  The feed
+        # bits never depend on it.
+        from repro.observability import RunContext
         from repro.simulation.shm import shm_available
 
-        engine = ShardedAggregateModel(mixed_population, batch_size=4)
-        assert engine.generate(32, random_state=3).transport == "inline"
-        pooled = engine.generate(
-            32, processes=2, transport="pickle", random_state=3
-        )
-        assert pooled.transport == "pickle"
-        auto = engine.generate(32, processes=2, random_state=3)
-        assert auto.transport == ("shm" if shm_available() else "pickle")
-
-    def test_transport_and_pool_validated(self, mixed_population):
-        engine = ShardedAggregateModel(mixed_population)
-        with pytest.raises(ValidationError, match="transport"):
-            engine.generate(16, processes=2, transport="wire")
-        with pytest.raises(ValidationError, match="pool"):
-            engine.generate(16, processes=2, pool="lots")
+        if not shm_available():
+            pytest.skip("POSIX shared memory unavailable")
+        reference = ShardedAggregateModel(
+            mixed_population, batch_size=4
+        ).generate(64, processes=1, random_state=3).arrivals
+        series = {}
+        for threshold in (None, "0"):
+            shm_threshold(threshold)
+            ctx = RunContext()
+            feed = ShardedAggregateModel(
+                mixed_population, batch_size=4, metrics=ctx
+            ).generate(64, processes=2, random_state=3)
+            np.testing.assert_array_equal(feed.arrivals, reference)
+            series[threshold] = {
+                e["name"]: e.get("value")
+                for e in ctx.snapshot() if not e["labels"]
+            }
+        partial_bytes = series[None]["aggregate.reduction_bytes"]
+        assert partial_bytes == 6 * 64 * 8
+        assert series[None]["shm.bytes_pickled"] == partial_bytes
+        assert series[None]["shm.bytes_zero_copy"] == 0
+        assert series[None]["shm.segments"] == 0
+        assert series["0"]["shm.bytes_zero_copy"] == partial_bytes
+        assert series["0"]["shm.bytes_pickled"] == 0
+        assert series["0"]["shm.segments"] == 6
 
     def test_env_variable_resolves_processes(
         self, mixed_population, monkeypatch

@@ -19,6 +19,7 @@ from repro.queueing.capacity import (
     loss_vs_n,
 )
 from repro.simulation import aggregate_overflow_curve
+from tests.conftest import SHM_THRESHOLDS
 
 
 @pytest.fixture()
@@ -282,18 +283,19 @@ class TestLossVsNProcesses:
         )
         np.testing.assert_array_equal(pooled.theory, serial.theory)
 
-    def test_transport_and_pool_never_change_the_loss_bits(self, mixture):
+    def test_transport_and_pool_never_change_the_loss_bits(
+        self, mixture, shm_threshold
+    ):
         serial = loss_vs_n(
             mixture, [16, 48], utilization=0.9, buffer_size=0.0,
             horizon=256, batch_size=8, random_state=5,
         )
-        for transport in ("pickle", "shm"):
-            for pool in ("shared", "per-call"):
-                pooled = loss_vs_n(
-                    mixture, [16, 48], utilization=0.9, buffer_size=0.0,
-                    horizon=256, batch_size=8, processes=2,
-                    transport=transport, pool=pool, random_state=5,
-                )
-                np.testing.assert_array_equal(
-                    pooled.loss_ratios, serial.loss_ratios
-                )
+        for threshold in SHM_THRESHOLDS.values():
+            shm_threshold(threshold)
+            pooled = loss_vs_n(
+                mixture, [16, 48], utilization=0.9, buffer_size=0.0,
+                horizon=256, batch_size=8, processes=2, random_state=5,
+            )
+            np.testing.assert_array_equal(
+                pooled.loss_ratios, serial.loss_ratios
+            )

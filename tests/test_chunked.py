@@ -50,6 +50,7 @@ from repro.processes.hosking import hosking_generate
 from repro.processes.source import DaviesHarteSource, HoskingSource
 from repro.stats.random import spawn_key, spawn_rngs
 from repro.video.gop import GopStructure
+from tests.conftest import SHM_THRESHOLDS
 
 FAST = settings(max_examples=40, deadline=None)
 
@@ -239,9 +240,10 @@ class TestBridgeStitch:
         assert np.array_equal(out, baseline)
 
     @pytest.mark.parametrize("transport", ["auto", "shm", "pickle"])
-    def test_transport_invariant_bits(self, transport):
-        # The shm descriptor path only moves result bytes; the stitched
-        # trace must match the serial reference exactly.
+    def test_transport_invariant_bits(self, transport, shm_threshold):
+        # The shm threshold only picks how chunk legs travel back; the
+        # stitched trace must match the serial reference exactly.
+        shm_threshold(SHM_THRESHOLDS[transport])
         src = DaviesHarteSource(FGNCorrelation(0.8))
         baseline = chunked_generate(
             src,
@@ -257,7 +259,6 @@ class TestBridgeStitch:
             chunk_frames=1024,
             stitch_window=128,
             processes=2,
-            transport=transport,
             random_state=99,
         )
         assert np.array_equal(out, baseline)

@@ -6,16 +6,17 @@ to the caller — same type, same message — whether the pool is bypassed
 (``workers=1``) or threaded (``workers>1``), with no hang and no
 partial result list.
 
-Also covered: the shared :func:`repro.simulation.parallel.run_tasks`
-engine — executor injection (a caller-managed pool is used as-is and
-never shut down), the ``kind="process"`` flavour the chunked pipeline
-runs on, and the independence of ``REPRO_WORKERS`` (thread legs) from
-``REPRO_PROCESSES`` (chunk jobs).
+Also covered: the engine behind :func:`repro.simulation.parallel.run_tasks`
+and :func:`~repro.simulation.parallel.reduce_tasks` — the
+``kind="process"`` flavour the chunked pipeline runs on, the bounded
+in-flight window of the streaming fold, and the independence of
+``REPRO_WORKERS`` (thread legs) from ``REPRO_PROCESSES`` (chunk jobs).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import threading
+import time
 
 import pytest
 
@@ -167,27 +168,6 @@ class TestRunTasks:
         with pytest.raises(ValidationError, match="kind"):
             run_tasks(_double, [1], kind="fork")
 
-    def test_injected_executor_used_and_not_shut_down(self):
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            out = run_tasks(_double, [1, 2, 3], executor=pool)
-            assert out == [2, 4, 6]
-            # Still alive for the caller: run_tasks never shuts a
-            # caller-managed pool down.
-            again = run_tasks(_double, [4], executor=pool)
-            assert again == [8]
-            assert pool.submit(_double, 5).result() == 10
-
-    def test_injected_executor_validated(self):
-        with pytest.raises(ValidationError, match="[Ee]xecutor"):
-            run_tasks(_double, [1], executor=object())
-
-    def test_run_legs_accepts_executor(self):
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            out = run_legs(
-                [lambda i=i: i for i in range(4)], executor=pool
-            )
-            assert out == [0, 1, 2, 3]
-
     def test_metrics_record_workers_and_occupancy(self):
         ctx = RunContext()
         run_tasks(
@@ -254,27 +234,32 @@ class TestReduceTasks:
         assert seen == [(0, 10), (1, 2), (2, 8), (3, 4), (4, 6)]
 
     def test_max_pending_bounds_the_window(self):
-        # A window of 1 forces strict submit -> fold -> submit
-        # alternation; the fold order must still be submission order.
+        # The O(horizon) feed memory of the aggregate engine rests on
+        # this window: a slow fold must hold at most 2 x pool size tasks
+        # started but not yet delivered (collecting every result, as
+        # run_tasks does, would start all 40 here).
         from repro.simulation.parallel import reduce_tasks
 
+        lock = threading.Lock()
+        counts = {"started": 0, "peak": 0}
         seen = []
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            reduce_tasks(
-                _double,
-                list(range(6)),
-                lambda result, index: seen.append(index),
-                workers=2,
-                executor=pool,
-                max_pending=1,
-            )
-        assert seen == list(range(6))
 
-    def test_max_pending_validated(self):
-        from repro.simulation.parallel import reduce_tasks
+        def task(x):
+            with lock:
+                counts["started"] += 1
+                counts["peak"] = max(
+                    counts["peak"], counts["started"] - len(seen)
+                )
+            return x
 
-        with pytest.raises(ValidationError, match="max_pending"):
-            reduce_tasks(_double, [1, 2], lambda r, i: None, max_pending=0)
+        def fold(result, index):
+            time.sleep(0.002)
+            with lock:
+                seen.append(result)
+
+        reduce_tasks(task, range(40), fold, workers=2, kind="thread")
+        assert seen == list(range(40))
+        assert 0 < counts["peak"] <= 2 * 2
 
     def test_exception_propagates(self):
         from repro.simulation.parallel import reduce_tasks

@@ -1,12 +1,15 @@
 """Persistent shared pool and zero-copy shm transport (simulation runtime).
 
 Covers the runtime contract end to end: pool lifetime (lazy creation,
-reuse, resize-rebuild, scope, shutdown), the shared-memory descriptor
-round trip, transport thresholds, and — critically — the leak
-regression suite: a forced worker exception, a mid-run
-``KeyboardInterrupt``-style cancellation, and 50 back-to-back pooled
-``generate()`` calls must all leave zero live segments (checked via the
-``segments_live`` gauge *and* a raw ``/dev/shm`` listing) and flat RSS.
+reuse, resize-rebuild, shutdown), the shared-memory descriptor round
+trip, the ``REPRO_SHM_MIN_BYTES`` threshold (the only transport
+setting), the pickle fallback when shared memory is unavailable, and —
+critically — the leak regression suite: a forced worker exception, a
+mid-run ``KeyboardInterrupt``-style cancellation, and 50 back-to-back
+pooled ``generate()`` calls must all leave zero live segments (checked
+via the ``segments_live`` gauge *and* a raw ``/dev/shm`` listing) and
+flat RSS.  Tests that need segments set the threshold to 0 and assert
+that segments were in fact created.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from repro.marginals.parametric import NormalDistribution
 from repro.observability import RunContext
 from repro.simulation import shm
 from repro.simulation.parallel import (
-    pool_scope,
     pool_stats,
     reduce_tasks,
     reset_pool_stats,
@@ -30,6 +32,7 @@ from repro.simulation.parallel import (
     shared_pool,
     shutdown_shared_pool,
 )
+from tests.conftest import SHM_THRESHOLDS
 
 needs_shm = pytest.mark.skipif(
     not shm.shm_available(), reason="POSIX shared memory unavailable"
@@ -64,6 +67,12 @@ def _leftover_segments():
 
 
 @pytest.fixture()
+def zero_threshold(monkeypatch):
+    """Send every ndarray result of a pooled process run through shm."""
+    monkeypatch.setenv(shm.MIN_BYTES_ENV, "0")
+
+
+@pytest.fixture()
 def fresh_runtime():
     """Start and end with no shared pool and zeroed runtime counters."""
     shutdown_shared_pool()
@@ -93,13 +102,6 @@ class TestSharedPool:
         assert stats["shutdowns"] == 1
         assert stats["size"] == 3
 
-    def test_pool_scope_leaves_pool_alive(self, fresh_runtime):
-        with pool_scope(2) as pool:
-            assert pool.submit(_scalar, 2).result() == 6
-        # The scope must NOT shut the executor down on exit.
-        assert pool.submit(_scalar, 3).result() == 9
-        assert pool_stats()["size"] == 2
-
     def test_shutdown_idempotent(self, fresh_runtime):
         shared_pool(2)
         shutdown_shared_pool()
@@ -108,20 +110,6 @@ class TestSharedPool:
         # The next request builds a fresh pool.
         assert shared_pool(2).submit(_scalar, 1).result() == 3
         assert pool_stats()["spinups"] == 2
-
-    def test_per_call_pool_bypasses_shared(self, fresh_runtime):
-        out = run_tasks(
-            _scalar, [1, 2, 3], workers=2, kind="process", pool="per-call"
-        )
-        assert out == [3, 6, 9]
-        assert pool_stats()["spinups"] == 0
-        assert pool_stats()["size"] == 0
-
-    def test_invalid_pool_and_transport_choices(self):
-        with pytest.raises(ValidationError, match="pool"):
-            run_tasks(_scalar, [1, 2], kind="process", pool="forever")
-        with pytest.raises(ValidationError, match="transport"):
-            run_tasks(_scalar, [1, 2], kind="process", transport="carrier")
 
     def test_metrics_record_pool_series(self, fresh_runtime):
         ctx = RunContext()
@@ -151,11 +139,12 @@ class TestShmTransport:
         assert _leftover_segments() == []
 
     @pytest.mark.parametrize("transport", ["auto", "shm", "pickle"])
-    def test_transports_are_bit_identical(self, fresh_runtime, transport):
+    def test_transports_are_bit_identical(
+        self, fresh_runtime, shm_threshold, transport
+    ):
+        shm_threshold(SHM_THRESHOLDS[transport])
         expected = [_fill(x) for x in range(4)]
-        got = run_tasks(
-            _fill, range(4), workers=2, kind="process", transport=transport
-        )
+        got = run_tasks(_fill, range(4), workers=2, kind="process")
         for a, b in zip(expected, got):
             np.testing.assert_array_equal(a, b)
         assert shm.shm_stats()["segments_live"] == 0
@@ -172,10 +161,9 @@ class TestShmTransport:
         assert stats["bytes_zero_copy"] == 0
         assert stats["bytes_pickled"] == 4 * 8 * 8
 
-    def test_forced_shm_ignores_threshold(self, fresh_runtime):
-        run_tasks(
-            _tiny, range(4), workers=2, kind="process", transport="shm"
-        )
+    def test_forced_shm_ignores_threshold(self, fresh_runtime, zero_threshold):
+        # A zero threshold sends even 64-byte results through segments.
+        run_tasks(_tiny, range(4), workers=2, kind="process")
         stats = shm.shm_stats()
         assert stats["bytes_zero_copy"] == 4 * 8 * 8
         assert stats["bytes_pickled"] == 0
@@ -193,14 +181,16 @@ class TestShmTransport:
         with pytest.raises(ValidationError, match=shm.MIN_BYTES_ENV):
             run_tasks(_fill, range(4), workers=2, kind="process")
 
-    def test_non_ndarray_results_pass_through(self, fresh_runtime):
-        out = run_tasks(
-            _scalar, [1, 2, 3], workers=2, kind="process", transport="shm"
-        )
+    def test_non_ndarray_results_pass_through(
+        self, fresh_runtime, zero_threshold
+    ):
+        out = run_tasks(_scalar, [1, 2, 3], workers=2, kind="process")
         assert out == [3, 6, 9]
         assert shm.shm_stats()["segments_received"] == 0
 
-    def test_reduce_streams_zero_copy_views(self, fresh_runtime):
+    def test_reduce_streams_zero_copy_views(
+        self, fresh_runtime, zero_threshold
+    ):
         total = np.zeros(8192)
         count = reduce_tasks(
             _fill,
@@ -208,7 +198,6 @@ class TestShmTransport:
             lambda row, index: total.__iadd__(row),
             workers=2,
             kind="process",
-            transport="shm",
         )
         assert count == 6
         assert total[0] == sum(range(6))
@@ -217,34 +206,64 @@ class TestShmTransport:
         assert stats["segments_live"] == 0
         assert _leftover_segments() == []
 
-    def test_metrics_record_shm_series(self, fresh_runtime):
+    def test_metrics_record_shm_series(self, fresh_runtime, zero_threshold):
         ctx = RunContext()
-        run_tasks(
-            _fill, range(4), workers=2, kind="process", metrics=ctx,
-            transport="shm",
-        )
+        run_tasks(_fill, range(4), workers=2, kind="process", metrics=ctx)
         snapshot = {e["name"]: e for e in ctx.snapshot()}
         assert snapshot["shm.bytes_zero_copy"]["value"] == 4 * 8192 * 8
         assert snapshot["shm.bytes_pickled"]["value"] == 0
         assert snapshot["shm.segments"]["value"] == 4
 
-    def test_thread_pools_never_engage_transport(self, fresh_runtime):
-        out = run_tasks(
-            _fill, range(4), workers=2, kind="thread", transport="shm"
-        )
+    def test_thread_pools_never_engage_transport(
+        self, fresh_runtime, zero_threshold
+    ):
+        out = run_tasks(_fill, range(4), workers=2, kind="thread")
         assert len(out) == 4
         assert shm.shm_stats()["segments_received"] == 0
 
 
+class TestShmFallback:
+    def test_unavailable_shm_falls_back_to_pickle(
+        self, fresh_runtime, zero_threshold, monkeypatch
+    ):
+        # Without POSIX shared memory the pickle pipe is the only path:
+        # even a zero threshold must pickle, bit for bit, and count one
+        # fallback per pooled call.
+        monkeypatch.setattr(shm, "shm_available", lambda: False)
+        ctx = RunContext()
+        expected = [_fill(x) for x in range(4)]
+        collected = run_tasks(
+            _fill, range(4), workers=2, kind="process", metrics=ctx
+        )
+        folded = []
+        reduce_tasks(
+            _fill,
+            range(4),
+            lambda row, index: folded.append(np.array(row)),
+            workers=2,
+            kind="process",
+            metrics=ctx,
+        )
+        for want, got, fold in zip(expected, collected, folded):
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(fold, want)
+        stats = shm.shm_stats()
+        assert stats["fallbacks"] == 2
+        assert stats["segments_received"] == 0
+        assert stats["bytes_pickled"] == 2 * 4 * 8192 * 8
+        snapshot = {e["name"]: e for e in ctx.snapshot()}
+        assert snapshot["shm.fallbacks"]["value"] == 2
+        assert snapshot["shm.segments"]["value"] == 0
+
+
 @needs_shm
+@pytest.mark.usefixtures("zero_threshold")
 class TestLeakRegression:
     def test_worker_exception_leaves_zero_live_segments(self, fresh_runtime):
         with pytest.raises(RuntimeError, match="boom"):
-            run_tasks(
-                _boom_large, range(8), workers=2, kind="process",
-                transport="shm",
-            )
+            run_tasks(_boom_large, range(8), workers=2, kind="process")
         stats = shm.shm_stats()
+        assert stats["segments_received"] > 0
         assert stats["segments_live"] == 0
         assert stats["segments_received"] == stats["segments_unlinked"]
         assert _leftover_segments() == []
@@ -257,10 +276,8 @@ class TestLeakRegression:
             raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            reduce_tasks(
-                _fill, range(8), interrupt, workers=2, kind="process",
-                transport="shm",
-            )
+            reduce_tasks(_fill, range(8), interrupt, workers=2, kind="process")
+        assert shm.shm_stats()["segments_received"] > 0
         assert shm.shm_stats()["segments_live"] == 0
         assert _leftover_segments() == []
 
@@ -270,8 +287,9 @@ class TestLeakRegression:
             reduce_tasks(
                 _boom_large, range(8),
                 lambda row, index: total.__iadd__(row),
-                workers=2, kind="process", transport="shm",
+                workers=2, kind="process",
             )
+        assert shm.shm_stats()["segments_received"] > 0
         assert shm.shm_stats()["segments_live"] == 0
         assert _leftover_segments() == []
 
@@ -293,9 +311,7 @@ class TestLeakRegression:
         engine = ShardedAggregateModel(klass, batch_size=4)
 
         def generate(seed):
-            return engine.generate(
-                256, processes=2, transport="shm", random_state=seed
-            )
+            return engine.generate(256, processes=2, random_state=seed)
 
         for i in range(10):  # warm every cache and the pool first
             generate(i)
@@ -304,5 +320,6 @@ class TestLeakRegression:
             generate(100 + i)
         growth = rss_bytes() - baseline
         assert growth < 32 * 1024 * 1024, f"RSS grew {growth} bytes"
+        assert shm.shm_stats()["segments_received"] > 0
         assert shm.shm_stats()["segments_live"] == 0
         assert _leftover_segments() == []
