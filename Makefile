@@ -8,15 +8,17 @@ export PYTHONPATH := src
 
 # Statistical/property harness: seeded-randomized eq. 7 transform
 # properties, the Appendix A Hurst-invariance check, the ESS closed
-# form, the aggregate-engine statistics, and the paired known-H
-# estimator regression (MAVAR vs R/S vs variance-time).  Split out so
+# form, the aggregate-engine statistics, the paired known-H
+# estimator regression (MAVAR vs R/S vs variance-time), and the
+# Appendix B IS-vs-MC unbiasedness contract.  Split out so
 # it can be run (or rerun) on its own; the default `make test` runs it
 # as a prerequisite and then the rest of the suite.
 STATS_TESTS := tests/test_properties_transform.py \
 	tests/test_hurst_invariance.py \
 	tests/test_ess.py \
 	tests/test_aggregate_stats.py \
-	tests/test_estimator_regression.py
+	tests/test_estimator_regression.py \
+	tests/test_is_unbiasedness.py
 
 test: test-stats
 	$(PYTHON) -m pytest tests/ -q $(addprefix --ignore=,$(STATS_TESTS))
@@ -39,8 +41,8 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
 
 # Quick CI smoke pass over the ablations: runs the batching,
-# coefficient-table, backend-registry, observability-overhead, and
-# spectral-cache benches at reduced scale and records machine-readable
+# backend-registry, observability-overhead, and spectral-cache
+# benches (among others) at reduced scale and records machine-readable
 # results (timings, speedups, cache stats, metric snapshots) in
 # BENCH_hosking.json.  The observability bench asserts the disabled
 # (null-sink) instrumentation costs < 2% of a Fig. 16 sweep; the
@@ -56,7 +58,6 @@ bench:
 bench-smoke:
 	REPRO_BENCH_SCALE=0.2 REPRO_BENCH_JSON=BENCH_hosking.json \
 	$(PYTHON) -m pytest benchmarks/test_ablation_hosking_batch.py \
-	    benchmarks/test_ablation_coeff_table.py \
 	    benchmarks/test_ablation_backend_registry.py \
 	    benchmarks/test_ablation_observability.py \
 	    benchmarks/test_ablation_spectral_cache.py \

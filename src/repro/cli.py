@@ -195,16 +195,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto",) + registry.names(),
         default="auto",
         help=(
-            "conditional generation backend (default: auto = Hosking; "
-            "non-conditional backends are rejected at construction)"
-        ),
-    )
-    simulate.add_argument(
-        "--block-size", type=int, default=None, metavar="B",
-        help=(
-            "blocked BLAS-3 Hosking kernel block size (default/1: exact "
-            "per-step loop, bit-identical to previous releases; B>1: "
-            "same law, allclose within 1e-10, typically >=5x faster)"
+            "path generator of the importance-sampling legs (default: "
+            "auto = Davies-Harte, raising on a negative embedding "
+            "eigenvalue; hosking = the exact O(n^2) fallback; backends "
+            "whose law is not the model's exact Gaussian law are "
+            "rejected before any draw)"
         ),
     )
     simulate.add_argument(
@@ -463,7 +458,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         random_state=rng_search,
         workers=args.workers,
         backend=args.backend,
-        block_size=args.block_size,
         shared_paths=args.shared_paths,
         metrics=ctx.scoped(phase="search"),
     )
@@ -502,7 +496,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         random_state=rng_curve,
         workers=args.workers,
         backend=args.backend,
-        block_size=args.block_size,
         metrics=ctx.scoped(phase="curve"),
     )
     print(f"\noverflow sweep at m*={best:g}:")

@@ -9,7 +9,7 @@ synthesize correlated Gaussian *background* processes:
   used by the composite MPEG model (eq. 15).
 - :mod:`repro.processes.hosking` — Hosking's exact conditional-Gaussian
   generator (eq. 1-6), batch-vectorised across replications, plus a
-  stateful incremental variant used by importance sampling.
+  stateful step-at-a-time variant exposing the conditional moments.
 - :mod:`repro.processes.davies_harte` — the O(n log n) circulant
   embedding generator for long traces.
 - :mod:`repro.processes.spectral_cache` — shared ACVF/eigenvalue tables

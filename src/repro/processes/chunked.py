@@ -464,8 +464,8 @@ class ChunkedGenerator:
         Boundary-history window of the bridge stitch (ignored in exact
         mode).
     stitch:
-        ``"auto"`` (exact when the source supports conditional
-        stepping, else bridge), ``"exact"``, or ``"bridge"``.
+        ``"auto"`` (exact when the source exposes the exact
+        conditional recursion, else bridge), ``"exact"``, or ``"bridge"``.
     processes:
         Chunk-job pool size; ``None`` defers to ``REPRO_PROCESSES``
         (default 1 = in-line).  Bridge jobs run on the process-wide
@@ -511,7 +511,7 @@ class ChunkedGenerator:
         if stitch == "exact" and not source.capabilities.conditional:
             raise ValidationError(
                 f"backend {source.name!r} cannot drive the exact stitch "
-                "(no conditional stepping); use stitch='bridge'"
+                "(no exact conditional recursion); use stitch='bridge'"
             )
         self.source = source
         self.chunk_frames = check_positive_int(chunk_frames, "chunk_frames")

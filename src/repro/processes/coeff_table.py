@@ -278,9 +278,8 @@ class CoefficientTable:
     def variances(self, n: int) -> np.ndarray:
         """Read-only view of ``v_0 .. v_{n-1}`` for bulk consumers.
 
-        The shared-path twist sweep evaluates every candidate twist's
-        likelihood ratio from the stored per-step moments, so it wants
-        the whole variance sequence at once rather than ``n`` scalar
+        The importance-sampling likelihood-ratio pass reads the whole
+        variance sequence at once rather than ``n`` scalar
         :meth:`variance` calls.
         """
         self.ensure(n - 1)
@@ -292,8 +291,8 @@ class CoefficientTable:
         """Read-only view of ``s_0 .. s_{n-1}`` (``s_0 = 0``).
 
         Mean twisting by ``m*`` shifts step ``k``'s conditional mean by
-        ``m* (1 - s_k)`` (Appendix B), so sweep-style consumers read the
-        full coefficient-sum sequence in one call.
+        ``m* (1 - s_k)`` (Appendix B), so the likelihood-ratio pass
+        reads the full coefficient-sum sequence in one call.
         """
         self.ensure(n - 1)
         view = self._phi_sums[:n]
@@ -305,8 +304,8 @@ class CoefficientTable:
 
         Row ``k`` occupies ``[k (k-1) / 2, k (k+1) / 2)`` within the
         returned buffer; :func:`~repro.processes.hosking.hosking_generate`
-        walks it with a running offset instead of calling
-        :meth:`phi_row` per step.
+        and the importance-sampling likelihood-ratio pass walk it with a
+        running offset instead of calling :meth:`phi_row` per step.
         """
         self.ensure(n - 1)
         view = self._packed[: n * (n - 1) // 2]

@@ -25,8 +25,10 @@ Two interfaces are provided:
   cheaper than 1000 single runs (see the ablation bench).
 - :class:`HoskingProcess` — a stateful, step-at-a-time generator that
   additionally exposes the per-step conditional means, variances and
-  coefficient sums needed by the importance-sampling likelihood
-  ratios of Appendix B.
+  coefficient sums of Appendix B's likelihood-ratio increments
+  (eq. 42-48).  The importance-sampling estimators no longer step it:
+  they sum those increments in closed form over whole paths
+  (:mod:`repro.simulation.importance`).
 
 Both interfaces read their Durbin-Levinson coefficients from a shared
 :class:`~repro.processes.coeff_table.CoefficientTable` by default, so
@@ -296,10 +298,12 @@ class HoskingStep:
 class HoskingProcess:
     """Stateful step-at-a-time Hosking generator for ``size`` replications.
 
-    The importance-sampling simulator (Appendix B) needs, at every time
-    step, the conditional mean and variance of the background process
-    so it can compute likelihood ratios; and it wants to *stop early*
-    on replications whose buffer already overflowed.  This class keeps
+    Exposes, at every time step, the conditional mean and variance of
+    the background process (the quantities of Appendix B's per-step
+    likelihood ratios) and can *stop early* on replications that no
+    longer matter.  No estimator in the library steps it any more; it
+    stays for step-at-a-time use, and ``perfbench/tracing.py`` patches
+    :meth:`step` by name in every traced pass.  This class keeps
     the per-replication history, reads Durbin-Levinson coefficients
     from a shared table (or advances its own recursion), and yields one
     :class:`HoskingStep` per call to :meth:`step`.  Replications that

@@ -14,17 +14,12 @@ a generator function:
 
 The ``auto`` policy
 -------------------
-``resolve("auto", ...)`` picks the asymptotically cheapest backend that
-can serve the request:
+``resolve("auto", ...)`` picks ``davies_harte`` — exact and
+O(n log n), so neither Fig. 8-13 style synthesis nor the whole-path
+importance-sampling legs of Appendix B pay Hosking's O(n^2).
 
-- **unconditional fixed-length paths** → ``davies_harte`` — exact and
-  O(n log n), so Fig. 8-13 style synthesis never pays Hosking's O(n^2);
-- **conditional / importance-sampling stepping** → ``hosking`` — the
-  only backend exposing the exact per-step conditional moments the
-  likelihood ratios of Appendix B require.
-
-Capability validation happens at *construction*: requesting conditional
-stepping from a backend that cannot provide it raises
+Capability validation happens at *construction*: requesting
+chunk-stitched generation from a backend that cannot provide it raises
 :class:`~repro.exceptions.ValidationError` immediately, never mid-run.
 """
 
@@ -152,7 +147,6 @@ def resolve(
     backend: BackendArg,
     correlation,
     *,
-    conditional: bool = False,
     chunked: bool = False,
     metrics=None,
     **options,
@@ -169,16 +163,12 @@ def resolve(
         Correlation model, explicit autocovariance, or Hurst exponent
         handed to the backend factory (ignored when ``backend`` is
         already a source instance).
-    conditional:
-        Require conditional stepwise generation.  Validated here, at
-        construction: a backend without the capability raises
-        :class:`~repro.exceptions.ValidationError` before any
-        simulation work starts.
     chunked:
         Require chunk-stitched generation (the ``chunk_frames=``
-        pipeline of :mod:`repro.processes.chunked`).  Validated at
-        construction like ``conditional``; the ``auto`` policy is
-        unaffected because both of its picks support chunking.
+        pipeline of :mod:`repro.processes.chunked`).  Validated here,
+        at construction: a backend without the capability raises
+        :class:`~repro.exceptions.ValidationError` before any
+        simulation work starts.
     metrics:
         Optional :class:`~repro.observability.RunContext` (or
         registry); records ``registry.resolutions`` counters labelled
@@ -192,8 +182,6 @@ def resolve(
     """
     ctx = ensure_context(metrics)
     if isinstance(backend, GaussianSource):
-        if conditional and not backend.capabilities.conditional:
-            raise ValidationError(_conditional_error(backend.name))
         if chunked and not backend.capabilities.chunked:
             raise ValidationError(_chunked_error(backend.name))
         ctx.inc(
@@ -202,30 +190,16 @@ def resolve(
         return backend
     key = _normalize(backend)
     if key == "auto":
-        key = "hosking" if conditional else "davies_harte"
-        ctx.inc(
-            "registry.auto_policy",
-            chosen=key,
-            conditional=str(bool(conditional)).lower(),
-        )
+        key = "davies_harte"
+        ctx.inc("registry.auto_policy", chosen=key)
     spec = get(key)
     # Capability check BEFORE the factory runs: an incapable backend
     # must fail with this error, not with whatever the factory makes of
-    # options (e.g. coeff_table=) it does not understand.
-    if conditional and not spec.conditional:
-        raise ValidationError(_conditional_error(spec.name))
+    # options it does not understand.
     if chunked and not spec.chunked:
         raise ValidationError(_chunked_error(spec.name))
     ctx.inc("registry.resolutions", backend=spec.name, kind="name")
     return spec.create(correlation, **options)
-
-
-def _conditional_error(name: str) -> str:
-    supported = ", ".join(repr(n) for n in names() if get(n).conditional)
-    return (
-        f"backend {name!r} does not support conditional stepwise "
-        f"generation (required here); choose one of {supported}"
-    )
 
 
 def _chunked_error(name: str) -> str:
@@ -268,8 +242,9 @@ register(BackendSpec(
     capabilities=HoskingSource.capabilities,
     summary=(
         "exact O(n^2) conditional-Gaussian recursion (paper eq. 1-6); "
-        "the only conditional-stepping backend; block_size= routes "
-        "through the blocked BLAS-3 kernel (block_size=1 = exact bypass)"
+        "the exact fallback for a non-embeddable correlation; "
+        "block_size= routes through the blocked BLAS-3 kernel "
+        "(block_size=1 = exact bypass)"
     ),
 ))
 register(BackendSpec(
@@ -278,7 +253,7 @@ register(BackendSpec(
     capabilities=DaviesHarteSource.capabilities,
     summary=(
         "exact O(n log n) circulant embedding with shared spectral "
-        "cache; default for unconditional fixed-length paths; "
+        "cache; the auto default for every fixed-length path; "
         "spectrum_mode= selects the real-FFT half-spectrum synthesis "
         "('real', default) or the legacy full-FFT path ('full')"
     ),

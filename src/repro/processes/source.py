@@ -1,24 +1,21 @@
 """The unified ``GaussianSource`` protocol over the generator zoo.
 
 The paper needs Gaussian background paths in three distinct regimes —
-unconditional synthesis for Figs. 8-13, conditional stepwise generation
-for the importance-sampling estimators of Appendix B (eq. 42-48), and
-the GOP-phase composite arrivals of §3.3 — yet the repository grew six
+unconditional synthesis for Figs. 8-13, whole twisted paths for the
+importance-sampling estimators of Appendix B (eq. 42-48), and the
+GOP-phase composite arrivals of §3.3 — yet the repository grew six
 generators (``hosking``, ``davies_harte``, ``fgn``, ``farima``,
 ``rmd``, ``mg_infinity``) as unrelated functions.  This module wraps
 them behind one small interface so every consumer can swap backends:
 
 - :class:`GaussianSource` — the protocol: ``sample(n, size=...)`` for
-  fixed-length paths, ``stream(horizon, size=...)`` for conditional
-  step-at-a-time generation (only backends whose
-  :attr:`~GaussianSource.capabilities` advertise it), ``acvf(n)`` for
-  the autocovariance the source actually targets, an
-  :attr:`~GaussianSource.exact` flag, and :meth:`~GaussianSource.describe`
-  provenance metadata.
+  fixed-length paths, ``acvf(n)`` for the autocovariance the source
+  actually targets, an :attr:`~GaussianSource.exact` flag, and
+  :meth:`~GaussianSource.describe` provenance metadata.
 - :class:`SourceCapabilities` — the per-backend capability flags
-  (exact vs approximate, supports-conditional-stepping, supports-batch)
-  consulted by the registry's ``auto`` policy and validated *at
-  construction* by consumers that need conditional stepping.
+  (exact vs approximate, exact conditional recursion, supports-batch,
+  chunk stitching), validated *at construction* by consumers that need
+  them.
 - Six adapters, one per existing generator.  The correlation-driven
   backends (:class:`HoskingSource`, :class:`DaviesHarteSource`) accept
   any correlation model or explicit autocovariance; the
@@ -51,7 +48,7 @@ from .davies_harte import (
     davies_harte_generate,
 )
 from .farima import farima_generate
-from .hosking import CoeffTableArg, HoskingProcess, hosking_generate
+from .hosking import CoeffTableArg, hosking_generate
 from .hosking_blocked import BlockSizeArg, resolve_block_size
 from .mg_infinity import MGInfinityConfig, mg_infinity_generate
 from .rmd import rmd_generate
@@ -79,10 +76,10 @@ class SourceCapabilities(NamedTuple):
         The sampled law matches :meth:`GaussianSource.acvf` exactly
         (up to floating point), not just asymptotically.
     conditional:
-        :meth:`GaussianSource.stream` is supported: the backend can
-        generate step-at-a-time from exact conditional distributions,
-        exposing the per-step conditional moments the
-        importance-sampling likelihood ratios need.
+        The backend exposes the exact conditional recursion: its paths
+        are built step by step from the exact conditional
+        distributions (Hosking), so the scene-chunked pipeline can
+        stitch chunks with the exact bridge.
     batch:
         ``sample(n, size=k)`` is natively vectorised across
         replications (a single shared pass); backends without the flag
@@ -138,32 +135,6 @@ class GaussianSource(abc.ABC):
 
         Returns shape ``(n,)`` when ``size is None``, else ``(size, n)``.
         """
-
-    def stream(
-        self,
-        horizon: int,
-        *,
-        size: int = 1,
-        random_state: RandomState = None,
-        metrics=None,
-    ) -> HoskingProcess:
-        """Return a conditional step-at-a-time generator.
-
-        The returned object exposes the incremental interface of
-        :class:`~repro.processes.hosking.HoskingProcess` (``step()``
-        with conditional moments, ``retire()``, ``run()``), which is
-        what the importance-sampling machinery consumes.  ``metrics``
-        is an optional duck-typed sink forwarded to the generator (the
-        ``hosking.*`` engine gauges/counters).  Backends whose
-        :attr:`capabilities` lack ``conditional`` raise
-        :class:`~repro.exceptions.ValidationError` — consumers should
-        check the flag (or call this) at construction, not mid-run.
-        """
-        raise ValidationError(
-            f"backend {self.name!r} does not support conditional "
-            "stepwise generation; choose a backend whose capabilities "
-            "include 'conditional' (e.g. 'hosking')"
-        )
 
     @abc.abstractmethod
     def acvf(self, n: int) -> np.ndarray:
@@ -226,13 +197,13 @@ def _hurst_from(
 class HoskingSource(GaussianSource):
     """Hosking's exact conditional-Gaussian generator (paper eq. 1-6).
 
-    Exact for any positive-definite autocovariance, O(n^2) per path,
-    and the only backend that supports conditional stepping — the
-    regime the importance-sampling estimators of Appendix B require.
+    Exact for any positive-definite autocovariance and O(n^2) per path:
+    the exact fallback when a correlation's circulant embedding has a
+    negative eigenvalue and Davies-Harte cannot draw it exactly.
 
-    ``block_size=B`` (default 1, the exact bypass) routes both
-    :meth:`sample` and :meth:`stream` through the blocked BLAS-3
-    kernel of :mod:`~repro.processes.hosking_blocked`; see
+    ``block_size=B`` (default 1, the exact bypass) routes :meth:`sample`
+    through the blocked BLAS-3 kernel of
+    :mod:`~repro.processes.hosking_blocked`; see
     :func:`~repro.processes.hosking.hosking_generate` for the
     exactness contract.
     """
@@ -266,17 +237,6 @@ class HoskingSource(GaussianSource):
             block_size=self._block_size,
         )
 
-    def stream(self, horizon, *, size=1, random_state=None, metrics=None):
-        return HoskingProcess(
-            self._correlation,
-            horizon,
-            size=size,
-            random_state=random_state,
-            coeff_table=self._coeff_table,
-            block_size=self._block_size,
-            metrics=metrics,
-        )
-
     def acvf(self, n: int) -> np.ndarray:
         return resolve_acvf(self._correlation, n)
 
@@ -290,9 +250,9 @@ class HoskingSource(GaussianSource):
 class DaviesHarteSource(GaussianSource):
     """Circulant-embedding generation, exact and O(n log n).
 
-    The fast path for unconditional fixed-length synthesis (the
-    Figs. 8-13 regime); the ``auto`` registry policy routes
-    unconditional requests here.
+    The fast path for fixed-length synthesis (the Figs. 8-13 regime and
+    the importance-sampling legs); the ``auto`` registry policy routes
+    every request here.
     """
 
     name = "davies_harte"

@@ -1,8 +1,9 @@
 """Shared circulant-embedding spectra with an acvf-keyed cache.
 
 The Davies-Harte generator is the backend the registry's ``auto``
-policy picks for every unconditional request — the long-trace synthesis
-of Figs. 8-13 and the replicated buffer sweeps of the §4 experiments —
+policy picks for every request — the long-trace synthesis of
+Figs. 8-13 and the replicated buffer sweeps, plain and importance
+sampled, of the §4 experiments —
 yet the seed implementation re-evaluated the model autocovariance and
 re-ran the circulant FFT from scratch on every call, even when all legs
 of a sweep share one fitted background model.  This module factors the
@@ -343,7 +344,7 @@ def apply_eigenvalue_policy(
             raise CorrelationError(
                 "circulant embedding has negative eigenvalues "
                 f"(min {entry.min_eigenvalue:.3e}); the correlation is "
-                "not embeddable"
+                "not embeddable — the 'hosking' backend draws it exactly"
             )
         with _stats_lock:
             _stats["clipped_eigenvalues"] += entry.clipped_count

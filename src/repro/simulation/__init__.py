@@ -3,17 +3,14 @@
 To estimate tiny overflow probabilities, the paper *twists* the mean of
 the background Gaussian process (``X' = X + m*``), simulates the queue
 under the twisted law, and unbiases each replication with the exact
-likelihood ratio of the two conditional-Gaussian path densities
-(eq. 42-48).  The near-optimal twist is found by scanning the
-estimator's normalized variance for its "valley" (Fig. 14).
+likelihood ratio of the two Gaussian path densities (eq. 42-48, summed
+in closed form over whole paths).  The near-optimal twist is found by
+scanning the estimator's normalized variance for its "valley"
+(Fig. 14).
 """
 
 from .estimators import ISEstimate, effective_sample_size
-from .importance import (
-    TwistedBackground,
-    is_overflow_probability,
-    is_transient_overflow_curve,
-)
+from .importance import is_overflow_probability, is_transient_overflow_curve
 from .parallel import pool_stats, shared_pool, shutdown_shared_pool
 from .shm import shm_stats
 from .runner import (
@@ -39,7 +36,6 @@ __all__ = [
     "shutdown_shared_pool",
     "pool_stats",
     "shm_stats",
-    "TwistedBackground",
     "is_overflow_probability",
     "is_transient_overflow_curve",
     "TwistSearchResult",

@@ -1,75 +1,90 @@
-"""Mean-twisted background processes and IS overflow estimators.
+"""Mean-twisted importance-sampling overflow estimators (Appendix B).
 
 Implements Appendix B of the paper.  The twisted background process is
 ``X'_k = X_k + m*`` — same correlation, shifted mean.  Simulating under
 the twisted law and unbiasing with the likelihood ratio
 
-.. math:: L(k) = \\frac{f_X(x'_1, ..., x'_k)}{f_{X'}(x'_1, ..., x'_k)}
+.. math::
+
+    L(\\tau) = \\frac{f_X(x'_0, ..., x'_\\tau)}{f_{X'}(x'_0, ..., x'_\\tau)}
 
 gives an unbiased estimator of rare overflow probabilities whose
 variance collapses near the right ``m*``.
 
-Both densities factor into the conditional Gaussians produced by
-Hosking's recursion, which share the conditional variance ``v_k`` and
-coefficients ``phi_kj`` (eq. 35-41).  Writing ``e_k = x_k - m_k`` for
-the innovation of the *untwisted* path and ``s_k = sum_j phi_kj``, the
-per-step log likelihood-ratio increment reduces to
+The paper builds ``L`` one step at a time from Hosking's conditional
+densities (eq. 42-48).  With ``e_k`` the innovation of the untwisted
+path, ``v_k`` the conditional variance and ``s_k = sum_j phi_kj``, step
+``k`` adds ``-(2 e_k c_k + c_k^2) / (2 v_k)`` with ``c_k = m* (1 - s_k)``
+to ``log L``.  Under a mean twist those increments sum to a closed form
+in the whole path.  Writing ``Sigma_tau`` for the covariance of
+``x_0 .. x_tau``, ``w_tau = Sigma_tau^{-1} 1`` and ``q_tau = 1' w_tau``:
 
 .. math::
 
-    \\log L_k = -\\frac{2 e_k c_k + c_k^2}{2 v_k},
-    \\qquad c_k = m^* (1 - s_k)
+    \\log L(\\tau) = -m^* w_\\tau^\\top x'_{0..\\tau}
+                     + \\tfrac12 m^{*2} q_\\tau
 
-which is algebraically identical to the paper's eq. 45-48 but evaluated
-in log space for numerical stability (``s_1 = 0`` recovers eq. 48 for
-the first sample).
+By optional stopping the overflow estimator needs ``L`` only at each
+replication's first crossing.  So a leg never steps: it draws its
+``(n, k)`` paths in one call of an exact unconditional generator
+(Davies-Harte by default), adds ``m*`` in place, calls the transform
+once, finds the first crossings and weights them in one pass over the
+shared Durbin-Levinson coefficient table, which gives ``w_tau`` and
+``q_tau`` recursively (:func:`_lr_weights`):
+
+.. math::
+
+    w_\\tau = (w_{\\tau-1}, 0) + c_\\tau \\ell_\\tau, \\quad
+    q_\\tau = q_{\\tau-1} + (1 - s_\\tau) c_\\tau, \\quad
+    c_\\tau = (1 - s_\\tau) / v_\\tau
+
+with ``ell_tau = (-phi_{tau,tau}, ..., -phi_{tau,1}, 1)``.  At
+``m* = 0`` the pass is skipped: ``L = 1`` and the leg is plain Monte
+Carlo.  The weights assume the paths have exactly the covariance
+``Sigma`` of the table, which is why only unclipped Davies-Harte and
+Hosking may draw them (:func:`_path_source`).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple, Union
+from typing import Callable, Iterator, Sequence, Tuple, Union
 
 import numpy as np
 
 from .._validation import (
     check_finite_float,
+    check_nonnegative_float,
     check_positive_float,
     check_positive_int,
 )
 from ..exceptions import SimulationError, SimulationWarning, ValidationError
 from ..observability import ensure_context
 from ..processes import registry
+from ..processes.coeff_table import CoefficientTable, get_coefficient_table
 from ..processes.correlation import CorrelationModel
-from ..processes.hosking import CoeffTableArg
-from ..processes.hosking_blocked import BlockSizeArg
 from ..processes.registry import BackendArg
-from ..processes.source import GaussianSource
+from ..processes.source import (
+    DaviesHarteSource,
+    GaussianSource,
+    HoskingSource,
+)
+from ..queueing.lindley import lindley_recursion
 from ..stats.random import RandomState
 from .estimators import ISEstimate, effective_sample_size
 
 __all__ = [
-    "TwistedBackground",
     "is_overflow_probability",
     "is_transient_overflow_curve",
 ]
 
 ArrivalTransform = Callable[[np.ndarray], np.ndarray]
 
-
-def _apply_transform(
-    transform: ArrivalTransform, values: np.ndarray, step: int
-) -> np.ndarray:
-    """Apply a stationary or time-varying arrival transform.
-
-    Transforms carrying a truthy ``time_varying`` attribute are called
-    as ``transform(values, step)`` — used by GOP-phase-aware composite
-    video transforms whose marginal depends on the slot's frame type.
-    """
-    if getattr(transform, "time_varying", False):
-        return np.asarray(transform(values, step), dtype=float)
-    return np.asarray(transform(values), dtype=float)
+#: Registry backends whose sampled law is exactly ``N(0, Sigma)`` for
+#: the model's autocovariance — the law the closed-form weights assume.
+#: ``fgn`` and ``farima`` sample by Hurst exponent, not by the acvf;
+#: ``rmd`` and ``mg_infinity`` are approximate.
+_EXACT_BACKENDS = ("davies_harte", "hosking")
 
 
 def batched_arrivals(
@@ -80,16 +95,21 @@ def batched_arrivals(
     Stationary transforms are applied to the whole batch in one call
     (they are elementwise, so the 2-D pass is exact); time-varying
     transforms (``transform.time_varying``) are called per slot with
-    the replication vector and the step index, matching the
-    importance-sampling convention ``transform(values, step)``.  Shared
-    by the batched plain-MC runner and the shared-path twist sweep.
+    the replication vector and the step index,
+    ``transform(values, step)``.  Shared by the importance-sampling
+    legs and the batched plain-MC runner.
     """
     if getattr(transform, "time_varying", False):
         arrivals = np.empty_like(paths)
         for step in range(paths.shape[1]):
-            arrivals[:, step] = np.asarray(
-                transform(paths[:, step], step), dtype=float
-            )
+            slot = np.asarray(transform(paths[:, step], step), dtype=float)
+            if slot.shape != paths.shape[:1]:
+                raise ValidationError(
+                    "time-varying transform must be elementwise "
+                    f"(shape-preserving); mapped {paths.shape[:1]} to "
+                    f"{slot.shape} at step {step}"
+                )
+            arrivals[:, step] = slot
         return arrivals
     arrivals = np.asarray(transform(paths), dtype=float)
     if arrivals.shape != paths.shape:
@@ -99,201 +119,6 @@ def batched_arrivals(
             f"{arrivals.shape}"
         )
     return arrivals
-
-
-@dataclass(frozen=True)
-class TwistedStep:
-    """One step of a twisted background generation.
-
-    Attributes
-    ----------
-    twisted_values:
-        The twisted samples ``x'_k = x_k + m*`` for every replication.
-    log_lr_increment:
-        Per-replication increment of ``log L``.
-    """
-
-    twisted_values: np.ndarray
-    log_lr_increment: np.ndarray
-
-
-class TwistedBackground:
-    """Step-at-a-time twisted background process with likelihood ratios.
-
-    Parameters
-    ----------
-    correlation:
-        Correlation model (or autocovariance sequence) of the
-        *untwisted* background process — or an already-built
-        :class:`~repro.processes.source.GaussianSource` advertising
-        conditional stepping.
-    horizon:
-        Maximum number of steps.
-    twisted_mean:
-        The twist ``m*`` (0 gives plain Monte Carlo with ``L = 1``);
-        a non-finite twist raises :class:`~repro.exceptions.ValidationError`.
-    size:
-        Number of parallel replications.
-    random_state:
-        Seed or generator.
-    coeff_table:
-        Passed through to the conditional backend:
-        ``None`` (default) shares Durbin-Levinson coefficients via the
-        fingerprint cache, an explicit table is used directly, and
-        ``False`` keeps a private incremental recursion.
-    backend:
-        Registry name of the conditional generation backend (or a
-        :class:`~repro.processes.source.GaussianSource` instance).
-        ``"auto"`` (default) selects Hosking — the only backend exposing
-        the exact per-step conditional moments the likelihood ratios
-        need.  Backends without the conditional capability are rejected
-        here, at construction, never mid-run.
-    block_size:
-        Forwarded to the conditional backend factory (``B > 1`` routes
-        Hosking stepping through the blocked BLAS-3 kernel; the default
-        keeps the exact per-step loop — see
-        :func:`~repro.processes.hosking.hosking_generate`).  Ignored
-        when an already-built source instance is supplied — instances
-        carry their own block size from construction.
-    metrics:
-        Optional :class:`~repro.observability.RunContext`; records
-        retirement counters and the all-retired-early degeneracy
-        signal.  Never touches the random stream.
-    """
-
-    def __init__(
-        self,
-        correlation: Union[
-            CorrelationModel, Sequence[float], GaussianSource
-        ],
-        horizon: int,
-        *,
-        twisted_mean: float = 0.0,
-        size: int = 1,
-        random_state: RandomState = None,
-        coeff_table: CoeffTableArg = None,
-        backend: BackendArg = "auto",
-        block_size: BlockSizeArg = None,
-        metrics=None,
-    ) -> None:
-        self.twisted_mean = check_finite_float(twisted_mean, "twisted_mean")
-        self._metrics = ensure_context(metrics)
-        if isinstance(correlation, GaussianSource):
-            source = registry.resolve(
-                correlation, None, conditional=True, metrics=self._metrics
-            )
-        elif isinstance(backend, GaussianSource):
-            source = registry.resolve(
-                backend, None, conditional=True, metrics=self._metrics
-            )
-        else:
-            source = registry.resolve(
-                backend,
-                correlation,
-                conditional=True,
-                coeff_table=coeff_table,
-                block_size=block_size,
-                metrics=self._metrics,
-            )
-        self._source = source
-        self._process = source.stream(
-            horizon,
-            size=size,
-            random_state=random_state,
-            metrics=self._metrics,
-        )
-        # Plain Monte Carlo (m* == 0) has identically-zero log-LR
-        # increments; hand out one cached read-only buffer instead of
-        # allocating a fresh np.zeros(size) every step.
-        if self.twisted_mean == 0.0:
-            zero = np.zeros(self._process.size)
-            zero.flags.writeable = False
-            self._zero_increments = zero
-        else:
-            self._zero_increments = None
-
-    @property
-    def source(self) -> GaussianSource:
-        """The conditional :class:`GaussianSource` driving this process."""
-        return self._source
-
-    @property
-    def size(self) -> int:
-        """Number of parallel replications."""
-        return self._process.size
-
-    @property
-    def horizon(self) -> int:
-        """Maximum number of steps."""
-        return self._process.horizon
-
-    @property
-    def step_index(self) -> int:
-        """Number of steps generated so far."""
-        return self._process.step_index
-
-    @property
-    def active_count(self) -> int:
-        """Number of replications still being generated."""
-        return self._process.active_count
-
-    def retire(self, replications: np.ndarray) -> int:
-        """Stop generating the given replications; return active count.
-
-        Delegates to :meth:`repro.processes.hosking.HoskingProcess.retire`;
-        active replications' paths and likelihood ratios are bit-for-bit
-        unchanged by retirement (innovations are still drawn for every
-        replication to keep the stream aligned).
-
-        Retiring the *last* active replication before the horizon is a
-        degeneracy signal — every subsequent :meth:`step` is pure
-        bookkeeping with no surviving path — so it emits a
-        :class:`~repro.exceptions.SimulationWarning` and an
-        ``is.all_retired`` counter.  (The overflow estimators never
-        trigger this: they stop calling ``retire`` once no survivors
-        remain.)
-        """
-        before = self._process.active_count
-        remaining = self._process.retire(replications)
-        retired = before - remaining
-        if retired:
-            self._metrics.inc(
-                "is.retired", retired, twist=self.twisted_mean
-            )
-            if (
-                remaining == 0
-                and self._process.step_index < self._process.horizon
-            ):
-                self._metrics.inc(
-                    "is.all_retired", twist=self.twisted_mean
-                )
-                warnings.warn(
-                    "every replication of the twisted background "
-                    f"(m*={self.twisted_mean:g}) was retired at step "
-                    f"{self._process.step_index} of "
-                    f"{self._process.horizon}; further steps carry no "
-                    "information",
-                    SimulationWarning,
-                    stacklevel=2,
-                )
-        return remaining
-
-    def step(self) -> TwistedStep:
-        """Generate the next twisted samples and log-LR increments."""
-        hs = self._process.step()
-        m_star = self.twisted_mean
-        if m_star == 0.0:
-            increments = self._zero_increments
-        else:
-            innovation = hs.values - hs.cond_mean
-            c = m_star * (1.0 - hs.phi_sum)
-            increments = -(2.0 * innovation * c + c * c) / (
-                2.0 * hs.cond_variance
-            )
-        return TwistedStep(
-            twisted_values=hs.values + m_star,
-            log_lr_increment=increments,
-        )
 
 
 def _check_common(
@@ -313,6 +138,168 @@ def _check_common(
     )
 
 
+def _path_source(
+    correlation: Union[CorrelationModel, Sequence[float]],
+    backend: BackendArg,
+    ctx,
+) -> GaussianSource:
+    """Resolve a leg's path generator, rejecting any inexact law.
+
+    ``auto`` and ``davies_harte`` resolve to Davies-Harte with
+    ``on_negative_eigenvalues="raise"``: clipping would change the
+    covariance the weights assume, and a non-embeddable model should
+    run on ``hosking`` instead.  Instances are accepted when their law
+    is exact: any :class:`HoskingSource`, and a
+    :class:`DaviesHarteSource` that raises instead of clipping.
+    """
+    if isinstance(backend, GaussianSource):
+        exact = isinstance(backend, HoskingSource) or (
+            isinstance(backend, DaviesHarteSource)
+            and backend.describe()["on_negative_eigenvalues"] == "raise"
+        )
+        options = {}
+    else:
+        auto = isinstance(backend, str) and backend.strip().lower() == "auto"
+        name = "davies_harte" if auto else registry.get(backend).name
+        exact = name in _EXACT_BACKENDS
+        options = (
+            {"on_negative_eigenvalues": "raise"}
+            if name == "davies_harte" else {}
+        )
+    if not exact:
+        raise ValidationError(
+            f"backend {backend!r} cannot draw importance-sampling paths: "
+            "the likelihood ratio needs the model's exact Gaussian law; "
+            "use backend='auto' (Davies-Harte) or 'hosking'"
+        )
+    return registry.resolve(backend, correlation, metrics=ctx, **options)
+
+
+def _leg_arrivals(
+    transform: ArrivalTransform, paths: np.ndarray
+) -> np.ndarray:
+    """One transform call over a leg's twisted paths, checked.
+
+    A shape-changing transform raises
+    :class:`~repro.exceptions.SimulationError`; non-finite arrivals
+    raise :class:`~repro.exceptions.ValidationError` instead of turning
+    into a zero-hit estimate.
+    """
+    try:
+        arrivals = batched_arrivals(transform, paths)
+    except ValidationError as exc:
+        raise SimulationError(
+            f"transform must map background samples to arrivals of the "
+            f"same shape: {exc}"
+        ) from exc
+    if not np.isfinite(arrivals).all():
+        raise ValidationError("transform returned non-finite arrivals")
+    return arrivals
+
+
+def _first_crossings(
+    arrivals: np.ndarray, service_rate: float, buffer_size: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows whose workload crosses ``b``, and their first crossing slot.
+
+    Consumes ``arrivals``: the workload ``W_j = sum_{i<=j} (Y_i - mu)``
+    is accumulated in place.
+    """
+    arrivals -= service_rate
+    np.cumsum(arrivals, axis=1, out=arrivals)
+    crossed = arrivals > buffer_size
+    rows = np.flatnonzero(crossed.any(axis=1))
+    return rows, crossed[rows].argmax(axis=1)
+
+
+def _lr_weights(
+    table: CoefficientTable, horizon: int
+) -> Iterator[Tuple[int, np.ndarray, float]]:
+    """Yield ``(tau, w_tau, q_tau)`` for ``tau = 0 .. horizon - 1``.
+
+    ``w_tau = Sigma_tau^{-1} 1`` and ``q_tau = 1' w_tau``, from one pass
+    over the table's packed rows.  One length-``horizon`` buffer holds
+    ``w``; the yielded view is overwritten by the next step.
+    """
+    gain = 1.0 - table.phi_sums(horizon)
+    c = gain / table.variances(horizon)
+    q = np.cumsum(gain * c)
+    packed = table.packed_rows(horizon)
+    w = np.empty(horizon)
+    w[0] = c[0]
+    yield 0, w[:1], float(q[0])
+    offset = 0
+    for tau in range(1, horizon):
+        w[:tau] -= c[tau] * packed[offset : offset + tau][::-1]
+        w[tau] = c[tau]
+        offset += tau
+        yield tau, w[: tau + 1], float(q[tau])
+
+
+def _stopped_log_lr(
+    table: CoefficientTable,
+    twisted: np.ndarray,
+    rows: np.ndarray,
+    times: np.ndarray,
+    m_star: float,
+) -> np.ndarray:
+    """``log L`` of each hit row at its first crossing, in closed form.
+
+    ``twisted`` holds the twisted paths ``x' = x + m*``; row
+    ``rows[i]`` first crossed at slot ``times[i]``.  The pass stops at
+    the latest crossing.
+    """
+    order = np.argsort(times, kind="stable")
+    horizon = int(times[order[-1]]) + 1
+    bounds = np.searchsorted(times[order], np.arange(horizon + 1))
+    log_lr = np.empty(rows.size)
+    for tau, w, q in _lr_weights(table, horizon):
+        stop = order[bounds[tau] : bounds[tau + 1]]
+        if stop.size:
+            log_lr[stop] = m_star * (
+                0.5 * m_star * q - twisted[rows[stop], : tau + 1] @ w
+            )
+    return log_lr
+
+
+def _weigh_crossings(
+    source: GaussianSource,
+    twisted: np.ndarray,
+    arrivals: np.ndarray,
+    *,
+    service_rate: float,
+    buffer_size: float,
+    m_star: float,
+) -> Tuple[ISEstimate, np.ndarray]:
+    """The estimate of ``P(Q_k > b)`` from one batch of twisted paths.
+
+    Consumes ``arrivals`` (see :func:`_first_crossings`).  Returns the
+    estimate and the weights ``L`` of the rows that cross, taken at
+    their first crossing.
+    """
+    n, k = twisted.shape
+    rows, times = _first_crossings(arrivals, service_rate, buffer_size)
+    if m_star == 0.0 or rows.size == 0:
+        hit_weights = np.ones(rows.size)
+    else:
+        table = get_coefficient_table(source.acvf(k), k)
+        hit_weights = np.exp(
+            _stopped_log_lr(table, twisted, rows, times, m_star)
+        )
+    weights = np.zeros(n)
+    weights[rows] = hit_weights
+    estimate = ISEstimate(
+        probability=float(weights.mean()),
+        variance=float(weights.var(ddof=1)) / n if n > 1 else float("nan"),
+        replications=n,
+        hits=int(rows.size),
+        twisted_mean=m_star,
+        mean_hit_time=float(times.mean()) if rows.size else float("nan"),
+        ess=effective_sample_size(hit_weights),
+    )
+    return estimate, hit_weights
+
+
 def is_overflow_probability(
     correlation: Union[CorrelationModel, Sequence[float]],
     transform: ArrivalTransform,
@@ -323,19 +310,18 @@ def is_overflow_probability(
     twisted_mean: float,
     replications: int,
     random_state: RandomState = None,
-    coeff_table: CoeffTableArg = None,
     backend: BackendArg = "auto",
-    block_size: BlockSizeArg = None,
     metrics=None,
 ) -> ISEstimate:
     """IS estimate of ``P(Q_k > b)`` via the workload-crossing event.
 
     This is the paper's Appendix B procedure: per replication, generate
-    the twisted background step by step, map through the marginal
-    transform to arrivals, accumulate the workload
-    ``W_i = sum (Y'_j - mu)``, and on the first crossing ``W_i > b``
-    record the likelihood ratio ``L(i)`` accumulated so far and stop
-    that replication.  Replications that never cross contribute 0.
+    the twisted background, map it through the marginal transform to
+    arrivals, accumulate the workload ``W_i = sum (Y'_j - mu)``, and at
+    the first crossing ``W_i > b`` record the likelihood ratio ``L(i)``.
+    Replications that never cross contribute 0.  All replications are
+    drawn as whole paths in one call and weighted by the closed-form
+    ``L`` (see the module docstring).
 
     Parameters
     ----------
@@ -344,7 +330,8 @@ def is_overflow_probability(
     transform:
         Maps background samples to arrivals per slot (should produce
         unit-mean arrivals so that ``buffer_size`` is the paper's
-        normalized buffer size).
+        normalized buffer size).  Must be elementwise and return finite
+        arrivals.
     service_rate:
         Service per slot, ``mu = 1 / utilization`` for unit-mean input.
     buffer_size:
@@ -358,20 +345,16 @@ def is_overflow_probability(
         Number of i.i.d. replications ``N``.
     random_state:
         Seed or generator.
-    coeff_table:
-        Durbin-Levinson coefficient source (see
-        :class:`TwistedBackground`).
     backend:
-        Conditional generation backend (registry name or
-        :class:`~repro.processes.source.GaussianSource`; see
-        :class:`TwistedBackground`).  Validated at construction.
-    block_size:
-        Blocked-kernel block size for the conditional backend (see
-        :class:`TwistedBackground`); the default keeps the exact
-        per-step loop.
+        Path generator: ``"auto"``/``"davies_harte"`` (Davies-Harte,
+        raising on a negative embedding eigenvalue) or ``"hosking"``
+        (the exact fallback for a non-embeddable model), or an
+        instance of either whose law is exact (see
+        :func:`_path_source`).  Other backends raise
+        :class:`~repro.exceptions.ValidationError` before any draw.
     metrics:
         Optional :class:`~repro.observability.RunContext`; records the
-        estimate's wall time, replication/hit/retirement counters, the
+        estimate's wall time, replication/hit/slot counters, the
         likelihood-ratio weight summary and the effective sample size —
         all labelled by the twist ``m*``.  Purely observational: the
         estimate and its random stream are bit-identical with or
@@ -383,66 +366,23 @@ def is_overflow_probability(
     ctx = ensure_context(metrics)
     twist = check_finite_float(twisted_mean, "twisted_mean")
     with ctx.time("is.leg_seconds", twist=twist):
-        background = TwistedBackground(
-            correlation,
-            k,
-            twisted_mean=twisted_mean,
-            size=n,
-            random_state=random_state,
-            coeff_table=coeff_table,
-            backend=backend,
-            block_size=block_size,
-            metrics=ctx,
+        source = _path_source(correlation, backend, ctx)
+        paths = source.sample(k, size=n, random_state=random_state)
+        paths += twist
+        estimate, hit_weights = _weigh_crossings(
+            source,
+            paths,
+            _leg_arrivals(transform, paths),
+            service_rate=mu,
+            buffer_size=b,
+            m_star=twist,
         )
-        workload = np.zeros(n)
-        log_lr = np.zeros(n)
-        weights = np.zeros(n)
-        hit_times = np.full(n, -1, dtype=int)
-        active = np.ones(n, dtype=bool)
-        for i in range(k):
-            # Check activity BEFORE stepping: once every replication has
-            # crossed (or been retired) there is nothing left to simulate,
-            # and a Hosking step costs O(active * i).
-            if not np.any(active):
-                break
-            ts = background.step()
-            arrivals = _apply_transform(transform, ts.twisted_values, i)
-            if arrivals.shape != (n,):
-                raise SimulationError(
-                    "transform must map (n,) background samples to (n,) "
-                    "arrivals"
-                )
-            log_lr[active] += ts.log_lr_increment[active]
-            workload[active] += arrivals[active] - mu
-            newly_hit = active & (workload > b)
-            if np.any(newly_hit):
-                weights[newly_hit] = np.exp(log_lr[newly_hit])
-                hit_times[newly_hit] = i
-                active[newly_hit] = False
-                # Row compaction: crossed replications stop paying for
-                # the conditional-mean product inside subsequent Hosking
-                # steps.  Skipped when no survivors remain — the loop
-                # exits on the next iteration anyway, and retiring the
-                # last row would spuriously trip the all-retired-early
-                # degeneracy warning on what is a *successful* batch.
-                if np.any(active):
-                    background.retire(newly_hit)
-        probability = float(weights.mean())
-        variance = (
-            float(weights.var(ddof=1)) / n if n > 1 else float("nan")
-        )
-        hit_mask = hit_times >= 0
-        hits = int(hit_mask.sum())
-        mean_hit_time = (
-            float(hit_times[hit_mask].mean()) if hits else float("nan")
-        )
-        ess = effective_sample_size(weights[hit_mask])
     ctx.inc("is.replications", n, twist=twist)
-    ctx.inc("is.hits", hits, twist=twist)
-    ctx.inc("is.steps", int(background.step_index), twist=twist)
-    ctx.set("is.ess", ess, twist=twist)
-    if hits:
-        ctx.observe_many("is.weight", weights[hit_mask], twist=twist)
+    ctx.inc("is.hits", estimate.hits, twist=twist)
+    ctx.inc("is.steps", k, twist=twist)
+    ctx.set("is.ess", estimate.ess, twist=twist)
+    if estimate.hits:
+        ctx.observe_many("is.weight", hit_weights, twist=twist)
     else:
         ctx.inc("is.zero_hit_estimates", twist=twist)
         warnings.warn(
@@ -454,15 +394,7 @@ def is_overflow_probability(
             SimulationWarning,
             stacklevel=2,
         )
-    return ISEstimate(
-        probability=probability,
-        variance=variance,
-        replications=n,
-        hits=hits,
-        twisted_mean=twist,
-        mean_hit_time=mean_hit_time,
-        ess=ess,
-    )
+    return estimate
 
 
 def is_transient_overflow_curve(
@@ -476,65 +408,54 @@ def is_transient_overflow_curve(
     replications: int,
     initial: float = 0.0,
     random_state: RandomState = None,
-    coeff_table: CoeffTableArg = None,
     backend: BackendArg = "auto",
-    block_size: BlockSizeArg = None,
     metrics=None,
 ) -> np.ndarray:
     """IS estimates of the transient ``P(Q_j > b)`` for all ``j <= k``.
 
     Runs the Lindley recursion from ``initial`` under the twisted law
     and, at every slot ``j``, forms the unbiased estimate
-    ``mean(1{Q_j > b} exp(log L_j))``.  One batch of replications thus
-    yields the whole transient curve of Fig. 15 — for both the
-    empty-buffer (``initial=0``) and full-buffer (``initial=b``)
-    starting conditions.
+    ``sum_p 1{Q_pj > b} L_p(j) / n`` with the closed-form ``L_p(j)`` of
+    every row at every slot.  One batch of replications thus yields the
+    whole transient curve of Fig. 15 — for both the empty-buffer
+    (``initial=0``) and full-buffer (``initial=b``) starting
+    conditions.  ``backend`` is as in :func:`is_overflow_probability`.
 
     Returns an array of length ``horizon`` with the estimate per slot.
     """
     mu, b, k, n = _check_common(
         transform, service_rate, buffer_size, horizon, replications
     )
-    if initial < 0:
-        raise ValidationError("initial queue content must be non-negative")
+    start = check_nonnegative_float(initial, "initial")
     ctx = ensure_context(metrics)
     twist = check_finite_float(twisted_mean, "twisted_mean")
-    with ctx.time("is.leg_seconds", twist=twist, initial=float(initial)):
-        background = TwistedBackground(
-            correlation,
-            k,
-            twisted_mean=twisted_mean,
-            size=n,
-            random_state=random_state,
-            coeff_table=coeff_table,
-            backend=backend,
-            block_size=block_size,
-            metrics=ctx,
+    with ctx.time("is.leg_seconds", twist=twist, initial=start):
+        source = _path_source(correlation, backend, ctx)
+        paths = source.sample(k, size=n, random_state=random_state)
+        paths += twist
+        queue = lindley_recursion(
+            _leg_arrivals(transform, paths), mu, initial=start
         )
-        queue = np.full(n, float(initial))
-        log_lr = np.zeros(n)
-        curve = np.empty(k, dtype=float)
-        for j in range(k):
-            ts = background.step()
-            arrivals = _apply_transform(transform, ts.twisted_values, j)
-            log_lr += ts.log_lr_increment
-            queue = np.maximum(queue + arrivals - mu, 0.0)
-            indicator = queue > b
-            if np.any(indicator):
-                curve[j] = float(np.exp(log_lr[indicator]).sum()) / n
-            else:
-                curve[j] = 0.0
-    ctx.inc("is.replications", n, twist=twist, initial=float(initial))
-    ctx.inc("is.steps", k, twist=twist, initial=float(initial))
+        if twist == 0.0:
+            curve = (queue > b).mean(axis=0)
+            log_lr = np.zeros(n)
+        else:
+            curve = np.empty(k)
+            table = get_coefficient_table(source.acvf(k), k)
+            for tau, w, q in _lr_weights(table, k):
+                log_lr = twist * (0.5 * twist * q - paths[:, : tau + 1] @ w)
+                curve[tau] = np.exp(log_lr[queue[:, tau] > b]).sum() / n
+    ctx.inc("is.replications", n, twist=twist, initial=start)
+    ctx.inc("is.steps", k, twist=twist, initial=start)
     if ctx.enabled:
         final_weights = np.exp(log_lr)
         ctx.set(
             "is.ess",
             effective_sample_size(final_weights),
             twist=twist,
-            initial=float(initial),
+            initial=start,
         )
         ctx.observe_many(
-            "is.weight", final_weights, twist=twist, initial=float(initial)
+            "is.weight", final_weights, twist=twist, initial=start
         )
     return curve

@@ -10,9 +10,9 @@ Every runner takes a ``workers`` argument (default: the
 with independent child generators *before* any leg runs, so the curves
 are bit-for-bit identical at any worker count — see
 :mod:`repro.simulation.parallel`.  Legs over one background model also
-share one Durbin-Levinson coefficient table (the ``horizon = 10 b``
-sweep reads prefixes of a single table), which is where most of the
-speedup over per-leg recursions comes from.
+share one Durbin-Levinson coefficient table for their likelihood
+ratios and one Davies-Harte spectral table for their paths (the
+``horizon = 10 b`` sweep reads prefixes of both).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .._validation import check_positive_int
+from .._validation import check_1d_array, check_positive_int
 from ..exceptions import ValidationError
 from ..observability import RunContext, ensure_context
 from ..processes import registry
@@ -92,9 +92,11 @@ class OverflowCurve:
 
 
 def _check_buffers(buffer_sizes: Sequence[float]) -> np.ndarray:
-    buffers = np.asarray(list(buffer_sizes), dtype=float)
-    if buffers.ndim != 1 or buffers.size == 0:
-        raise ValidationError("buffer_sizes must be a non-empty sequence")
+    buffers = check_1d_array(list(buffer_sizes), "buffer_sizes")
+    if not np.all(buffers > 0):
+        raise ValidationError(
+            f"buffer_sizes must be positive, got {buffers.tolist()}"
+        )
     return buffers
 
 
@@ -109,7 +111,6 @@ def _buffer_leg_jobs(
     horizon_factor: int,
     random_state: RandomState,
     backend: BackendArg = "auto",
-    block_size=None,
     metrics=None,
 ) -> Tuple[List[Callable[[], ISEstimate]], List[RunContext]]:
     """One :func:`is_overflow_probability` job per buffer size.
@@ -144,7 +145,6 @@ def _buffer_leg_jobs(
             replications=replications,
             random_state=rng,
             backend=backend,
-            block_size=block_size,
             metrics=child,
         )
         for b, rng, child in zip(buffers, rngs, children)
@@ -164,7 +164,6 @@ def overflow_vs_buffer_curve(
     random_state: RandomState = None,
     workers: Optional[int] = None,
     backend: BackendArg = "auto",
-    block_size=None,
     metrics=None,
 ) -> OverflowCurve:
     """Fig. 16-style curve: ``log P(Q > b)`` versus ``b`` at one utilization.
@@ -174,10 +173,9 @@ def overflow_vs_buffer_curve(
     horizon).  Arrivals must be unit-mean so buffer sizes are
     normalized; the service rate is then ``1 / utilization``.
     ``workers`` runs buffer sizes concurrently (same estimates at any
-    worker count).  ``backend`` selects the conditional generation
-    backend for every leg (validated at construction); ``block_size``
-    routes its conditional stepping through the blocked BLAS-3 Hosking
-    kernel (default: exact per-step loop).  ``metrics``
+    worker count).  ``backend`` selects the path generator for every
+    leg (see :func:`~repro.simulation.importance.is_overflow_probability`;
+    validated before any draw).  ``metrics``
     (optional :class:`~repro.observability.RunContext`) collects per-leg
     timings, ESS per twist, pool occupancy and coefficient-cache deltas;
     the child contexts are merged in buffer order, so the snapshot is as
@@ -199,7 +197,6 @@ def overflow_vs_buffer_curve(
             horizon_factor=horizon_factor,
             random_state=random_state,
             backend=backend,
-            block_size=block_size,
             metrics=ctx,
         )
         estimates = run_legs(jobs, workers, metrics=ctx)
@@ -266,12 +263,12 @@ def mc_overflow_vs_buffer_curve(
 ) -> OverflowCurve:
     """Fig. 16-style curve by plain (untwisted) Monte Carlo.
 
-    The unconditional counterpart of :func:`overflow_vs_buffer_curve`:
-    instead of conditional stepping with importance sampling, each leg
-    draws all of its replications as **one batched** fixed-length
-    generation — a single FFT pass over ``(replications, horizon)``
-    under the ``auto``/Davies-Harte backend — maps them through the
-    arrival transform, and estimates ``P(Q_k > b)`` with
+    The untwisted counterpart of :func:`overflow_vs_buffer_curve`:
+    each leg draws all of its replications as **one batched**
+    fixed-length generation — a single FFT pass over
+    ``(replications, horizon)`` under the ``auto``/Davies-Harte
+    backend — maps them through the arrival transform, and estimates
+    ``P(Q_k > b)`` with
     :func:`~repro.queueing.overflow.transient_overflow_mc`.  Only
     practical for the moderate probabilities plain MC can resolve, but
     it is the regime where the spectral cache amortizes completely: all
@@ -331,7 +328,7 @@ def mc_overflow_vs_buffer_curve(
 
 
 def _spectral_backend(backend: BackendArg) -> bool:
-    """Whether ``backend`` routes unconditional paths to Davies-Harte."""
+    """Whether ``backend`` routes paths to Davies-Harte."""
     if not isinstance(backend, str):
         return False
     return backend.strip().lower().replace("-", "_") in (
@@ -352,7 +349,6 @@ def transient_overflow_curves(
     random_state: RandomState = None,
     workers: Optional[int] = None,
     backend: BackendArg = "auto",
-    block_size=None,
     metrics=None,
 ) -> Dict[str, np.ndarray]:
     """Fig. 15: transient ``P(Q_j > b)`` for empty and full initial buffers.
@@ -360,8 +356,8 @@ def transient_overflow_curves(
     Returns a mapping with keys ``"empty"`` and ``"full"``; each value
     is the per-slot estimate curve of length ``horizon``.  The two
     initial conditions are independent legs and run concurrently when
-    ``workers > 1``.  ``backend`` selects the conditional generation
-    backend (validated at construction).  ``metrics`` collects per-leg
+    ``workers > 1``.  ``backend`` selects the path generator (validated
+    before any draw).  ``metrics`` collects per-leg
     timings and weight diagnostics, labelled ``start="empty"/"full"``.
     """
     check_positive_int(horizon, "horizon")
@@ -384,7 +380,6 @@ def transient_overflow_curves(
                 initial=initial,
                 random_state=rng,
                 backend=backend,
-                block_size=block_size,
                 metrics=child,
             )
             for (initial, rng), child in zip(
@@ -425,7 +420,6 @@ def model_comparison_curves(
     random_state: RandomState = None,
     workers: Optional[int] = None,
     backend: BackendArg = "auto",
-    block_size=None,
     metrics=None,
 ) -> ModelComparisonResult:
     """Run :func:`overflow_vs_buffer_curve` for several background models.
@@ -436,7 +430,7 @@ def model_comparison_curves(
     legs are flattened into one pool, so ``workers`` parallelism is not
     limited by the model count; seeding follows the same two-level
     spawn (per model, then per buffer) as the serial path.  ``backend``
-    selects the conditional generation backend for every leg.
+    selects the path generator for every leg.
     ``metrics`` collects the same per-leg diagnostics as
     :func:`overflow_vs_buffer_curve`, additionally labelled by model
     name.
@@ -463,7 +457,6 @@ def model_comparison_curves(
                 horizon_factor=horizon_factor,
                 random_state=rng,
                 backend=backend,
-                block_size=block_size,
                 metrics=ctx.scoped(model=name),
             )
             jobs.extend(model_jobs)

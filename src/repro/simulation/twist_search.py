@@ -11,20 +11,17 @@ Two evaluation strategies are offered:
 
 - **Independent streams** (the default): every grid point runs its own
   batch of :func:`~repro.simulation.importance.is_overflow_probability`
-  — ``T`` grid points cost ``T`` full Hosking generations.
+  — ``T`` grid points cost ``T`` path draws.
 - **Shared paths** (:func:`sweep_twists`, or
   ``search_twisted_mean(..., shared_paths=True)``): mean twisting only
   *shifts* the background (``X' = X + m*``), so one batch of untwisted
-  paths plus the per-step conditional moments determines every
-  candidate's estimator exactly.  The log-LR increment
-  ``-(2 e_k c_k + c_k^2) / (2 v_k)`` with ``c_k = m* (1 - s_k)`` needs
-  only the stored innovations ``e_k = sqrt(v_k) z_k`` and the table
-  moments ``v_k``/``s_k`` — the whole Fig. 14 scan collapses from
-  ``T`` generations to one.  The shared strategy evaluates all grid
-  points on *common* random numbers (one path batch), so its estimates
-  agree with independent streams within Monte-Carlo error, not
-  bit-for-bit; grid points are positively correlated with each other,
-  which actually *smooths* the valley shape for the argmin decision.
+  paths determines every candidate's estimator exactly — each twist is
+  one transform call and one closed-form likelihood-ratio pass over
+  the same paths.  The shared strategy evaluates all grid points on
+  *common* random numbers (one path batch), so its estimates agree
+  with independent streams within Monte-Carlo error, not bit-for-bit;
+  grid points are positively correlated with each other, which
+  actually *smooths* the valley shape for the argmin decision.
 """
 
 from __future__ import annotations
@@ -41,27 +38,20 @@ from .._validation import (
     check_finite_float,
     check_positive_int,
 )
-from ..exceptions import SimulationError, SimulationWarning, ValidationError
+from ..exceptions import SimulationError, SimulationWarning
 from ..observability import ensure_context
-from ..processes.coeff_table import (
-    CoefficientTable,
-    cache_metrics,
-    resolve_acvf,
-)
+from ..processes.coeff_table import cache_metrics
 from ..processes.correlation import CorrelationModel
-from ..processes.hosking import (
-    CoeffTableArg,
-    _resolve_table,
-    hosking_generate,
-)
-from ..processes.hosking_blocked import BlockSizeArg
 from ..processes.registry import BackendArg
-from ..stats.random import RandomState, make_rng, spawn_rngs
-from .estimators import ISEstimate, effective_sample_size
+from ..processes.source import GaussianSource
+from ..stats.random import RandomState, spawn_rngs
+from .estimators import ISEstimate
 from .importance import (
     ArrivalTransform,
     _check_common,
-    batched_arrivals,
+    _leg_arrivals,
+    _path_source,
+    _weigh_crossings,
     is_overflow_probability,
 )
 from .parallel import run_legs
@@ -153,7 +143,6 @@ def search_twisted_mean(
     random_state: RandomState = None,
     workers: Optional[int] = None,
     backend: BackendArg = "auto",
-    block_size: BlockSizeArg = None,
     shared_paths: bool = False,
     metrics=None,
 ) -> TwistSearchResult:
@@ -166,19 +155,14 @@ def search_twisted_mean(
     Every grid point shares the background model, hence one shared
     Durbin-Levinson coefficient table; ``workers`` additionally runs
     grid points concurrently without changing any estimate.
-    ``backend`` selects the conditional generation backend (validated
-    at construction; see
-    :class:`~repro.simulation.importance.TwistedBackground`) and
-    ``block_size`` routes Hosking stepping through the blocked BLAS-3
-    kernel.
+    ``backend`` selects the path generator (validated before any draw;
+    see :func:`~repro.simulation.importance.is_overflow_probability`).
 
     ``shared_paths=True`` switches to :func:`sweep_twists`: one batch
     of untwisted paths evaluates the whole grid (common random numbers
     across grid points; estimates agree with the independent-stream
     default within Monte-Carlo error, not bit-for-bit).  In shared
-    mode the grid has no independent legs, so ``workers`` is unused,
-    and the moments come from the Hosking recursion — ``backend`` must
-    be ``"auto"`` or ``"hosking"``.
+    mode the grid has no independent legs, so ``workers`` is unused.
 
     ``metrics`` (optional :class:`~repro.observability.RunContext`)
     records the valley trajectory — a ``twist_search.normalized_variance``
@@ -186,7 +170,6 @@ def search_twisted_mean(
     — alongside each grid point's leg timings and ESS.
     """
     if shared_paths:
-        _require_hosking_backend(backend, "shared_paths=True")
         return sweep_twists(
             correlation,
             transform,
@@ -196,7 +179,7 @@ def search_twisted_mean(
             twist_values=twist_values,
             replications=replications,
             random_state=random_state,
-            block_size=block_size,
+            backend=backend,
             metrics=metrics,
         )
     grid = check_1d_array(twist_values, "twist_values")
@@ -220,7 +203,6 @@ def search_twisted_mean(
                 replications=replications,
                 random_state=rng,
                 backend=backend,
-                block_size=block_size,
                 metrics=child,
             )
             for m_star, rng, child in zip(grid, rngs, children)
@@ -230,23 +212,6 @@ def search_twisted_mean(
     result = TwistSearchResult(twist_values=grid, estimates=estimates)
     _record_trajectory(ctx, result)
     return result
-
-
-def _require_hosking_backend(backend: BackendArg, what: str) -> None:
-    """Reject backends the shared-path sweep cannot serve.
-
-    The sweep reads conditional moments straight from the
-    Durbin-Levinson coefficient table, so only the Hosking recursion
-    (the sole conditional backend) is meaningful.
-    """
-    if isinstance(backend, str) and backend.strip().lower().replace(
-        "-", "_"
-    ) in ("auto", "hosking"):
-        return
-    raise ValidationError(
-        f"{what} evaluates twists from Hosking conditional moments and "
-        f"supports backend='auto' or 'hosking' only, got {backend!r}"
-    )
 
 
 def sweep_twists(
@@ -259,47 +224,38 @@ def sweep_twists(
     twist_values: Sequence[float],
     replications: int,
     random_state: RandomState = None,
-    coeff_table: CoeffTableArg = None,
-    block_size: BlockSizeArg = None,
+    backend: BackendArg = "auto",
     metrics=None,
 ) -> TwistSearchResult:
-    """Evaluate a whole Fig. 14 twist grid from ONE background generation.
+    """Evaluate a whole Fig. 14 twist grid from ONE background draw.
 
     Twisting is a mean shift: under the twisted law the background is
-    ``X'_k = X_k + m*`` with unchanged conditional variances and
-    coefficients.  So one batch of *untwisted* paths ``X`` (plus the
-    innovations ``e_k = sqrt(v_k) z_k`` and the table moments ``v_k``,
-    ``s_k``) determines, for **every** candidate ``m*`` at once:
+    ``X'_k = X_k + m*`` with an unchanged covariance.  So one batch of
+    *untwisted* paths ``X`` determines, for **every** candidate ``m*``:
 
-    - the twisted arrivals — ``transform(X + m*)`` per slot;
-    - the cumulative log likelihood ratio — per-step increments
-      ``-(2 e_k c_k + c_k^2) / (2 v_k)`` with ``c_k = m* (1 - s_k)``
-      (the paper's eq. 45-48 in log space, exactly as
-      :class:`~repro.simulation.importance.TwistedBackground` computes
-      them step by step);
+    - the twisted arrivals — one ``transform(X + m*)`` call;
     - the workload-crossing time — first ``i`` with
-      ``sum_{j<=i} (Y'_j - mu) > b``.
+      ``sum_{j<=i} (Y'_j - mu) > b``;
+    - the likelihood ratio at that crossing — the closed form of
+      :mod:`~repro.simulation.importance`, one pass over the shared
+      coefficient table per twist (none at ``m* = 0``, which is plain
+      Monte Carlo).
 
     Each grid point's estimator is then identical in form to
-    :func:`~repro.simulation.importance.is_overflow_probability`
-    (weight ``exp(log L)`` at the first crossing, 0 on no crossing),
-    evaluated on this shared path batch instead of an independent one —
-    collapsing the scan from ``T`` Hosking generations to one.  All
-    grid points share the same paths (common random numbers), so
+    :func:`~repro.simulation.importance.is_overflow_probability`,
+    evaluated on this shared path batch instead of an independent one.
+    All grid points share the same paths (common random numbers), so
     estimates match independent per-twist runs within Monte-Carlo
     error, and the grid points are mutually correlated.
 
-    Parameters mirror :func:`search_twisted_mean`; ``coeff_table``
-    follows the usual convention (``None`` = shared fingerprint cache,
-    explicit table used directly, ``False`` = private table built from
-    scratch) and ``block_size`` selects the generation kernel for the
-    single path batch.
+    Parameters mirror :func:`search_twisted_mean`; ``backend`` selects
+    the generator of the one path batch, as in
+    :func:`~repro.simulation.importance.is_overflow_probability`.
 
     ``metrics`` records ``twist_sweep.generations`` (always 1 per
     call), ``twist_sweep.paths``, ``twist_sweep.twists``, per-twist
-    ``twist_sweep.hits``, the ``twist_sweep.seconds`` timer, the
-    ``hosking.*`` engine gauges of the one generation, and the same
-    ``twist_search.*`` valley trajectory as the independent-stream
+    ``twist_sweep.hits``, the ``twist_sweep.seconds`` timer, and the
+    same ``twist_search.*`` valley trajectory as the independent-stream
     scan.
     """
     grid = check_1d_array(twist_values, "twist_values")
@@ -308,43 +264,17 @@ def sweep_twists(
     )
     ctx = ensure_context(metrics)
     with ctx.time("twist_sweep.seconds"), cache_metrics(ctx):
-        if coeff_table is False:
-            table = CoefficientTable(resolve_acvf(correlation, k))
-        else:
-            table = _resolve_table(correlation, k, coeff_table)
-        variances = np.asarray(table.variances(k))
-        sqrt_variances = np.asarray(table.sqrt_variances(k))
-        phi_sums = np.asarray(table.phi_sums(k))
-        rng = make_rng(random_state)
-        z = rng.standard_normal((n, k))
-        paths = hosking_generate(
-            correlation,
-            k,
-            size=n,
-            innovations=z,
-            coeff_table=table,
-            block_size=block_size,
-            metrics=ctx,
-        )
+        source = _path_source(correlation, backend, ctx)
+        paths = source.sample(k, size=n, random_state=random_state)
         ctx.inc("twist_sweep.generations")
         ctx.inc("twist_sweep.paths", n)
         ctx.inc("twist_sweep.twists", grid.size)
-        # Innovations of the untwisted paths: e_k = x_k - m_k
-        # = sqrt(v_k) z_k — no conditional means need storing.
-        innovations = z * sqrt_variances
         estimates: List[ISEstimate] = []
         for m_star in grid:
             estimates.append(
                 _evaluate_twist(
-                    float(m_star),
-                    paths,
-                    innovations,
-                    variances,
-                    phi_sums,
-                    transform,
-                    mu=mu,
-                    b=b,
-                    ctx=ctx,
+                    float(m_star), source, paths, transform,
+                    mu=mu, b=b, ctx=ctx,
                 )
             )
     result = TwistSearchResult(twist_values=grid, estimates=estimates)
@@ -354,10 +284,8 @@ def sweep_twists(
 
 def _evaluate_twist(
     m_star: float,
+    source: GaussianSource,
     paths: np.ndarray,
-    innovations: np.ndarray,
-    variances: np.ndarray,
-    phi_sums: np.ndarray,
     transform: ArrivalTransform,
     *,
     mu: float,
@@ -366,30 +294,18 @@ def _evaluate_twist(
 ) -> ISEstimate:
     """One grid point of :func:`sweep_twists` on the shared path batch."""
     n, k = paths.shape
-    arrivals = batched_arrivals(transform, paths + m_star)
-    workload = np.cumsum(arrivals - mu, axis=1)
-    crossed = workload > b
-    hit = crossed.any(axis=1)
-    first = np.argmax(crossed, axis=1)
-    hits = int(hit.sum())
-    weights = np.zeros(n)
-    if m_star == 0.0:
-        # Plain Monte Carlo: L = 1 identically.
-        weights[hit] = 1.0
-    elif hits:
-        c = m_star * (1.0 - phi_sums)
-        log_lr = np.cumsum(
-            -(2.0 * innovations * c + c * c) / (2.0 * variances), axis=1
-        )
-        rows = np.flatnonzero(hit)
-        weights[rows] = np.exp(log_lr[rows, first[rows]])
-    probability = float(weights.mean())
-    variance = float(weights.var(ddof=1)) / n if n > 1 else float("nan")
-    mean_hit_time = float(first[hit].mean()) if hits else float("nan")
-    ess = effective_sample_size(weights[hit])
-    ctx.inc("twist_sweep.hits", hits, twist=m_star)
-    ctx.set("is.ess", ess, twist=m_star)
-    if not hits:
+    twisted = paths + m_star
+    estimate, _ = _weigh_crossings(
+        source,
+        twisted,
+        _leg_arrivals(transform, twisted),
+        service_rate=mu,
+        buffer_size=b,
+        m_star=m_star,
+    )
+    ctx.inc("twist_sweep.hits", estimate.hits, twist=m_star)
+    ctx.set("is.ess", estimate.ess, twist=m_star)
+    if not estimate.hits:
         ctx.inc("twist_sweep.zero_hit_estimates", twist=m_star)
         warnings.warn(
             f"shared-path sweep at m*={m_star:g} finished with 0 "
@@ -398,15 +314,7 @@ def _evaluate_twist(
             SimulationWarning,
             stacklevel=3,
         )
-    return ISEstimate(
-        probability=probability,
-        variance=variance,
-        replications=n,
-        hits=hits,
-        twisted_mean=m_star,
-        mean_hit_time=mean_hit_time,
-        ess=ess,
-    )
+    return estimate
 
 
 def _record_trajectory(ctx, result: TwistSearchResult) -> None:
@@ -443,7 +351,6 @@ def refine_twisted_mean(
     iterations: int = 6,
     random_state: RandomState = None,
     backend: BackendArg = "auto",
-    block_size: BlockSizeArg = None,
     metrics=None,
 ) -> TwistSearchResult:
     """Golden-section refinement of the variance valley.
@@ -463,9 +370,10 @@ def refine_twisted_mean(
     probing order) whose :attr:`~TwistSearchResult.best_twist` is the
     refined choice.  ``metrics`` records the probing trajectory exactly
     as :func:`search_twisted_mean` does (probe index = probing order).
-    A non-finite ``bracket`` endpoint raises
-    :class:`~repro.exceptions.ValidationError`; a pair that is not
-    increasing raises :class:`~repro.exceptions.SimulationError`.
+    A non-finite ``bracket`` endpoint or an ``iterations`` that is not
+    a positive integer raises :class:`~repro.exceptions.ValidationError`;
+    a pair that is not increasing raises
+    :class:`~repro.exceptions.SimulationError`.
     """
     for endpoint in bracket:
         check_finite_float(endpoint, "bracket")
@@ -475,7 +383,7 @@ def refine_twisted_mean(
         )
     check_positive_int(replications, "replications")
     ctx = ensure_context(metrics)
-    iterations = max(1, int(iterations))
+    iterations = check_positive_int(iterations, "iterations")
     rngs = spawn_rngs(random_state, 2 * iterations + 2)
     rng_iter = iter(rngs)
     probes: List[float] = []
@@ -492,7 +400,6 @@ def refine_twisted_mean(
             replications=replications,
             random_state=next(rng_iter),
             backend=backend,
-            block_size=block_size,
             metrics=ctx.scoped(probe=len(probes), twist=float(m_star)),
         )
         probes.append(float(m_star))

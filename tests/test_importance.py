@@ -6,21 +6,30 @@ The key correctness properties:
   the underlying change of measure);
 - with ``m* = 0`` the procedure reduces exactly to plain Monte Carlo;
 - IS and MC estimates agree (within sampling error) on non-rare events;
-- a good twist reduces the estimator's variance.
+- a good twist reduces the estimator's variance;
+- only generators whose law is exactly the model's Gaussian law may
+  draw the paths the closed-form weights assume.
 """
 
 import numpy as np
 import pytest
 
-from repro.exceptions import SimulationError, ValidationError
+from repro.exceptions import (
+    CorrelationError,
+    SimulationError,
+    ValidationError,
+)
+from repro.processes.coeff_table import CoefficientTable, resolve_acvf
 from repro.processes.correlation import (
     CompositeCorrelation,
     ExponentialCorrelation,
     FGNCorrelation,
     WhiteNoiseCorrelation,
 )
+from repro.processes.davies_harte import davies_harte_generate
+from repro.processes.source import DaviesHarteSource, HoskingSource
 from repro.simulation.importance import (
-    TwistedBackground,
+    _stopped_log_lr,
     is_overflow_probability,
     is_transient_overflow_curve,
 )
@@ -32,25 +41,44 @@ def identity_transform(x):
     return x + 2.0
 
 
+def log_lr_at(correlation, twisted, slot, m_star):
+    """Closed-form ``log L(slot)`` of every row of ``twisted``."""
+    n, k = twisted.shape
+    table = CoefficientTable(resolve_acvf(correlation, k))
+    return _stopped_log_lr(
+        table, twisted, np.arange(n), np.full(n, slot), m_star
+    )
+
+
 class TestTwistedBackground:
+    """The twisted background ``X' = X + m*`` and its likelihood ratio."""
+
     def test_zero_twist_zero_loglr(self):
-        bg = TwistedBackground(
-            FGNCorrelation(0.8), 20, twisted_mean=0.0, size=5,
-            random_state=0,
-        )
-        for _ in range(20):
-            step = bg.step()
-            np.testing.assert_array_equal(step.log_lr_increment, 0.0)
+        corr = FGNCorrelation(0.8)
+        paths = davies_harte_generate(corr, 20, size=5, random_state=0)
+        for slot in range(20):
+            np.testing.assert_array_equal(
+                log_lr_at(corr, paths, slot, 0.0), 0.0
+            )
 
     def test_twist_shifts_values(self):
-        corr = WhiteNoiseCorrelation()
-        bg0 = TwistedBackground(corr, 10, twisted_mean=0.0, size=1000,
-                                random_state=1)
-        bg2 = TwistedBackground(corr, 10, twisted_mean=2.0, size=1000,
-                                random_state=1)
-        v0 = np.concatenate([bg0.step().twisted_values for _ in range(10)])
-        v2 = np.concatenate([bg2.step().twisted_values for _ in range(10)])
-        np.testing.assert_allclose(v2 - v0, 2.0)
+        # Same seed, two twists: the transform sees the same paths
+        # shifted by exactly m*.
+        seen = {}
+
+        def recording(m_star):
+            def transform(x):
+                seen[m_star] = np.array(x, copy=True)
+                return np.ones_like(x)
+            return transform
+
+        for m_star in (0.0, 2.0):
+            is_overflow_probability(
+                WhiteNoiseCorrelation(), recording(m_star),
+                service_rate=0.5, buffer_size=1.0, horizon=10,
+                twisted_mean=m_star, replications=1000, random_state=1,
+            )
+        np.testing.assert_allclose(seen[2.0] - seen[0.0], 2.0)
 
     @pytest.mark.parametrize(
         "corr",
@@ -70,33 +98,28 @@ class TestTwistedBackground:
         estimator multiplies L by a rare-event indicator in practice).
         """
         horizon, size, m_star = 10, 100_000, 0.25
-        bg = TwistedBackground(corr, horizon, twisted_mean=m_star,
-                               size=size, random_state=2)
-        log_lr = np.zeros(size)
-        for _ in range(horizon):
-            log_lr += bg.step().log_lr_increment
+        twisted = m_star + davies_harte_generate(
+            corr, horizon, size=size, random_state=2,
+            on_negative_eigenvalues="raise",
+        )
+        log_lr = log_lr_at(corr, twisted, horizon - 1, m_star)
         assert np.exp(log_lr).mean() == pytest.approx(1.0, abs=0.05)
 
     def test_white_noise_loglr_closed_form(self):
         """For iid N(0,1), log L_k = -(2 x_k m* + m*^2)/2 exactly."""
         m_star = 1.5
-        bg = TwistedBackground(
-            WhiteNoiseCorrelation(), 5, twisted_mean=m_star, size=100,
-            random_state=3,
-        )
-        for _ in range(5):
-            step = bg.step()
-            x = step.twisted_values - m_star  # untwisted draws
-            expected = -(2 * x * m_star + m_star**2) / 2.0
-            np.testing.assert_allclose(step.log_lr_increment, expected,
-                                       atol=1e-12)
+        corr = WhiteNoiseCorrelation()
+        x = davies_harte_generate(corr, 5, size=100, random_state=3)
+        increments = -(2 * x * m_star + m_star**2) / 2.0
+        for slot in range(5):
+            np.testing.assert_allclose(
+                log_lr_at(corr, x + m_star, slot, m_star),
+                increments[:, : slot + 1].sum(axis=1),
+                atol=1e-12,
+            )
 
 
 _TWIST_ENTRY_POINTS = {
-    "TwistedBackground": lambda m: TwistedBackground(
-        ExponentialCorrelation(0.3), 10, twisted_mean=m, size=4,
-        random_state=0,
-    ),
     "is_overflow_probability": lambda m: is_overflow_probability(
         ExponentialCorrelation(0.3), identity_transform, service_rate=3.5,
         buffer_size=8.0, horizon=20, twisted_mean=m, replications=10,
@@ -219,6 +242,41 @@ class TestIsOverflowProbability:
                 replications=10,
             )
 
+    def test_rejects_non_finite_transform_output(self):
+        # A NaN arrival never crosses the buffer, so this used to return
+        # probability 0.0 with only a zero-hit warning.
+        with pytest.raises(ValidationError, match="transform"):
+            is_overflow_probability(
+                WhiteNoiseCorrelation(),
+                lambda x: np.full_like(x, np.nan),
+                service_rate=1.0,
+                buffer_size=1.0,
+                horizon=10,
+                twisted_mean=1.0,
+                replications=10,
+                random_state=0,
+            )
+
+    def test_rejects_bad_time_varying_transform_output(self):
+        # A scalar per slot would broadcast silently over the batch.
+        class ScalarPerSlot:
+            time_varying = True
+
+            def __call__(self, values, step):
+                return 1.0
+
+        with pytest.raises(SimulationError, match="transform"):
+            is_overflow_probability(
+                WhiteNoiseCorrelation(),
+                ScalarPerSlot(),
+                service_rate=1.0,
+                buffer_size=1.0,
+                horizon=10,
+                twisted_mean=0.0,
+                replications=10,
+                random_state=0,
+            )
+
     def test_rejects_bad_transform_output(self):
         with pytest.raises(SimulationError, match="transform"):
             is_overflow_probability(
@@ -302,111 +360,67 @@ class TestTransientCurve:
                 initial=-1.0,
             )
 
-
-def seed_style_is_overflow(
-    correlation, transform, *, service_rate, buffer_size, horizon,
-    twisted_mean, replications, random_state,
-):
-    """The seed's loop, byte for byte: step first, no early stop, no
-    retirement.  Used as the bit-exactness reference for the rewritten
-    :func:`is_overflow_probability`."""
-    from repro.simulation.estimators import ISEstimate
-
-    background = TwistedBackground(
-        correlation, horizon, twisted_mean=twisted_mean,
-        size=replications, random_state=random_state, coeff_table=False,
-    )
-    n, mu, b = replications, service_rate, buffer_size
-    workload = np.zeros(n)
-    log_lr = np.zeros(n)
-    weights = np.zeros(n)
-    hit_times = np.full(n, -1, dtype=int)
-    active = np.ones(n, dtype=bool)
-    for i in range(horizon):
-        ts = background.step()
-        arrivals = np.asarray(transform(ts.twisted_values), dtype=float)
-        log_lr[active] += ts.log_lr_increment[active]
-        workload[active] += arrivals[active] - mu
-        newly_hit = active & (workload > b)
-        if np.any(newly_hit):
-            weights[newly_hit] = np.exp(log_lr[newly_hit])
-            hit_times[newly_hit] = i
-            active[newly_hit] = False
-        if not np.any(active):
-            break
-    probability = float(weights.mean())
-    variance = float(weights.var(ddof=1)) / n if n > 1 else float("nan")
-    hits = int((hit_times >= 0).sum())
-    mean_hit = (
-        float(hit_times[hit_times >= 0].mean()) if hits else float("nan")
-    )
-    return ISEstimate(
-        probability=probability, variance=variance, replications=n,
-        hits=hits, twisted_mean=float(twisted_mean),
-        mean_hit_time=mean_hit,
-    )
-
-
-class TestLoopOrderAndCompaction:
-    def test_bitwise_identical_to_seed_loop(self):
-        kwargs = dict(
-            transform=identity_transform,
-            service_rate=2.6,
-            buffer_size=2.5,
-            horizon=60,
-            twisted_mean=0.8,
-            replications=500,
-        )
-        corr = CompositeCorrelation.paper_fit().with_continuity()
-        new = is_overflow_probability(corr, random_state=30, **kwargs)
-        ref = seed_style_is_overflow(corr, random_state=30, **kwargs)
-        assert new.probability == ref.probability
-        assert new.variance == ref.variance
-        assert new.hits == ref.hits
-        assert new.mean_hit_time == ref.mean_hit_time
-
-    def test_no_step_once_all_replications_crossed(self):
-        # Regression: the seed stepped the background once more after the
-        # final replication crossed, paying a full O(n * k) Hosking step
-        # whose output was discarded.
-        calls = {"n": 0}
-        original = TwistedBackground.step
-
-        def counting_step(self):
-            calls["n"] += 1
-            return original(self)
-
-        def always_hit(values):
-            return values + 100.0  # every replication crosses at slot 0
-
-        import repro.simulation.importance as imp
-
-        old = imp.TwistedBackground.step
-        imp.TwistedBackground.step = counting_step
-        try:
-            est = is_overflow_probability(
+    @pytest.mark.parametrize("initial", [np.nan, np.inf])
+    def test_rejects_non_finite_initial(self, initial):
+        # NaN used to give an all-zero curve and inf a curve of ~1 at
+        # every slot, both without an error.
+        with pytest.raises(ValidationError, match="initial"):
+            is_transient_overflow_curve(
                 WhiteNoiseCorrelation(),
-                always_hit,
+                identity_transform,
                 service_rate=1.0,
                 buffer_size=1.0,
-                horizon=50,
-                twisted_mean=0.0,
-                replications=8,
-                random_state=31,
+                horizon=20,
+                twisted_mean=0.5,
+                replications=10,
+                initial=initial,
+                random_state=0,
             )
-        finally:
-            imp.TwistedBackground.step = old
-        assert est.hits == 8
-        assert calls["n"] == 1
 
-    def test_retire_reported_by_active_count(self):
-        bg = TwistedBackground(
-            FGNCorrelation(0.8), 10, twisted_mean=0.5, size=6,
-            random_state=32,
-        )
-        bg.step()
-        assert bg.active_count == 6
-        assert bg.retire(np.array([0, 5])) == 4
-        assert bg.active_count == 4
-        bg.step()  # still advances the shared clock
-        assert bg.step_index == 2
+
+def _leg(correlation=ExponentialCorrelation(0.3), **kwargs):
+    return is_overflow_probability(
+        correlation, identity_transform, service_rate=3.0,
+        buffer_size=4.0, horizon=20, twisted_mean=1.0, replications=50,
+        random_state=0, **kwargs,
+    )
+
+
+class TestPathBackends:
+    """Only generators of the model's exact law may draw IS paths."""
+
+    @pytest.mark.parametrize(
+        "backend", ["fgn", "farima", "rmd", "mg_infinity"]
+    )
+    def test_rejects_inexact_backends(self, backend):
+        with pytest.raises(ValidationError, match="backend"):
+            _leg(FGNCorrelation(0.8), backend=backend)
+
+    def test_rejects_clipping_davies_harte_instance(self):
+        source = DaviesHarteSource(ExponentialCorrelation(0.3))
+        with pytest.raises(ValidationError, match="backend"):
+            _leg(backend=source)
+
+    @pytest.mark.parametrize(
+        "backend", ["auto", "davies_harte", "Davies-Harte", "hosking"]
+    )
+    def test_accepts_exact_backends(self, backend):
+        assert _leg(backend=backend).hits > 0
+
+    def test_accepts_exact_instances(self):
+        corr = ExponentialCorrelation(0.3)
+        for source in (
+            HoskingSource(corr),
+            DaviesHarteSource(corr, on_negative_eigenvalues="raise"),
+        ):
+            assert _leg(backend=source).hits > 0
+
+    def test_non_embeddable_model_raises_and_hosking_runs(self):
+        # A positive-definite acvf whose circulant embedding at this
+        # horizon has a negative eigenvalue (min -0.044): Davies-Harte
+        # refuses to clip it, and the exact Hosking fallback draws it.
+        lags = np.arange(21.0)
+        acvf = np.exp(-lags / 20.0) * np.cos(lags / 5.0)
+        with pytest.raises(CorrelationError, match="hosking"):
+            _leg(acvf)
+        assert _leg(acvf, backend="hosking").replications == 50

@@ -139,3 +139,10 @@ class TestRefineTwistedMean:
     def test_rejects_non_finite_bracket(self, bracket):
         with pytest.raises(ValidationError, match="bracket"):
             self._refine(bracket=bracket)
+
+    @pytest.mark.parametrize("iterations", [0, -3, 2.7])
+    def test_rejects_bad_iterations(self, iterations):
+        # These used to run max(1, int(iterations)) iterations: 1, 1
+        # and 2 — a plausible result for an argument that makes none.
+        with pytest.raises(ValidationError, match="iterations"):
+            self._refine(iterations=iterations)

@@ -130,7 +130,7 @@ class TestMetricCoverage:
         recorded = names(ctx)
         for name in (
             "is.leg_seconds", "is.replications", "is.hits",
-            "is.steps", "is.ess", "is.weight", "is.retired",
+            "is.steps", "is.ess", "is.weight",
         ):
             assert name in recorded, name
         snapshot = {
@@ -215,9 +215,7 @@ class TestMetricCoverage:
 
     def test_registry_auto_policy_counter(self):
         reg = MetricsRegistry()
-        registry.resolve(
-            "auto", FGNCorrelation(0.8), conditional=True, metrics=reg
-        )
+        registry.resolve("auto", FGNCorrelation(0.8), metrics=reg)
         recorded = {e["name"] for e in reg.snapshot()}
         assert "registry.auto_policy" in recorded
 

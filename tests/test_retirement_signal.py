@@ -1,78 +1,25 @@
-"""Regression tests for the all-retired / zero-hit degeneracy signals.
+"""Regression tests for the zero-hit degeneracy signal.
 
-Before these signals existed, an importance-sampling run whose
-replications all retired (or never hit) before the horizon completed
-silently and returned a vacuous estimate.  Now:
+Before this signal existed, an importance-sampling run whose
+replications never hit completed silently and returned a vacuous
+estimate.  Now:
 
-- retiring the *last* active replication before the horizon emits a
-  :class:`~repro.exceptions.SimulationWarning` and an
-  ``is.all_retired`` counter;
 - an estimate finishing with zero overflow hits warns and counts
   ``is.zero_hit_estimates``;
-- a batch where every replication *hits* (a successful outcome) must
-  NOT warn — the estimator stops retiring once no survivors remain.
+- a batch where every replication *hits* (a successful outcome), or
+  only some do, must NOT warn.
 """
 
 import warnings
 
-import numpy as np
 import pytest
 
 from repro.exceptions import SimulationWarning
 from repro.observability import RunContext
 from repro.processes.correlation import ExponentialCorrelation
-from repro.simulation.importance import (
-    TwistedBackground,
-    is_overflow_probability,
-)
+from repro.simulation.importance import is_overflow_probability
 
 CORR = ExponentialCorrelation(0.5)
-
-
-class TestAllRetiredSignal:
-    def test_warns_when_last_replication_retired_early(self):
-        ctx = RunContext()
-        bg = TwistedBackground(
-            CORR, 20, twisted_mean=1.0, size=4, random_state=0,
-            metrics=ctx,
-        )
-        bg.step()
-        bg.retire(np.array([0, 1]))
-        with pytest.warns(SimulationWarning, match="every replication"):
-            bg.retire(np.array([2, 3]))
-        entries = {e["name"]: e for e in ctx.snapshot()}
-        assert entries["is.all_retired"]["value"] == 1.0
-        assert entries["is.retired"]["value"] == 4.0
-
-    def test_no_warning_while_survivors_remain(self):
-        bg = TwistedBackground(
-            CORR, 20, twisted_mean=1.0, size=4, random_state=0,
-        )
-        bg.step()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", SimulationWarning)
-            bg.retire(np.array([0, 2]))
-        assert bg.active_count == 2
-
-    def test_no_warning_at_horizon(self):
-        # Retirement at the final step is not "early": there is nothing
-        # left to simulate, so no information is lost.
-        bg = TwistedBackground(
-            CORR, 2, twisted_mean=1.0, size=2, random_state=0,
-        )
-        bg.step()
-        bg.step()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", SimulationWarning)
-            bg.retire(np.array([0, 1]))
-
-    def test_signal_works_without_metrics(self):
-        bg = TwistedBackground(
-            CORR, 20, twisted_mean=1.0, size=2, random_state=0,
-        )
-        bg.step()
-        with pytest.warns(SimulationWarning):
-            bg.retire(np.array([0, 1]))
 
 
 class TestEstimatorOutcomes:
@@ -99,7 +46,7 @@ class TestEstimatorOutcomes:
 
     def test_full_success_batch_does_not_warn(self):
         # Every replication overflows almost immediately; the estimator
-        # must not misreport this success as all-retired degeneracy.
+        # must not misreport this success as a degeneracy.
         ctx = RunContext()
         with warnings.catch_warnings():
             warnings.simplefilter("error", SimulationWarning)
@@ -117,7 +64,7 @@ class TestEstimatorOutcomes:
         assert estimate.hits == estimate.replications
         assert estimate.probability == pytest.approx(1.0)
         entries = {e["name"]: e for e in ctx.snapshot()}
-        assert "is.all_retired" not in entries
+        assert "is.zero_hit_estimates" not in entries
 
     def test_partial_hits_do_not_warn(self):
         with warnings.catch_warnings():

@@ -10,6 +10,7 @@ from repro.processes.correlation import (
     FGNCorrelation,
 )
 from repro.simulation.runner import (
+    mc_overflow_vs_buffer_curve,
     model_comparison_curves,
     overflow_vs_buffer_curve,
     transient_overflow_curves,
@@ -75,6 +76,36 @@ class TestOverflowVsBufferCurve:
                 replications=10,
                 twisted_mean=0.0,
             )
+
+
+_BUFFER_RUNNERS = {
+    "overflow_vs_buffer_curve": lambda buffers: overflow_vs_buffer_curve(
+        ExponentialCorrelation(0.3), arrivals, utilization=0.5,
+        buffer_sizes=buffers, replications=10, twisted_mean=0.5,
+        random_state=0,
+    ),
+    "mc_overflow_vs_buffer_curve": lambda buffers: (
+        mc_overflow_vs_buffer_curve(
+            ExponentialCorrelation(0.3), arrivals, utilization=0.5,
+            buffer_sizes=buffers, replications=10, random_state=0,
+        )
+    ),
+    "model_comparison_curves": lambda buffers: model_comparison_curves(
+        {"SRD": ExponentialCorrelation(0.3)}, arrivals, utilization=0.5,
+        buffer_sizes=buffers, replications=10, twisted_mean=0.5,
+        random_state=0,
+    ),
+}
+
+
+@pytest.mark.parametrize("runner", sorted(_BUFFER_RUNNERS))
+@pytest.mark.parametrize("buffer", [np.nan, np.inf, -5.0, 0.0])
+def test_rejects_bad_buffer_sizes(runner, buffer):
+    # NaN used to fail with a bare ValueError from int(), inf with an
+    # OverflowError, and a negative size with an error naming the
+    # per-leg buffer_size instead of the caller's argument.
+    with pytest.raises(ValidationError, match="buffer_sizes"):
+        _BUFFER_RUNNERS[runner]([2.0, buffer])
 
 
 class TestTransientOverflowCurves:

@@ -2,9 +2,9 @@
 
 Every registered backend must honor the same contract: correct sample
 shapes, seed reproducibility, capability flags that match reality
-(conditional stepping either works or raises at once), and a sample ACF
-consistent with the law its ``acvf()`` reports — tight for exact
-backends, looser for the approximate ones.
+(an incapable backend raises at once), and a sample ACF consistent with
+the law its ``acvf()`` reports — tight for exact backends, looser for
+the approximate ones.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from repro.processes.correlation import FGNCorrelation
 from repro.processes.source import (
     DaviesHarteSource,
     GaussianSource,
-    HoskingSource,
+    RMDSource,
     SourceCapabilities,
 )
 
@@ -73,41 +73,14 @@ class TestAutoPolicy:
         source = registry.resolve("auto", FGNCorrelation(HURST))
         assert isinstance(source, DaviesHarteSource)
 
-    def test_conditional_auto_is_hosking(self):
-        source = registry.resolve(
-            "auto", FGNCorrelation(HURST), conditional=True
-        )
-        assert isinstance(source, HoskingSource)
-
-    def test_conditional_from_incapable_backend_raises_at_construction(self):
-        for name in ALL_BACKENDS:
-            if registry.get(name).conditional:
-                continue
-            with pytest.raises(ValidationError, match="conditional"):
-                registry.resolve(
-                    name, FGNCorrelation(HURST), conditional=True
-                )
-
-    def test_conditional_check_precedes_factory_options(self):
-        # The IS layer forwards coeff_table= to resolve(); an incapable
-        # backend must fail the capability check, not trip over a
-        # factory kwarg it does not understand.
-        with pytest.raises(ValidationError, match="conditional"):
-            registry.resolve(
-                "rmd",
-                FGNCorrelation(HURST),
-                conditional=True,
-                coeff_table=False,
-            )
-
     def test_source_instance_passes_through(self):
         source = DaviesHarteSource(FGNCorrelation(HURST))
         assert registry.resolve(source, None) is source
 
     def test_source_instance_capability_still_validated(self):
-        source = DaviesHarteSource(FGNCorrelation(HURST))
-        with pytest.raises(ValidationError, match="conditional"):
-            registry.resolve(source, None, conditional=True)
+        source = RMDSource(FGNCorrelation(HURST))
+        with pytest.raises(ValidationError, match="chunk"):
+            registry.resolve(source, None, chunked=True)
 
     def test_options_forwarded_to_factory(self):
         source = registry.resolve(
@@ -182,17 +155,6 @@ class TestSourceConformance:
             target[1] / target[0], abs=tolerance
         )
 
-    def test_stream_honors_conditional_capability(self, name):
-        source = make_source(name)
-        if source.capabilities.conditional:
-            process = source.stream(8, size=3, random_state=0)
-            step = process.step()
-            assert step.values.shape == (3,)
-            assert step.cond_variance > 0
-        else:
-            with pytest.raises(ValidationError, match="conditional"):
-                source.stream(8, size=3, random_state=0)
-
     def test_describe_reports_provenance(self, name):
         info = make_source(name).describe()
         assert info["backend"] == name
@@ -210,14 +172,3 @@ class TestHurstExtraction:
     def test_explicit_acvf_rejected_by_parameter_backends(self):
         with pytest.raises(ValidationError, match="hosking"):
             registry.create("fgn", [1.0, 0.5, 0.25])
-
-    def test_conditional_stream_is_reproducible(self):
-        # The stream draws its innovations step by step (so batch and
-        # streamed paths differ for one seed), but two streams from the
-        # same seed must agree bit for bit — the property the Fig. 14-17
-        # runners' worker-count invariance rests on.
-        source = make_source("hosking")
-        a = source.stream(32, size=2, random_state=7).run()
-        b = source.stream(32, size=2, random_state=7).run()
-        np.testing.assert_array_equal(a, b)
-        assert a.shape == (2, 32)
