@@ -103,10 +103,9 @@ bench-aggregate:
 
 # Scale acceptance alone: the process-parallel real-FFT engine at
 # N=1e6 heterogeneous sources over a 2048-slot horizon — records
-# source-slots/s, asserts the 256 MiB feed-memory budget, real-FFT
-# synthesis no slower than the legacy full FFT, bit-identity across
-# process and shard counts, and (core-gated at >= 4 cores) >= 3x the
-# recorded 4.4M source-slots/s single-process baseline.
+# source-slots/s, asserts the 256 MiB feed-memory budget, bit-identity
+# across process and shard counts, and (core-gated at >= 4 cores) >= 3x
+# the recorded 4.4M source-slots/s single-process baseline.
 bench-aggregate-scale:
 	REPRO_BENCH_JSON=BENCH_hosking.json \
 	$(PYTHON) -m pytest benchmarks/test_ablation_aggregate_scale.py -q

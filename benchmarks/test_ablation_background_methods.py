@@ -25,7 +25,7 @@ def test_ablation_background_methods(benchmark, intra_trace_full, emit):
             ).fit(intra_trace_full, random_state=7)
             y = model.generate(
                 intra_trace_full.num_frames,
-                method="davies-harte",
+                backend="davies-harte",
                 random_state=81,
             )
             out[method] = sample_acf(y, 500)

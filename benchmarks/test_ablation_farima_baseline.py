@@ -48,7 +48,7 @@ def test_ablation_farima_baseline(benchmark, unified_model,
         run_baseline, rounds=1, iterations=1
     )
     unified_trace = unified_model.generate(
-        n, method="davies-harte", random_state=92
+        n, backend="davies-harte", random_state=92
     )
     unified_acf = sample_acf(unified_trace, 500)
 

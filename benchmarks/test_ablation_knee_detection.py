@@ -26,7 +26,7 @@ def test_ablation_knee_detection(benchmark, intra_trace_full, emit):
                 intra_trace_full, random_state=7
             )
             y = model.generate(
-                120_000, method="davies-harte", random_state=97
+                120_000, backend="davies-harte", random_state=97
             )
             out[knee] = (model, sample_acf(y, 500))
         return out

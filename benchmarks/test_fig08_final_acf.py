@@ -22,7 +22,7 @@ def test_fig08_final_acf_match(benchmark, unified_model,
     def regenerate():
         y = unified_model.generate(
             intra_trace_full.num_frames,
-            method="davies-harte",
+            backend="davies-harte",
             random_state=21,
         )
         return sample_acf(y, 500)

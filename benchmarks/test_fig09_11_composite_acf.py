@@ -25,7 +25,7 @@ def test_fig09_to_11_composite_acf(benchmark, composite_model,
     def regenerate():
         trace = composite_model.generate(
             ibp_trace_full.num_frames,
-            method="davies-harte",
+            backend="davies-harte",
             random_state=31,
         )
         return sample_acf(trace.sizes, 490)

@@ -54,7 +54,7 @@ def main() -> None:
 
     # Regenerate and compare the oscillating frame-level ACF.
     synthetic = model.generate(
-        trace.num_frames, method="davies-harte", random_state=13
+        trace.num_frames, backend="davies-harte", random_state=13
     )
     emp_acf = sample_acf(trace.sizes, 60)
     mod_acf = sample_acf(synthetic.sizes, 60)

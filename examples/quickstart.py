@@ -49,7 +49,7 @@ def main() -> None:
     # 3. Generate a synthetic trace and compare.
     # ------------------------------------------------------------------
     synthetic = model.generate(
-        trace.num_frames, method="davies-harte", random_state=3
+        trace.num_frames, backend="davies-harte", random_state=3
     )
     trace_acf = sample_acf(trace.sizes, 300)
     model_acf = sample_acf(synthetic, 300)

@@ -26,7 +26,7 @@ from ..marginals.empirical import EmpiricalDistribution
 from ..marginals.transform import MarginalTransform
 from ..processes import registry
 from ..processes.correlation import CorrelationModel, RescaledCorrelation
-from ..processes.registry import BackendArg, merge_backend_args
+from ..processes.registry import BackendArg
 from ..processes.spectral_cache import spectral_cache_metrics
 from ..stats.random import RandomState
 from ..video.gop import FrameType, GopStructure
@@ -233,8 +233,7 @@ class CompositeMPEGModel:
         self,
         n: int,
         *,
-        method: Optional[str] = None,
-        backend: Optional[BackendArg] = None,
+        backend: BackendArg = "auto",
         chunk_frames: Optional[int] = None,
         processes: Optional[int] = None,
         stitch_window: Optional[int] = None,
@@ -243,8 +242,7 @@ class CompositeMPEGModel:
         """Generate the shared background Gaussian process of length n.
 
         ``backend`` selects a registry backend (default ``"auto"`` =
-        Davies-Harte for these unconditional fixed-length paths);
-        ``method`` is the legacy alias.
+        Davies-Harte for these unconditional fixed-length paths).
 
         ``chunk_frames`` routes through the scene-chunked pipeline of
         :mod:`repro.processes.chunked` with chunk edges aligned to the
@@ -256,17 +254,16 @@ class CompositeMPEGModel:
         """
         self._require_fitted()
         n = check_positive_int(n, "n")
-        merged = merge_backend_args(method, backend)
         if chunk_frames is None:
             if processes is not None or stitch_window is not None:
                 raise ValidationError(
                     "processes=/stitch_window= require chunk_frames="
                 )
-            source = self.background_source(merged)
+            source = self.background_source(backend)
             with spectral_cache_metrics(self._metrics):
                 return source.sample(n, random_state=random_state)
         source = registry.resolve(
-            merged, self.background_, chunked=True, metrics=self._metrics
+            backend, self.background_, chunked=True, metrics=self._metrics
         )
         from ..processes.chunked import (
             DEFAULT_STITCH_WINDOW,
@@ -292,8 +289,7 @@ class CompositeMPEGModel:
         self,
         n: int,
         *,
-        method: Optional[str] = None,
-        backend: Optional[BackendArg] = None,
+        backend: BackendArg = "auto",
         chunk_frames: Optional[int] = None,
         processes: Optional[int] = None,
         stitch_window: Optional[int] = None,
@@ -307,7 +303,6 @@ class CompositeMPEGModel:
         self._require_fitted()
         x = self.generate_background(
             n,
-            method=method,
             backend=backend,
             chunk_frames=chunk_frames,
             processes=processes,

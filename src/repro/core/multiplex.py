@@ -35,7 +35,7 @@ from ..marginals.empirical import EmpiricalDistribution
 from ..marginals.transform import MarginalTransform
 from ..processes import registry
 from ..processes.correlation import CompositeCorrelation
-from ..processes.registry import BackendArg, merge_backend_args
+from ..processes.registry import BackendArg
 from ..stats.random import RandomState, make_rng
 from .calibration import measure_attenuation_analytic
 from .unified import UnifiedVBRModel
@@ -154,18 +154,14 @@ class AggregateVBRModel:
         n: int,
         *,
         size: Optional[int] = None,
-        method: Optional[str] = None,
-        backend: Optional[BackendArg] = None,
+        backend: BackendArg = "auto",
         random_state: RandomState = None,
     ) -> np.ndarray:
         """Generate aggregate byte-per-slot sample paths.
 
-        ``backend`` selects a registry backend (default ``"auto"``);
-        ``method`` is the legacy alias.
+        ``backend`` selects a registry backend (default ``"auto"``).
         """
-        source = registry.resolve(
-            merge_backend_args(method, backend), self.background_
-        )
+        source = registry.resolve(backend, self.background_)
         x = source.sample(n, size=size, random_state=random_state)
         return np.asarray(self.transform_(x), dtype=float)
 

@@ -42,7 +42,7 @@ from ..marginals.parametric import MarginalDistribution
 from ..marginals.transform import MarginalTransform
 from ..processes import registry
 from ..processes.correlation import CompositeCorrelation
-from ..processes.registry import BackendArg, merge_backend_args
+from ..processes.registry import BackendArg
 from ..processes.spectral_cache import spectral_cache_metrics
 from ..stats.random import RandomState
 from ..video.trace import VideoTrace
@@ -350,8 +350,7 @@ class UnifiedVBRModel:
         n: int,
         *,
         size: Optional[int] = None,
-        method: Optional[str] = None,
-        backend: Optional[BackendArg] = None,
+        backend: BackendArg = "auto",
         chunk_frames: Optional[int] = None,
         processes: Optional[int] = None,
         stitch_window: Optional[int] = None,
@@ -362,9 +361,7 @@ class UnifiedVBRModel:
         ``backend`` selects a generation backend from
         :mod:`repro.processes.registry` (default ``"auto"``, which
         routes unconditional paths to the O(n log n) Davies-Harte
-        generator).  ``method`` is the legacy spelling of the same
-        choice (``"hosking"`` / ``"davies-harte"``) and is kept as an
-        alias; passing both raises.
+        generator).
 
         ``chunk_frames`` routes generation through the scene-chunked
         pipeline of :mod:`repro.processes.chunked` (``processes`` chunk
@@ -375,13 +372,12 @@ class UnifiedVBRModel:
         — chunking is part of the law, never an invisible default.
         """
         self._require_fitted()
-        merged = merge_backend_args(method, backend)
         if chunk_frames is None:
             if processes is not None or stitch_window is not None:
                 raise ValidationError(
                     "processes=/stitch_window= require chunk_frames="
                 )
-            source = self.background_source(merged)
+            source = self.background_source(backend)
             with spectral_cache_metrics(self._metrics):
                 return source.sample(
                     n, size=size, random_state=random_state
@@ -392,7 +388,7 @@ class UnifiedVBRModel:
                 "supported (loop replications instead)"
             )
         source = registry.resolve(
-            merged, self.background_, chunked=True, metrics=self._metrics
+            backend, self.background_, chunked=True, metrics=self._metrics
         )
         from ..processes.chunked import (
             DEFAULT_STITCH_WINDOW,
@@ -418,8 +414,7 @@ class UnifiedVBRModel:
         n: int,
         *,
         size: Optional[int] = None,
-        method: Optional[str] = None,
-        backend: Optional[BackendArg] = None,
+        backend: BackendArg = "auto",
         chunk_frames: Optional[int] = None,
         processes: Optional[int] = None,
         stitch_window: Optional[int] = None,
@@ -429,7 +424,6 @@ class UnifiedVBRModel:
         x = self.generate_background(
             n,
             size=size,
-            method=method,
             backend=backend,
             chunk_frames=chunk_frames,
             processes=processes,

@@ -14,7 +14,8 @@ synthesize correlated Gaussian *background* processes:
   embedding generator for long traces.
 - :mod:`repro.processes.spectral_cache` — shared ACVF/eigenvalue tables
   for the Davies-Harte path (the unconditional counterpart of
-  :mod:`repro.processes.coeff_table`).
+  :mod:`repro.processes.coeff_table`); both table kinds are served by
+  the one cache of :mod:`repro.processes.acvf_cache`.
 - :mod:`repro.processes.farima` — FARIMA(p, d, q) generation via
   fractional differencing.
 - :mod:`repro.processes.fgn` — fractional Gaussian noise helpers.

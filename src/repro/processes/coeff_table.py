@@ -21,11 +21,12 @@ generator run over the same background model:
   can also be :meth:`extended <CoefficientTable.extend>` in place when
   a longer prefix-compatible autocovariance arrives, resuming the
   recursion from its last built row instead of starting over.
-- **Fingerprint cache.**  :func:`get_coefficient_table` memoizes tables
-  behind a small LRU cache keyed by a fingerprint of the leading
-  autocovariance lags, so independent call sites (the batch generator,
-  the incremental generator, the importance-sampling runners) all share
-  one table per background model without coordinating.
+- **Shared cache.**  :func:`get_coefficient_table` serves tables from
+  the acvf-keyed cache of :mod:`repro.processes.acvf_cache` (leading-lag
+  fingerprint, full prefix verification, a weak per-model memo, LRU
+  eviction), so independent call sites (the batch generator, the
+  incremental generator, the importance-sampling likelihood ratios) all
+  share one table per background model without coordinating.
 
 Because the table wraps the exact same
 :class:`~repro.processes.partial_corr.DurbinLevinson` recursion, every
@@ -36,15 +37,17 @@ not an approximation.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from contextlib import contextmanager
-from typing import Dict, List, NamedTuple, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .._validation import check_positive_int
 from ..exceptions import ValidationError
+from .acvf_cache import (
+    AcvfTable,
+    AcvfTableCache,
+    acvf_fingerprint,
+    resolve_acvf,
+)
 from .correlation import CorrelationModel
 from .partial_corr import DurbinLevinson
 
@@ -59,42 +62,8 @@ __all__ = [
     "resolve_acvf",
 ]
 
-#: Number of leading lags hashed by :func:`acvf_fingerprint`.  Distinct
-#: models almost always differ within the first few lags; full prefix
-#: equality is verified on every cache hit, so collisions only cost a
-#: comparison, never correctness.
-_FINGERPRINT_LAGS = 8
 
-#: Default cache capacity (number of tables kept alive).
-_DEFAULT_MAX_TABLES = 8
-
-#: Default largest horizon served from the shared cache.  A table costs
-#: O(horizon^2 / 2) doubles, so uncapped caching of very long runs
-#: would dwarf the sample paths themselves; longer requests simply
-#: bypass the cache (callers may still build and pass an explicit
-#: table).
-_DEFAULT_MAX_CACHED_HORIZON = 4096
-
-
-def resolve_acvf(
-    correlation: Union[CorrelationModel, Sequence[float]], n: int
-) -> np.ndarray:
-    """Return ``r(0..n-1)`` from a model or an explicit sequence."""
-    if isinstance(correlation, CorrelationModel):
-        return correlation.acvf(n)
-    acvf = np.asarray(correlation, dtype=float)
-    if acvf.ndim != 1:
-        raise ValidationError(
-            f"acvf must be one-dimensional, got shape {acvf.shape}"
-        )
-    if acvf.size < n:
-        raise ValidationError(
-            f"acvf of length {acvf.size} cannot generate {n} samples"
-        )
-    return acvf[:n]
-
-
-class CoefficientTable:
+class CoefficientTable(AcvfTable):
     """All Durbin-Levinson outputs for one autocovariance, built lazily.
 
     Parameters
@@ -120,24 +89,16 @@ class CoefficientTable:
     never observe partially written data.
     """
 
+    lookup = "get_coefficient_table"
+
     def __init__(
         self,
-        acvf: Union[CorrelationModel, Sequence[float], np.ndarray],
+        acvf: Union[Sequence[float], np.ndarray],
         *,
         precompute: bool = False,
     ) -> None:
-        if isinstance(acvf, CorrelationModel):
-            raise ValidationError(
-                "CoefficientTable takes an explicit acvf sequence; use "
-                "get_coefficient_table(model, n) for model-driven lookup"
-            )
-        r = np.array(np.asarray(acvf, dtype=float), copy=True)
-        if r.ndim != 1 or r.size == 0:
-            raise ValidationError(
-                f"acvf must be a non-empty 1-D sequence, got shape {r.shape}"
-            )
-        self._lock = threading.RLock()
-        self._acvf = r
+        super().__init__(acvf)
+        r = self._acvf
         self._state = DurbinLevinson(r)
         n = r.size
         self._packed = np.empty(n * (n - 1) // 2, dtype=float)
@@ -156,11 +117,6 @@ class CoefficientTable:
     # ------------------------------------------------------------------
 
     @property
-    def horizon(self) -> int:
-        """Number of samples this table can drive (``len(acvf)``)."""
-        return self._acvf.size
-
-    @property
     def max_step(self) -> int:
         """Largest recursion step available (``horizon - 1``)."""
         return self._acvf.size - 1
@@ -169,13 +125,6 @@ class CoefficientTable:
     def built_step(self) -> int:
         """Highest recursion step materialized so far."""
         return self._built
-
-    @property
-    def acvf(self) -> np.ndarray:
-        """The autocovariance backing this table (read-only view)."""
-        view = self._acvf[:]
-        view.flags.writeable = False
-        return view
 
     def nbytes(self) -> int:
         """Approximate memory footprint of the coefficient storage."""
@@ -316,57 +265,40 @@ class CoefficientTable:
     # Prefix sharing
     # ------------------------------------------------------------------
 
-    def is_prefix_of(self, acvf: np.ndarray) -> bool:
-        """True if this table's acvf is a leading prefix of ``acvf``."""
-        other = np.asarray(acvf, dtype=float)
-        m = min(self._acvf.size, other.size)
-        return bool(np.array_equal(self._acvf[:m], other[:m]))
+    def _grow(self, acvf: np.ndarray) -> None:
+        """Enlarge the buffers for a longer acvf, resuming the recursion.
 
-    def extend(self, acvf: Union[Sequence[float], np.ndarray]) -> "CoefficientTable":
-        """Grow the table in place to cover a longer autocovariance.
-
-        ``acvf`` must extend the current sequence exactly (bit-for-bit
-        prefix match); already-built rows are kept and the recursion
-        resumes from the last built step, so extension never recomputes
-        work that a shorter-horizon consumer already paid for.
+        Already-built rows are copied over and the recursion resumes
+        from the last built step, so extension never recomputes work
+        that a shorter-horizon consumer already paid for.
         """
-        new = np.array(np.asarray(acvf, dtype=float), copy=True)
-        with self._lock:
-            if not self.is_prefix_of(new):
-                raise ValidationError(
-                    "extension acvf disagrees with the table's prefix"
-                )
-            if new.size <= self._acvf.size:
-                return self
-            built = self._built
-            n = new.size
-            packed = np.empty(n * (n - 1) // 2, dtype=float)
-            variances = np.empty(n, dtype=float)
-            sqrt_variances = np.empty(n, dtype=float)
-            phi_sums = np.empty(n, dtype=float)
-            used = built * (built + 1) // 2
-            packed[:used] = self._packed[:used]
-            variances[: built + 1] = self._variances[: built + 1]
-            sqrt_variances[: built + 1] = self._sqrt_variances[: built + 1]
-            phi_sums[: built + 1] = self._phi_sums[: built + 1]
-            state = DurbinLevinson.resume(
-                new,
-                step=built,
-                phi=self._state.phi,
-                variance=self._state.variance,
-                partials=self._state.partials,
-            )
-            # Publish the enlarged buffers only after the prefix copy:
-            # the old arrays stay valid and the new ones agree with
-            # them on every row <= built, so a lock-free reader racing
-            # these rebinds sees identical data either way.
-            self._packed = packed
-            self._variances = variances
-            self._sqrt_variances = sqrt_variances
-            self._phi_sums = phi_sums
-            self._state = state
-            self._acvf = new
-        return self
+        built = self._built
+        n = acvf.size
+        packed = np.empty(n * (n - 1) // 2, dtype=float)
+        variances = np.empty(n, dtype=float)
+        sqrt_variances = np.empty(n, dtype=float)
+        phi_sums = np.empty(n, dtype=float)
+        used = built * (built + 1) // 2
+        packed[:used] = self._packed[:used]
+        variances[: built + 1] = self._variances[: built + 1]
+        sqrt_variances[: built + 1] = self._sqrt_variances[: built + 1]
+        phi_sums[: built + 1] = self._phi_sums[: built + 1]
+        state = DurbinLevinson.resume(
+            acvf,
+            step=built,
+            phi=self._state.phi,
+            variance=self._state.variance,
+            partials=self._state.partials,
+        )
+        # Publish the enlarged buffers only after the prefix copy: the
+        # old arrays stay valid and the new ones agree with them on
+        # every row <= built, so a lock-free reader racing these
+        # rebinds sees identical data either way.
+        self._packed = packed
+        self._variances = variances
+        self._sqrt_variances = sqrt_variances
+        self._phi_sums = phi_sums
+        self._state = state
 
     def __repr__(self) -> str:
         return (
@@ -375,38 +307,30 @@ class CoefficientTable:
         )
 
 
-def acvf_fingerprint(acvf: np.ndarray) -> bytes:
-    """Cache key for an autocovariance: bytes of its leading lags.
-
-    Only the first ``min(len(acvf), 8)`` lags are hashed — enough to
-    separate real-world models — and every lookup verifies full prefix
-    equality before sharing a table, so fingerprint collisions degrade
-    to a plain comparison.
-    """
-    head = np.ascontiguousarray(
-        acvf[: min(acvf.size, _FINGERPRINT_LAGS)], dtype=float
-    )
-    return head.tobytes()
-
-
 class CacheInfo(NamedTuple):
     """Statistics for :func:`get_coefficient_table`."""
 
     hits: int
     misses: int
     extensions: int
+    evictions: int
     tables: int
     max_tables: int
     max_cached_horizon: int
 
 
-_cache_lock = threading.RLock()
-_cache: "OrderedDict[bytes, List[CoefficientTable]]" = OrderedDict()
-_stats: Dict[str, int] = {
-    "hits": 0, "misses": 0, "extensions": 0, "evictions": 0,
-}
-_max_tables = _DEFAULT_MAX_TABLES
-_max_cached_horizon = _DEFAULT_MAX_CACHED_HORIZON
+#: The shared cache.  A table costs O(horizon^2 / 2) doubles, so
+#: uncapped caching of very long runs would dwarf the sample paths
+#: themselves: horizons above 4096 get an uncached table (callers may
+#: still build and pass an explicit one).
+_CACHE = AcvfTableCache(
+    "coeff_table",
+    CoefficientTable,
+    lag_offset=0,
+    max_tables=8,
+    max_request=4096,
+    request_limit="max_cached_horizon",
+)
 
 
 def get_coefficient_table(
@@ -415,105 +339,53 @@ def get_coefficient_table(
 ) -> CoefficientTable:
     """Return a (possibly shared) coefficient table covering ``n`` samples.
 
-    The cache is keyed by :func:`acvf_fingerprint` of the resolved
-    autocovariance.  A cached table whose acvf is a prefix-exact match
-    is reused directly when long enough, or :meth:`extended
+    A cached table whose acvf is a prefix-exact match is reused
+    directly when long enough, or :meth:`extended
     <CoefficientTable.extend>` in place when the request is longer —
     either way the Durbin-Levinson recursion never runs twice over the
-    same lags.  Requests beyond the configured horizon cap (see
+    same lags.  See :meth:`AcvfTableCache.get
+    <repro.processes.acvf_cache.AcvfTableCache.get>` for the lookup
+    order; requests beyond the horizon cap (see
     :func:`set_coefficient_cache_limits`) return an uncached table.
     """
-    n = check_positive_int(n, "n")
-    acvf = resolve_acvf(correlation, n)
-    if n > _max_cached_horizon:
-        return CoefficientTable(acvf)
-    key = acvf_fingerprint(acvf)
-    with _cache_lock:
-        bucket = _cache.get(key)
-        if bucket is not None:
-            for table in bucket:
-                if table.is_prefix_of(acvf):
-                    if table.horizon < n:
-                        table.extend(acvf)
-                        _stats["extensions"] += 1
-                    else:
-                        _stats["hits"] += 1
-                    _cache.move_to_end(key)
-                    return table
-        _stats["misses"] += 1
-        table = CoefficientTable(acvf)
-        _cache.setdefault(key, []).append(table)
-        _cache.move_to_end(key)
-        _evict_locked()
-    return table
-
-
-def _evict_locked() -> None:
-    """Drop least-recently-used buckets beyond the table budget."""
-    total = sum(len(bucket) for bucket in _cache.values())
-    while total > _max_tables and _cache:
-        _, bucket = _cache.popitem(last=False)
-        total -= len(bucket)
-        _stats["evictions"] += len(bucket)
+    return _CACHE.get(correlation, n)
 
 
 def clear_coefficient_cache() -> None:
     """Empty the shared table cache and reset its statistics."""
-    with _cache_lock:
-        _cache.clear()
-        _stats.update(hits=0, misses=0, extensions=0, evictions=0)
+    _CACHE.clear()
 
 
 def coefficient_cache_info() -> CacheInfo:
-    """Current hit/miss/extension counters and capacity settings."""
-    with _cache_lock:
-        return CacheInfo(
-            hits=_stats["hits"],
-            misses=_stats["misses"],
-            extensions=_stats["extensions"],
-            tables=sum(len(bucket) for bucket in _cache.values()),
-            max_tables=_max_tables,
-            max_cached_horizon=_max_cached_horizon,
-        )
+    """Current hit/miss/extension/eviction counters and capacity settings."""
+    stats = _CACHE.stats()
+    return CacheInfo(
+        hits=stats["hits"],
+        misses=stats["misses"],
+        extensions=stats["extensions"],
+        evictions=stats["evictions"],
+        tables=stats["tables"],
+        max_tables=_CACHE.max_tables,
+        max_cached_horizon=_CACHE.max_request,
+    )
 
 
-@contextmanager
 def cache_metrics(metrics, **labels):
     """Record coeff-table cache activity within a block into ``metrics``.
 
-    Snapshots the shared cache counters on entry and exit and records
-    the deltas as ``coeff_table.hits`` / ``.misses`` / ``.extensions``
-    / ``.evictions`` counters plus a ``coeff_table.tables`` gauge.
-
-    ``metrics`` is duck-typed (anything with ``inc``/``set``, e.g. a
-    :class:`repro.observability.RunContext`) so this module never
-    imports :mod:`repro.observability` — the observability package sits
-    below :mod:`repro.processes` in the import graph.  ``None`` or a
-    disabled context makes the block free.
+    The deltas land as ``coeff_table.hits`` / ``.misses`` /
+    ``.extensions`` / ``.evictions`` counters plus a
+    ``coeff_table.tables`` gauge; ``None`` or a disabled context makes
+    the block free (see :meth:`AcvfTableCache.metrics
+    <repro.processes.acvf_cache.AcvfTableCache.metrics>`).
     """
-    enabled = metrics is not None and getattr(metrics, "enabled", True)
-    if not enabled:
-        yield
-        return
-    with _cache_lock:
-        before = dict(_stats)
-    try:
-        yield
-    finally:
-        with _cache_lock:
-            after = dict(_stats)
-            tables = sum(len(bucket) for bucket in _cache.values())
-        for key in ("hits", "misses", "extensions", "evictions"):
-            delta = after.get(key, 0) - before.get(key, 0)
-            if delta:
-                metrics.inc(f"coeff_table.{key}", delta, **labels)
-        metrics.set("coeff_table.tables", tables, **labels)
+    return _CACHE.metrics(metrics, **labels)
 
 
 def set_coefficient_cache_limits(
     *,
-    max_tables: int = None,
-    max_cached_horizon: int = None,
+    max_tables: Optional[int] = None,
+    max_cached_horizon: Optional[int] = None,
 ) -> None:
     """Adjust the cache budget (tables kept / largest cached horizon).
 
@@ -522,12 +394,4 @@ def set_coefficient_cache_limits(
     table costs ``~horizon^2 / 2`` doubles, so the cap keeps very long
     one-off generations from pinning large buffers.
     """
-    global _max_tables, _max_cached_horizon
-    with _cache_lock:
-        if max_tables is not None:
-            _max_tables = check_positive_int(max_tables, "max_tables")
-        if max_cached_horizon is not None:
-            _max_cached_horizon = check_positive_int(
-                max_cached_horizon, "max_cached_horizon"
-            )
-        _evict_locked()
+    _CACHE.set_limits(max_tables=max_tables, max_request=max_cached_horizon)

@@ -32,6 +32,7 @@ import numpy as np
 from .._validation import check_choice, check_min_length, check_positive_int
 from ..exceptions import ValidationError
 from ..stats.random import RandomState, make_rng
+from .acvf_cache import check_table_arg, resolve_acvf
 from .correlation import CorrelationModel
 from .spectral_cache import (
     EigenvalueEntry,
@@ -45,18 +46,11 @@ from .spectral_cache import (
 __all__ = [
     "davies_harte_generate",
     "circulant_eigenvalues",
+    "check_davies_harte_options",
     "SpectralTableArg",
-    "SPECTRUM_MODES",
     "workspace_stats",
     "reset_workspace_stats",
 ]
-
-#: Synthesis spectrum modes: ``"real"`` (default) drives the
-#: ``rfft``/``irfft`` half-spectrum path — half the FFT flops and
-#: scratch of the legacy path, same law, allclose within 1e-10;
-#: ``"full"`` is the legacy complex full-spectrum path, kept as an
-#: opt-out and bit-identical to previous releases.
-SPECTRUM_MODES = ("real", "full")
 
 #: Type of the ``spectral_table`` argument: ``None`` (or ``True``) uses
 #: the shared fingerprint cache, an explicit :class:`SpectralTable` is
@@ -114,6 +108,24 @@ def reset_workspace_stats() -> None:
         _workspace_stats["builds"] = 0
 
 
+def check_davies_harte_options(
+    on_negative_eigenvalues: str, spectral_table: SpectralTableArg
+) -> None:
+    """Validate the generator's options before any draw.
+
+    Raises :class:`~repro.exceptions.ValidationError` naming the bad
+    argument; :class:`~repro.processes.source.DaviesHarteSource` calls
+    this at construction, so its options fail before any simulation
+    work starts.
+    """
+    check_choice(
+        on_negative_eigenvalues, "on_negative_eigenvalues", ("clip", "raise")
+    )
+    check_table_arg(
+        spectral_table, "spectral_table", SpectralTable, "recompute per call"
+    )
+
+
 def _resolve_entry(
     correlation: Union[CorrelationModel, np.ndarray],
     n: int,
@@ -123,16 +135,7 @@ def _resolve_entry(
     if spectral_table is None or spectral_table is True:
         return get_spectral_table(correlation, n).eigenvalues(n)
     if spectral_table is False:
-        if isinstance(correlation, CorrelationModel):
-            acvf = correlation.acvf(n + 1)
-        else:
-            acvf = correlation[: n + 1]
-        return build_eigenvalue_entry(acvf)
-    if not isinstance(spectral_table, SpectralTable):
-        raise ValidationError(
-            "spectral_table must be a SpectralTable, None (shared "
-            f"cache) or False (recompute per call), got {spectral_table!r}"
-        )
+        return build_eigenvalue_entry(resolve_acvf(correlation, n + 1))
     if spectral_table.max_length < n:
         raise ValidationError(
             f"spectral_table of horizon {spectral_table.horizon} lags "
@@ -150,7 +153,6 @@ def davies_harte_generate(
     random_state: RandomState = None,
     on_negative_eigenvalues: str = "clip",
     spectral_table: SpectralTableArg = None,
-    spectrum_mode: str = "real",
     metrics=None,
 ) -> np.ndarray:
     """Generate Gaussian sample paths via circulant embedding.
@@ -184,12 +186,6 @@ def davies_harte_generate(
         ``False`` recomputes it for this call, an explicit
         :class:`~repro.processes.spectral_cache.SpectralTable` is used
         directly.  All three produce bit-identical output.
-    spectrum_mode:
-        ``"real"`` (default) synthesizes through ``rfft``/``irfft``
-        over the half spectrum — half the FFT flops and scratch memory
-        of the legacy path; same law, same random stream, output
-        allclose within 1e-10 of ``"full"``.  ``"full"`` is the legacy
-        complex full-spectrum path, bit-identical to previous releases.
     metrics:
         Optional duck-typed metrics context (e.g. a
         :class:`repro.observability.RunContext`); receives the
@@ -200,23 +196,25 @@ def davies_harte_generate(
     numpy.ndarray
         Shape ``(n,)`` or ``(size, n)``.
 
+    Raises
+    ------
+    repro.exceptions.CorrelationError
+        When ``r(0) <= 0``, or when the embedding has negative
+        eigenvalues under ``on_negative_eigenvalues="raise"``.
+
     Notes
     -----
-    Both modes draw the *same* white noise ``g`` (one
-    ``standard_normal`` fill of ``batch x 2n`` values from the same
-    stream) and apply the same spectral filter ``sqrt(eigenvalues)``:
-    the legacy path computes ``ifft(fft(g) * sqrt(eig)).real``, the
-    real path computes ``irfft(rfft(g) * sqrt(eig_half))``.  Because
-    ``g`` is real and the eigenvalues are symmetric, the filtered
-    spectrum is Hermitian and the two expressions are mathematically
-    identical — they differ only in floating-point rounding (observed
-    relative differences ~1e-15; the pinned contract is rtol 1e-10).
+    The synthesis draws white noise ``g`` (one ``standard_normal``
+    fill of ``batch x 2n`` values) and filters it by the square roots
+    of the ``n + 1`` distinct embedding eigenvalues:
+    ``irfft(rfft(g) * sqrt(eig_half))[:, :n]``.  Because ``g`` is real
+    and the embedding spectrum is symmetric, this equals the complex
+    full-spectrum filter ``ifft(fft(g) * sqrt(eig)).real`` up to
+    floating-point rounding (``tests/test_davies_harte.py`` pins the
+    agreement at rtol 1e-10) at half the FFT flops and scratch memory.
     """
     n = check_positive_int(n, "n")
-    check_choice(
-        on_negative_eigenvalues, "on_negative_eigenvalues", ("clip", "raise")
-    )
-    check_choice(spectrum_mode, "spectrum_mode", SPECTRUM_MODES)
+    check_davies_harte_options(on_negative_eigenvalues, spectral_table)
     flat = size is None
     batch = 1 if flat else check_positive_int(size, "size")
 
@@ -230,7 +228,6 @@ def davies_harte_generate(
         on_negative_eigenvalues,
         metrics=metrics,
         stacklevel=3,
-        spectrum="half" if spectrum_mode == "real" else "full",
     )
 
     m = 2 * n
@@ -238,18 +235,10 @@ def davies_harte_generate(
     # Per-worker workspace: the same stream bits land in a reused
     # buffer instead of a fresh allocation per call.
     g = rng.standard_normal(out=_noise_buffer((batch, m)))
-    if spectrum_mode == "real":
-        # Real-FFT path: rfft never computes the redundant conjugate
-        # half, irfft never materializes a complex output.
-        spectrum = np.fft.rfft(g, axis=1)
-        spectrum *= np.sqrt(eigenvalues)
-        paths = np.fft.irfft(spectrum, n=m, axis=1)[:, :n]
-    else:
-        # Legacy full-spectrum path (bit-identical to prior releases):
-        # complex Gaussian spectrum with Hermitian symmetry via full
-        # FFT of real white noise.
-        scale = np.sqrt(eigenvalues / m)
-        spectrum = np.fft.fft(g, axis=1) * scale
-        paths = np.fft.ifft(spectrum * np.sqrt(m), axis=1).real[:, :n]
+    # rfft never computes the redundant conjugate half, irfft never
+    # materializes a complex output.
+    spectrum = np.fft.rfft(g, axis=1)
+    spectrum *= np.sqrt(eigenvalues)
+    paths = np.fft.irfft(spectrum, n=m, axis=1)[:, :n]
     paths += mean
     return paths[0] if flat else paths

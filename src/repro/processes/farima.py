@@ -7,7 +7,8 @@ both LRD and SRD but is hard to fit.  We implement both:
 
 - exact FARIMA(0, d, 0) generation through its closed-form
   autocorrelation (:class:`~repro.processes.correlation.FARIMACorrelation`)
-  fed to either Hosking's method or Davies-Harte, and
+  fed to Davies-Harte (``registry.create("hosking",
+  FARIMACorrelation(d))`` draws the same law by Hosking's method), and
 - general FARIMA(p, d, q) generation by passing an exact
   FARIMA(0, d, 0) series through the ARMA(p, q) filter
   ``phi(B) X = theta(B) W`` (exact in the fractional part; the ARMA
@@ -27,7 +28,6 @@ from scipy.signal import lfilter
 
 from .._validation import (
     check_1d_array,
-    check_choice,
     check_in_range,
     check_nonnegative_int,
     check_positive_int,
@@ -35,7 +35,6 @@ from .._validation import (
 from ..stats.random import RandomState
 from .correlation import FARIMACorrelation
 from .davies_harte import SpectralTableArg, davies_harte_generate
-from .hosking import hosking_generate
 
 __all__ = [
     "fractional_diff_weights",
@@ -85,7 +84,6 @@ def farima_generate(
     ar: Sequence[float] = (),
     ma: Sequence[float] = (),
     size: Optional[int] = None,
-    method: str = "davies-harte",
     burn_in: Optional[int] = None,
     random_state: RandomState = None,
     spectral_table: SpectralTableArg = None,
@@ -105,9 +103,6 @@ def farima_generate(
         MA coefficients ``theta_1 .. theta_q`` of ``theta(B) = 1 + theta_1 B + ...``.
     size:
         Number of replications (``None`` for a single 1-D path).
-    method:
-        ``"davies-harte"`` (fast, default) or ``"hosking"`` (exact
-        sequential) for the fractional core.
     burn_in:
         Samples discarded to wash out the ARMA filter transient;
         defaults to ``0`` for a pure FARIMA(0, d, 0) and ``10 * (p + q)``
@@ -117,8 +112,7 @@ def farima_generate(
     spectral_table:
         Spectral-cache control for the Davies-Harte core (``None``
         shared cache, ``False`` recompute, or an explicit
-        :class:`~repro.processes.spectral_cache.SpectralTable`);
-        ignored by the Hosking method.
+        :class:`~repro.processes.spectral_cache.SpectralTable`).
 
     Notes
     -----
@@ -127,7 +121,6 @@ def farima_generate(
     exact up to the filter transient removed by ``burn_in``.
     """
     n = check_positive_int(n, "n")
-    check_choice(method, "method", ("davies-harte", "hosking"))
     ar_arr = check_1d_array(ar, "ar", allow_empty=True)
     ma_arr = check_1d_array(ma, "ma", allow_empty=True)
     has_arma = ar_arr.size > 0 or ma_arr.size > 0
@@ -135,20 +128,13 @@ def farima_generate(
         burn_in = 10 * (ar_arr.size + ma_arr.size) if has_arma else 0
     burn_in = check_nonnegative_int(burn_in, "burn_in")
 
-    correlation = FARIMACorrelation(d)
-    total = n + burn_in
-    if method == "davies-harte":
-        core = davies_harte_generate(
-            correlation,
-            total,
-            size=size or 1,
-            random_state=random_state,
-            spectral_table=spectral_table,
-        )
-    else:
-        core = hosking_generate(
-            correlation, total, size=size or 1, random_state=random_state
-        )
+    core = davies_harte_generate(
+        FARIMACorrelation(d),
+        n + burn_in,
+        size=size or 1,
+        random_state=random_state,
+        spectral_table=spectral_table,
+    )
 
     if has_arma:
         # phi(B) X = theta(B) core  =>  X = (theta/phi)(B) core.

@@ -12,11 +12,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .._validation import check_1d_array, check_choice, check_hurst, check_positive_int
+from .._validation import check_1d_array, check_hurst, check_positive_int
 from ..stats.random import RandomState
 from .correlation import FGNCorrelation
 from .davies_harte import SpectralTableArg, davies_harte_generate
-from .hosking import hosking_generate
 
 __all__ = ["fgn_acvf", "fgn_generate", "fbm_from_fgn"]
 
@@ -34,32 +33,25 @@ def fgn_generate(
     *,
     size: Optional[int] = None,
     mean: float = 0.0,
-    method: str = "davies-harte",
     random_state: RandomState = None,
     spectral_table: SpectralTableArg = None,
 ) -> np.ndarray:
     """Generate fractional Gaussian noise with Hurst parameter ``hurst``.
 
-    ``method`` selects ``"davies-harte"`` (O(n log n), default) or
-    ``"hosking"`` (O(n^2) exact sequential generation, eq. 1-6 of the
-    paper).  Both are exact for FGN.  ``spectral_table`` controls the
-    Davies-Harte spectral cache (``None`` shared, ``False`` recompute,
-    or an explicit table); it is ignored by the Hosking method.
+    Draws through Davies-Harte, exact for FGN and O(n log n);
+    ``spectral_table`` controls its spectral cache (``None`` shared,
+    ``False`` recompute, or an explicit table).  The same law drawn by
+    Hosking's O(n^2) recursion (eq. 1-6 of the paper) is
+    ``hosking_generate(FGNCorrelation(hurst), n)``.
     """
-    check_choice(method, "method", ("davies-harte", "hosking"))
-    correlation = FGNCorrelation(hurst)
-    if method == "davies-harte":
-        return davies_harte_generate(
-            correlation,
-            n,
-            size=size,
-            mean=mean,
-            random_state=random_state,
-            on_negative_eigenvalues="raise",
-            spectral_table=spectral_table,
-        )
-    return hosking_generate(
-        correlation, n, size=size, mean=mean, random_state=random_state
+    return davies_harte_generate(
+        FGNCorrelation(hurst),
+        n,
+        size=size,
+        mean=mean,
+        random_state=random_state,
+        on_negative_eigenvalues="raise",
+        spectral_table=spectral_table,
     )
 
 

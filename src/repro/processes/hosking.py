@@ -69,11 +69,8 @@ import numpy as np
 from .._validation import check_positive_int
 from ..exceptions import GenerationError, ValidationError
 from ..stats.random import RandomState, make_rng
-from .coeff_table import (
-    CoefficientTable,
-    get_coefficient_table,
-    resolve_acvf as _resolve_acvf,
-)
+from .acvf_cache import check_table_arg, resolve_acvf as _resolve_acvf
+from .coeff_table import CoefficientTable, get_coefficient_table
 from .correlation import CorrelationModel
 from .hosking_blocked import (
     BlockRows,
@@ -88,7 +85,12 @@ from .hosking_blocked import (
 )
 from .partial_corr import DurbinLevinson
 
-__all__ = ["hosking_generate", "HoskingProcess", "HoskingStep"]
+__all__ = [
+    "hosking_generate",
+    "check_coeff_table",
+    "HoskingProcess",
+    "HoskingStep",
+]
 
 
 def _metrics_enabled(metrics) -> bool:
@@ -103,6 +105,19 @@ def _metrics_enabled(metrics) -> bool:
 CoeffTableArg = Union[None, bool, CoefficientTable]
 
 
+def check_coeff_table(coeff_table: CoeffTableArg) -> CoeffTableArg:
+    """Validate a ``coeff_table=`` argument before any draw.
+
+    Raises :class:`~repro.exceptions.ValidationError` naming the
+    argument; :class:`~repro.processes.source.HoskingSource` calls this
+    at construction, so its options fail before any simulation work
+    starts.
+    """
+    return check_table_arg(
+        coeff_table, "coeff_table", CoefficientTable, "incremental recursion"
+    )
+
+
 def _resolve_table(
     correlation: Union[CorrelationModel, Sequence[float]],
     n: int,
@@ -111,11 +126,7 @@ def _resolve_table(
     """Return the coefficient table to drive an ``n``-sample run."""
     if coeff_table is None or coeff_table is True:
         return get_coefficient_table(correlation, n)
-    if not isinstance(coeff_table, CoefficientTable):
-        raise ValidationError(
-            "coeff_table must be a CoefficientTable, None (shared cache) "
-            f"or False (incremental recursion), got {coeff_table!r}"
-        )
+    check_coeff_table(coeff_table)
     if coeff_table.horizon < n:
         raise ValidationError(
             f"coeff_table of horizon {coeff_table.horizon} cannot "

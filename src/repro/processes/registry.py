@@ -48,7 +48,6 @@ __all__ = [
     "names",
     "create",
     "resolve",
-    "merge_backend_args",
 ]
 
 #: What consumers may pass wherever a backend is accepted: a registry
@@ -178,7 +177,8 @@ def resolve(
     options:
         Extra keyword arguments for the backend factory (e.g.
         ``coeff_table=`` or ``block_size=`` for ``hosking``,
-        ``spectral_table=`` / ``spectrum_mode=`` for ``davies_harte``).
+        ``spectral_table=`` or ``on_negative_eigenvalues=`` for
+        ``davies_harte``).
     """
     ctx = ensure_context(metrics)
     if isinstance(backend, GaussianSource):
@@ -210,28 +210,6 @@ def _chunked_error(name: str) -> str:
     )
 
 
-def merge_backend_args(
-    method: Union[str, None], backend: Union[BackendArg, None]
-) -> BackendArg:
-    """Merge a legacy ``method=`` alias with the ``backend=`` argument.
-
-    The §3.2/§3.3 models historically selected generators with
-    ``method="hosking"`` / ``method="davies-harte"``; ``backend=`` is
-    the registry-wide replacement.  Exactly one may be given; with
-    neither, the ``auto`` policy applies.
-    """
-    if method is not None and backend is not None:
-        raise ValidationError(
-            "pass either method= (legacy alias) or backend=, not both "
-            f"(got method={method!r}, backend={backend!r})"
-        )
-    if backend is not None:
-        return backend
-    if method is not None:
-        return method
-    return "auto"
-
-
 # ---------------------------------------------------------------------
 # Built-in backends
 # ---------------------------------------------------------------------
@@ -253,9 +231,8 @@ register(BackendSpec(
     capabilities=DaviesHarteSource.capabilities,
     summary=(
         "exact O(n log n) circulant embedding with shared spectral "
-        "cache; the auto default for every fixed-length path; "
-        "spectrum_mode= selects the real-FFT half-spectrum synthesis "
-        "('real', default) or the legacy full-FFT path ('full')"
+        "cache and real-FFT synthesis; the auto default for every "
+        "fixed-length path"
     ),
 ))
 register(BackendSpec(

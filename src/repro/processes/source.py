@@ -40,15 +40,15 @@ import numpy as np
 from .._validation import check_hurst
 from ..exceptions import ValidationError
 from ..stats.random import RandomState, make_rng, spawn_rngs
-from .coeff_table import resolve_acvf
+from .acvf_cache import resolve_acvf
 from .correlation import CorrelationModel, FGNCorrelation, FARIMACorrelation
 from .davies_harte import (
-    SPECTRUM_MODES,
     SpectralTableArg,
+    check_davies_harte_options,
     davies_harte_generate,
 )
 from .farima import farima_generate
-from .hosking import CoeffTableArg, hosking_generate
+from .hosking import CoeffTableArg, check_coeff_table, hosking_generate
 from .hosking_blocked import BlockSizeArg, resolve_block_size
 from .mg_infinity import MGInfinityConfig, mg_infinity_generate
 from .rmd import rmd_generate
@@ -221,9 +221,9 @@ class HoskingSource(GaussianSource):
         block_size: BlockSizeArg = None,
     ) -> None:
         self._correlation = correlation
-        self._coeff_table = coeff_table
         # Validate at construction (registry contract: bad options fail
         # before any simulation work starts).
+        self._coeff_table = check_coeff_table(coeff_table)
         self._block_size = resolve_block_size(block_size)
 
     def sample(self, n, *, size=None, mean=0.0, random_state=None):
@@ -266,19 +266,13 @@ class DaviesHarteSource(GaussianSource):
         *,
         on_negative_eigenvalues: str = "clip",
         spectral_table: SpectralTableArg = None,
-        spectrum_mode: str = "real",
     ) -> None:
+        # Validate at construction (registry contract: bad options fail
+        # before any simulation work starts).
+        check_davies_harte_options(on_negative_eigenvalues, spectral_table)
         self._correlation = correlation
         self._on_negative = on_negative_eigenvalues
         self._spectral_table = spectral_table
-        # Validate at construction (registry contract: bad options fail
-        # before any simulation work starts).
-        if spectrum_mode not in SPECTRUM_MODES:
-            raise ValidationError(
-                "spectrum_mode must be one of "
-                f"{SPECTRUM_MODES}, got {spectrum_mode!r}"
-            )
-        self._spectrum_mode = spectrum_mode
 
     def sample(self, n, *, size=None, mean=0.0, random_state=None):
         return davies_harte_generate(
@@ -289,7 +283,6 @@ class DaviesHarteSource(GaussianSource):
             random_state=random_state,
             on_negative_eigenvalues=self._on_negative,
             spectral_table=self._spectral_table,
-            spectrum_mode=self._spectrum_mode,
         )
 
     def acvf(self, n: int) -> np.ndarray:
@@ -299,7 +292,6 @@ class DaviesHarteSource(GaussianSource):
         return {
             "correlation": self._correlation,
             "on_negative_eigenvalues": self._on_negative,
-            "spectrum_mode": self._spectrum_mode,
         }
 
 
@@ -359,7 +351,6 @@ class FARIMASource(GaussianSource):
             n,
             self._model.d,
             size=size,
-            method="davies-harte",
             random_state=random_state,
         )
         return out + mean if mean else out

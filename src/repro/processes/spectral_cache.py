@@ -23,20 +23,19 @@ unconditional-path counterpart of the conditional path's
   pins this down.
 - **Eigenvalue entries per path length.**  The circulant eigenvalues
   for an ``n``-sample path (one real FFT of the length-``2n``
-  embedding of ``r(0) .. r(n)``, storing only the ``n + 1`` distinct
-  half-spectrum values — the embedding is real and even, so the other
-  half is a bitwise mirror materialized on demand)
-  are cached per table as immutable :class:`EigenvalueEntry` records,
-  built lock-safely for concurrent thread-pool readers: construction is
-  double-checked under the table lock, published entries are read-only,
-  and readers of an existing entry never take the lock.
-- **Fingerprint cache plus a per-model memo.**  :func:`get_spectral_table`
-  memoizes tables behind the same fingerprint-keyed LRU discipline as
-  :func:`~repro.processes.coeff_table.get_coefficient_table` (leading
-  lags hashed, full prefix equality verified on every hit), with an
-  identity-keyed weak per-model memo on top so repeated requests for
-  the same live :class:`CorrelationModel` skip the acvf evaluation
-  entirely when the cached prefix already covers them.
+  embedding of ``r(0) .. r(n)``, keeping the ``n + 1`` distinct
+  values of its symmetric spectrum) are cached per table as immutable
+  :class:`EigenvalueEntry` records, built lock-safely for concurrent
+  thread-pool readers: construction is double-checked under the table
+  lock, published entries are read-only, and readers of an existing
+  entry never take the lock.
+- **Shared cache.**  :func:`get_spectral_table` serves tables from the
+  acvf-keyed cache of :mod:`repro.processes.acvf_cache`, the same one
+  :func:`~repro.processes.coeff_table.get_coefficient_table` uses
+  (leading lags hashed, full prefix equality verified on every hit, a
+  weak per-model memo so repeated requests for the same live
+  :class:`CorrelationModel` skip the acvf evaluation entirely, LRU
+  eviction).
 
 Clipping bookkeeping (the count, total mass, and extrema of any
 negative eigenvalues) is recorded per entry so the generator's
@@ -51,26 +50,21 @@ samples in the same order.
 
 from __future__ import annotations
 
-import threading
 import time
 import warnings
-import weakref
-from collections import OrderedDict
-from contextlib import contextmanager
-from typing import Dict, List, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .._validation import check_choice, check_min_length, check_positive_int
+from .._validation import check_min_length, check_positive_int
 from ..exceptions import CorrelationError, ValidationError
-from .coeff_table import acvf_fingerprint
+from .acvf_cache import AcvfTable, AcvfTableCache
 from .correlation import CorrelationModel
 
 __all__ = [
     "EigenvalueEntry",
     "SpectralTable",
     "circulant_eigenvalues",
-    "mirror_spectrum",
     "build_eigenvalue_entry",
     "apply_eigenvalue_policy",
     "get_spectral_table",
@@ -80,21 +74,6 @@ __all__ = [
     "spectral_cache_metrics",
 ]
 
-#: Default cache capacity (number of tables kept alive).
-_DEFAULT_MAX_TABLES = 8
-
-#: Default largest path length served from the shared cache.  A table
-#: costs O(path length) doubles per eigenvalue entry (linear, unlike the
-#: quadratic coefficient tables), so the cap is generous: it covers the
-#: paper's full 238,626-frame trace with room to spare.  Longer requests
-#: bypass the cache (callers may still build and pass an explicit table).
-_DEFAULT_MAX_CACHED_LENGTH = 1 << 20
-
-#: Default number of per-path-length eigenvalue entries kept per table
-#: (insertion-order eviction).  A Fig. 16 sweep touches one entry per
-#: buffer size, so a few dozen covers every runner in the repository.
-_DEFAULT_MAX_ENTRIES = 32
-
 #: Relative threshold separating numerical clipping noise from a
 #: materially non-embeddable correlation (same value as the seed
 #: generator used): a warning is emitted only when the most negative
@@ -102,86 +81,41 @@ _DEFAULT_MAX_ENTRIES = 32
 _MATERIAL_CLIP_RATIO = 1e-6
 
 
-def mirror_spectrum(half: np.ndarray) -> np.ndarray:
-    """Mirror a half spectrum ``h_0 .. h_n`` into the full DFT order.
-
-    The circulant embedding of ``r(0) .. r(n)`` is real and even, so
-    its full length-``2n`` spectrum is ``[h_0 .. h_n, h_{n-1} .. h_1]``
-    — every full-spectrum value is a bitwise copy of a half-spectrum
-    one, which is what makes the two :func:`circulant_eigenvalues`
-    views (and the two :class:`EigenvalueEntry` views) agree bit for
-    bit by construction.
-    """
-    half = np.asarray(half)
-    return np.concatenate([half, half[-2:0:-1]])
-
-
-def circulant_eigenvalues(
-    acvf: Sequence[float], *, spectrum: str = "half"
-) -> np.ndarray:
-    """Return the eigenvalues of the circulant embedding of ``acvf``.
+def circulant_eigenvalues(acvf: Sequence[float]) -> np.ndarray:
+    """Return the distinct eigenvalues of the circulant embedding of ``acvf``.
 
     ``acvf`` supplies ``r(0) .. r(n)``; the embedding is the length-2n
     sequence ``r(0), ..., r(n), r(n-1), ..., r(1)`` whose DFT gives the
-    eigenvalues.  All eigenvalues non-negative means exact generation
-    is possible.
-
-    ``spectrum`` selects the view:
-
-    - ``"full"`` — all ``2n`` eigenvalues, in DFT order.  This is what
-      the legacy full-FFT synthesis path consumes.
-    - ``"half"`` — the ``n + 1`` distinct eigenvalues (the embedding is
-      real and even, so the spectrum is symmetric:
-      ``eig[2n - j] == eig[j]``).  This is what the real-FFT synthesis
-      path consumes, and all the storage the cache keeps.
-
-    Both views come from **one** half-length real FFT
-    (``numpy.fft.rfft`` — the embedding is real, so the redundant
-    negative-frequency half is never computed): the full spectrum is
-    the mirror ``[h_0 .. h_n, h_{n-1} .. h_1]`` of the half spectrum,
-    so the two views agree bit for bit *by construction*.  (An earlier
-    revision computed the two views with two different FFT calls, which
-    differed at the last-ulp level — enough to break the
-    cached/uncached bit-identity contract.  Deriving one view from the
-    other makes the agreement structural rather than numerical.)
+    eigenvalues.  The embedding is real and even, so its spectrum is
+    symmetric (``eig[2n - j] == eig[j]``) and one real FFT
+    (``numpy.fft.rfft``) yields its ``n + 1`` distinct values
+    ``h_0 .. h_n`` — all the real-FFT synthesis reads and all the cache
+    stores.  All eigenvalues non-negative means exact generation is
+    possible.
     """
-    check_choice(spectrum, "spectrum", ("half", "full"))
     r = check_min_length(acvf, "acvf", 2)
     circ = np.concatenate([r, r[-2:0:-1]])
     # .copy() detaches the real view from the complex rfft output so
     # the cache stores n + 1 doubles, not a view pinning 2(n + 1).
-    half = np.fft.rfft(circ).real.copy()
-    return mirror_spectrum(half) if spectrum == "full" else half
+    return np.fft.rfft(circ).real.copy()
 
 
 class EigenvalueEntry:
     """One cached circulant spectrum with its clipping bookkeeping.
 
-    Only the ``n + 1`` distinct half-spectrum values are *stored* (the
-    embedding spectrum is symmetric); the legacy full-spectrum view is
-    materialized lazily — and cached — on first access, as the bitwise
-    mirror of the half spectrum (:func:`mirror_spectrum`), so the two
-    views always agree bit for bit and consumers of the real-FFT
-    synthesis path never pay for the redundant half.
-
     Attributes
     ----------
     half_eigenvalues:
         The ``n + 1`` distinct eigenvalues ``h_0 .. h_n`` with
-        negatives clipped to zero, read-only.  This is all the cache
-        stores.
-    eigenvalues:
-        Full-spectrum view (length ``2n``, DFT order), read-only —
-        lazily mirrored from :attr:`half_eigenvalues` and cached, so
-        repeated access returns the identical object.
+        negatives clipped to zero, read-only.
     clipped_count:
         Number of negative eigenvalues that were clipped, counted with
-        *full-spectrum multiplicity* (interior half-spectrum values
-        appear twice in the embedding); 0 for an exactly embeddable
+        their multiplicity in the length-``2n`` embedding spectrum
+        (interior values appear twice); 0 for an exactly embeddable
         correlation.
     clipped_mass:
         Total absolute mass ``sum |eig_j|`` over the clipped
-        eigenvalues (full-spectrum multiplicity).
+        eigenvalues (embedding-spectrum multiplicity).
     min_eigenvalue:
         Most negative raw eigenvalue (0.0 when nothing was clipped).
     max_eigenvalue:
@@ -192,7 +126,6 @@ class EigenvalueEntry:
 
     __slots__ = (
         "_half",
-        "_full",
         "clipped_count",
         "clipped_mass",
         "min_eigenvalue",
@@ -201,33 +134,15 @@ class EigenvalueEntry:
 
     def __init__(
         self,
-        eigenvalues: Optional[np.ndarray] = None,
+        half_eigenvalues: np.ndarray,
         clipped_count: int = 0,
         clipped_mass: float = 0.0,
         min_eigenvalue: float = 0.0,
         max_eigenvalue: float = 0.0,
-        *,
-        half_eigenvalues: Optional[np.ndarray] = None,
     ) -> None:
-        if (eigenvalues is None) == (half_eigenvalues is None):
-            raise ValidationError(
-                "EigenvalueEntry takes exactly one of eigenvalues= "
-                "(full spectrum) or half_eigenvalues="
-            )
-        if half_eigenvalues is not None:
-            half = np.asarray(half_eigenvalues, dtype=float)
-            half.flags.writeable = False
-            self._half = half
-            self._full: Optional[np.ndarray] = None
-        else:
-            full = np.asarray(eigenvalues, dtype=float)
-            full.flags.writeable = False
-            # The distinct values are the first m/2 + 1 (DFT order);
-            # a read-only slice view, so no storage is duplicated.
-            half = full[: full.size // 2 + 1]
-            half.flags.writeable = False
-            self._half = half
-            self._full = full
+        half = np.asarray(half_eigenvalues, dtype=float)
+        half.flags.writeable = False
+        self._half = half
         self.clipped_count = int(clipped_count)
         self.clipped_mass = float(clipped_mass)
         self.min_eigenvalue = float(min_eigenvalue)
@@ -237,15 +152,6 @@ class EigenvalueEntry:
     def half_eigenvalues(self) -> np.ndarray:
         """The stored ``n + 1`` distinct (clipped) eigenvalues."""
         return self._half
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        """Full-spectrum view, mirrored lazily and cached."""
-        if self._full is None:
-            full = mirror_spectrum(self._half)
-            full.flags.writeable = False
-            self._full = full
-        return self._full
 
     @property
     def material(self) -> bool:
@@ -258,12 +164,8 @@ class EigenvalueEntry:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the stored spectra (owning arrays only)."""
-        total = 0
-        for array in (self._half, self._full):
-            if array is not None and array.base is None:
-                total += array.nbytes
-        return int(total)
+        """Bytes held by the stored spectrum."""
+        return int(self._half.nbytes)
 
     def __repr__(self) -> str:
         return (
@@ -275,15 +177,14 @@ class EigenvalueEntry:
 def build_eigenvalue_entry(acvf: Sequence[float]) -> EigenvalueEntry:
     """Build an :class:`EigenvalueEntry` from ``r(0) .. r(n)``.
 
-    The raw half spectrum comes from :func:`circulant_eigenvalues`
-    (``spectrum="half"`` — one real FFT); negatives are clipped to
-    zero here, once, with the count/mass/extrema recorded at
-    *full-spectrum multiplicity* (interior values count twice, the DC
-    and Nyquist endpoints once) so the per-call policy in the
-    generator warns or raises identically to the legacy full-spectrum
-    build on every reuse.
+    The raw spectrum comes from :func:`circulant_eigenvalues` (one real
+    FFT); negatives are clipped to zero here, once, with the
+    count/mass/extrema recorded at embedding-spectrum multiplicity
+    (interior values count twice, the DC and Nyquist endpoints once) so
+    the per-call policy in the generator warns or raises identically on
+    every reuse.
     """
-    raw = circulant_eigenvalues(acvf, spectrum="half")
+    raw = circulant_eigenvalues(acvf)
     # Fast path first: embeddable correlations (the common case) need
     # only the min/max scan, not the mask allocations below — the
     # bypass path pays this on every generate() call, so it is bounded
@@ -297,7 +198,7 @@ def build_eigenvalue_entry(acvf: Sequence[float]) -> EigenvalueEntry:
         half = raw
     else:
         negative = raw < 0
-        # Full-spectrum multiplicity: index j of the half spectrum
+        # Embedding-spectrum multiplicity: index j of the half spectrum
         # appears twice in the embedding except the endpoints (DC and
         # Nyquist), which appear once.
         weights = np.full(raw.size, 2.0)
@@ -308,7 +209,7 @@ def build_eigenvalue_entry(acvf: Sequence[float]) -> EigenvalueEntry:
         maximum = float(raw.max())
         half = np.where(negative, 0.0, raw)
     return EigenvalueEntry(
-        half_eigenvalues=half,
+        half,
         clipped_count=count,
         clipped_mass=clipped_mass,
         min_eigenvalue=minimum,
@@ -322,23 +223,19 @@ def apply_eigenvalue_policy(
     *,
     metrics=None,
     stacklevel: int = 3,
-    spectrum: str = "full",
 ) -> np.ndarray:
     """Enforce the negative-eigenvalue policy for one generation call.
 
-    Returns the (clipped) eigenvalues to generate with — the full
-    2n-point spectrum by default, or the stored ``n + 1`` distinct
-    values with ``spectrum="half"`` (what the real-FFT synthesis path
-    consumes; the two views are bitwise-consistent mirrors).
-    ``"raise"`` raises :class:`~repro.exceptions.CorrelationError`
-    whenever the entry records clipping; ``"clip"`` counts the clipped
-    eigenvalues (module statistics plus the optional ``metrics``
-    context's ``spectral.clipped_eigenvalues`` counter) and warns when
-    the clipping is material.  Because the entry carries the
-    raw-spectrum bookkeeping, the policy behaves identically whether
-    the entry came from a cache hit or was just built.
+    Returns the ``n + 1`` distinct (clipped) eigenvalues the real-FFT
+    synthesis consumes.  ``"raise"`` raises
+    :class:`~repro.exceptions.CorrelationError` whenever the entry
+    records clipping; ``"clip"`` counts the clipped eigenvalues (module
+    statistics plus the optional ``metrics`` context's
+    ``spectral.clipped_eigenvalues`` counter) and warns when the
+    clipping is material.  Because the entry carries the raw-spectrum
+    bookkeeping, the policy behaves identically whether the entry came
+    from a cache hit or was just built.
     """
-    check_choice(spectrum, "spectrum", ("half", "full"))
     if entry.clipped_count:
         if on_negative_eigenvalues == "raise":
             raise CorrelationError(
@@ -346,8 +243,7 @@ def apply_eigenvalue_policy(
                 f"(min {entry.min_eigenvalue:.3e}); the correlation is "
                 "not embeddable — the 'hosking' backend draws it exactly"
             )
-        with _stats_lock:
-            _stats["clipped_eigenvalues"] += entry.clipped_count
+        _CACHE.count("clipped_eigenvalues", entry.clipped_count)
         if metrics is not None and getattr(metrics, "enabled", True):
             metrics.inc(
                 "spectral.clipped_eigenvalues", entry.clipped_count
@@ -363,12 +259,10 @@ def apply_eigenvalue_policy(
                 RuntimeWarning,
                 stacklevel=stacklevel,
             )
-    return (
-        entry.half_eigenvalues if spectrum == "half" else entry.eigenvalues
-    )
+    return entry.half_eigenvalues
 
 
-class SpectralTable:
+class SpectralTable(AcvfTable):
     """All circulant spectra for one autocovariance, built lazily.
 
     Parameters
@@ -387,44 +281,25 @@ class SpectralTable:
     valid because extension never changes already-covered lags.
     """
 
-    def __init__(
-        self, acvf: Union[Sequence[float], np.ndarray]
-    ) -> None:
-        if isinstance(acvf, CorrelationModel):
-            raise ValidationError(
-                "SpectralTable takes an explicit acvf sequence; use "
-                "get_spectral_table(model, n) for model-driven lookup"
-            )
-        r = np.array(np.asarray(acvf, dtype=float), copy=True)
-        if r.ndim != 1 or r.size < 2:
-            raise ValidationError(
-                "acvf must be a 1-D sequence of at least 2 lags "
-                f"(r(0), r(1), ...), got shape {r.shape}"
-            )
-        self._lock = threading.RLock()
-        self._acvf = r
-        self._entries: "OrderedDict[int, EigenvalueEntry]" = OrderedDict()
+    min_lags = 2
+    lookup = "get_spectral_table"
+    #: Eigenvalue entries kept per table (insertion-order eviction).  A
+    #: Fig. 16 sweep touches one entry per buffer size, so a few dozen
+    #: covers every runner in the repository.
+    max_entries = 32
+
+    def __init__(self, acvf: Union[Sequence[float], np.ndarray]) -> None:
+        super().__init__(acvf)
+        self._entries = {}
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
     @property
-    def horizon(self) -> int:
-        """Number of stored autocovariance lags (``len(acvf)``)."""
-        return self._acvf.size
-
-    @property
     def max_length(self) -> int:
         """Longest path length this table can drive (``horizon - 1``)."""
         return self._acvf.size - 1
-
-    @property
-    def acvf(self) -> np.ndarray:
-        """The autocovariance backing this table (read-only view)."""
-        view = self._acvf[:]
-        view.flags.writeable = False
-        return view
 
     @property
     def entry_count(self) -> int:
@@ -468,12 +343,12 @@ class SpectralTable:
         n = check_positive_int(n, "n")
         entry = self._entries.get(n)
         if entry is not None:
-            _note_entry_hit()
+            _CACHE.count("eigenvalue_hits")
             return entry
         with self._lock:
             entry = self._entries.get(n)
             if entry is not None:
-                _note_entry_hit()
+                _CACHE.count("eigenvalue_hits")
                 return entry
             if n + 1 > self._acvf.size:
                 raise ValidationError(
@@ -484,47 +359,12 @@ class SpectralTable:
             start = time.perf_counter()
             entry = build_eigenvalue_entry(self._acvf[: n + 1])
             elapsed = time.perf_counter() - start
-            while len(self._entries) >= _max_entries:
-                self._entries.popitem(last=False)
+            while len(self._entries) >= self.max_entries:
+                del self._entries[next(iter(self._entries))]
             self._entries[n] = entry
-        _note_entry_build(elapsed)
+        _CACHE.count("eigenvalue_builds")
+        _CACHE.count("eigenvalue_build_seconds", elapsed)
         return entry
-
-    # ------------------------------------------------------------------
-    # Prefix sharing
-    # ------------------------------------------------------------------
-
-    def is_prefix_of(self, acvf: np.ndarray) -> bool:
-        """True if this table's acvf is a leading prefix of ``acvf``."""
-        other = np.asarray(acvf, dtype=float)
-        mine = self._acvf
-        m = min(mine.size, other.size)
-        return bool(np.array_equal(mine[:m], other[:m]))
-
-    def extend(
-        self, acvf: Union[Sequence[float], np.ndarray]
-    ) -> "SpectralTable":
-        """Grow the stored acvf in place to cover a longer prefix.
-
-        ``acvf`` must extend the current sequence exactly (bit-for-bit
-        prefix match).  Cached eigenvalue entries are kept: each was
-        built from a prefix the extension does not touch, so they stay
-        bit-identical to what a fresh build would produce.
-        """
-        new = np.array(np.asarray(acvf, dtype=float), copy=True)
-        if new.ndim != 1:
-            raise ValidationError(
-                f"acvf must be one-dimensional, got shape {new.shape}"
-            )
-        with self._lock:
-            if not self.is_prefix_of(new):
-                raise ValidationError(
-                    "extension acvf disagrees with the table's prefix"
-                )
-            if new.size <= self._acvf.size:
-                return self
-            self._acvf = new
-        return self
 
     def __repr__(self) -> str:
         return (
@@ -549,63 +389,21 @@ class SpectralCacheInfo(NamedTuple):
     max_cached_length: int
 
 
-_cache_lock = threading.RLock()
-_cache: "OrderedDict[bytes, List[SpectralTable]]" = OrderedDict()
-#: Identity-keyed weak memo: the last table resolved for a live model.
-#: Identity implies the exact same acvf values (model evaluation is
-#: deterministic), so a memo hit needs no prefix verification and —
-#: when the cached horizon already covers the request — no acvf
-#: evaluation at all.
-_model_memo: "weakref.WeakKeyDictionary[CorrelationModel, SpectralTable]" = (
-    weakref.WeakKeyDictionary()
+#: The shared cache.  An entry costs O(path length) doubles — linear,
+#: unlike the quadratic coefficient tables — so the length cap is
+#: generous: it covers the paper's full 238,626-frame trace with room
+#: to spare.  Longer requests get an uncached table.
+_CACHE = AcvfTableCache(
+    "spectral",
+    SpectralTable,
+    lag_offset=1,
+    max_tables=8,
+    max_request=1 << 20,
+    request_limit="max_cached_length",
+    counters=("eigenvalue_builds", "eigenvalue_hits"),
+    timers=("eigenvalue_build_seconds",),
+    tallies=("clipped_eigenvalues",),
 )
-#: Leaf lock for the statistics dict: taken with other locks held but
-#: never while acquiring one, so table/cache locks cannot deadlock on it.
-_stats_lock = threading.Lock()
-_stats: Dict[str, float] = {
-    "hits": 0,
-    "misses": 0,
-    "extensions": 0,
-    "evictions": 0,
-    "entry_builds": 0,
-    "entry_hits": 0,
-    "entry_build_seconds": 0.0,
-    "clipped_eigenvalues": 0,
-}
-_max_tables = _DEFAULT_MAX_TABLES
-_max_cached_length = _DEFAULT_MAX_CACHED_LENGTH
-_max_entries = _DEFAULT_MAX_ENTRIES
-
-
-def _note_entry_hit() -> None:
-    with _stats_lock:
-        _stats["entry_hits"] += 1
-
-
-def _note_entry_build(elapsed: float) -> None:
-    with _stats_lock:
-        _stats["entry_builds"] += 1
-        _stats["entry_build_seconds"] += elapsed
-
-
-def _resolve_request_acvf(
-    correlation: Union[CorrelationModel, Sequence[float], np.ndarray],
-    lags: int,
-) -> np.ndarray:
-    """``r(0) .. r(lags - 1)`` from a model or an explicit sequence."""
-    if isinstance(correlation, CorrelationModel):
-        return correlation.acvf(lags)
-    acvf = np.asarray(correlation, dtype=float)
-    if acvf.ndim != 1:
-        raise ValidationError(
-            f"acvf must be one-dimensional, got shape {acvf.shape}"
-        )
-    if acvf.size < lags:
-        raise ValidationError(
-            f"acvf of length {acvf.size} supplies too few lags for the "
-            f"requested path length (needs {lags})"
-        )
-    return acvf[:lags]
 
 
 def get_spectral_table(
@@ -615,167 +413,54 @@ def get_spectral_table(
     """Return a (possibly shared) spectral table covering ``n`` samples.
 
     ``n`` is the *path length*; the table resolves the ``n + 1``
-    autocovariance lags the circulant embedding needs.  Lookup order:
-
-    1. the weak per-model memo (identity hit — for a live
-       :class:`CorrelationModel` whose cached prefix already covers the
-       request, the acvf is not re-evaluated at all);
-    2. the fingerprint-keyed LRU with full prefix verification, reusing
-       a covering table directly or :meth:`extending
-       <SpectralTable.extend>` a shorter prefix-exact one in place;
-    3. a fresh table on a miss.
-
-    Requests beyond the configured length cap (see
+    autocovariance lags the circulant embedding needs.  A live
+    :class:`CorrelationModel` whose table already covers the request is
+    served from the per-model memo without evaluating its acvf; see
+    :meth:`AcvfTableCache.get
+    <repro.processes.acvf_cache.AcvfTableCache.get>` for the full
+    lookup order.  Requests beyond the length cap (see
     :func:`set_spectral_cache_limits`) return an uncached table.
     """
-    n = check_positive_int(n, "n")
-    lags = n + 1
-    if n > _max_cached_length:
-        return SpectralTable(_resolve_request_acvf(correlation, lags))
-
-    is_model = isinstance(correlation, CorrelationModel)
-    if is_model:
-        with _cache_lock:
-            table = _model_memo.get(correlation)
-        if table is not None and table.horizon >= lags:
-            with _stats_lock:
-                _stats["hits"] += 1
-            return table
-
-    acvf = _resolve_request_acvf(correlation, lags)
-    key = acvf_fingerprint(acvf)
-    with _cache_lock:
-        bucket = _cache.get(key)
-        if bucket is not None:
-            for table in bucket:
-                if table.is_prefix_of(acvf):
-                    if table.horizon < lags:
-                        table.extend(acvf)
-                        with _stats_lock:
-                            _stats["extensions"] += 1
-                    else:
-                        with _stats_lock:
-                            _stats["hits"] += 1
-                    _cache.move_to_end(key)
-                    if is_model:
-                        _model_memo[correlation] = table
-                    return table
-        with _stats_lock:
-            _stats["misses"] += 1
-        table = SpectralTable(acvf)
-        _cache.setdefault(key, []).append(table)
-        _cache.move_to_end(key)
-        if is_model:
-            _model_memo[correlation] = table
-        _evict_locked()
-    return table
-
-
-def _evict_locked() -> None:
-    """Drop least-recently-used buckets beyond the table budget."""
-    total = sum(len(bucket) for bucket in _cache.values())
-    while total > _max_tables and _cache:
-        _, bucket = _cache.popitem(last=False)
-        total -= len(bucket)
-        with _stats_lock:
-            _stats["evictions"] += len(bucket)
+    return _CACHE.get(correlation, n)
 
 
 def clear_spectral_cache() -> None:
     """Empty the shared table cache and reset its statistics."""
-    with _cache_lock:
-        _cache.clear()
-        _model_memo.clear()
-        with _stats_lock:
-            _stats.update(
-                hits=0,
-                misses=0,
-                extensions=0,
-                evictions=0,
-                entry_builds=0,
-                entry_hits=0,
-                entry_build_seconds=0.0,
-                clipped_eigenvalues=0,
-            )
+    _CACHE.clear()
 
 
 def spectral_cache_info() -> SpectralCacheInfo:
     """Current hit/miss/extension/build counters and capacity settings."""
-    with _cache_lock:
-        tables = sum(len(bucket) for bucket in _cache.values())
-        entries = sum(
-            table.entry_count
-            for bucket in _cache.values()
-            for table in bucket
-        )
-        with _stats_lock:
-            return SpectralCacheInfo(
-                hits=int(_stats["hits"]),
-                misses=int(_stats["misses"]),
-                extensions=int(_stats["extensions"]),
-                evictions=int(_stats["evictions"]),
-                tables=tables,
-                eigenvalue_entries=entries,
-                eigenvalue_builds=int(_stats["entry_builds"]),
-                eigenvalue_hits=int(_stats["entry_hits"]),
-                clipped_eigenvalues=int(_stats["clipped_eigenvalues"]),
-                max_tables=_max_tables,
-                max_cached_length=_max_cached_length,
-            )
+    stats = _CACHE.stats()
+    return SpectralCacheInfo(
+        hits=stats["hits"],
+        misses=stats["misses"],
+        extensions=stats["extensions"],
+        evictions=stats["evictions"],
+        tables=stats["tables"],
+        eigenvalue_entries=sum(
+            table.entry_count for table in _CACHE.tables()
+        ),
+        eigenvalue_builds=stats["eigenvalue_builds"],
+        eigenvalue_hits=stats["eigenvalue_hits"],
+        clipped_eigenvalues=stats["clipped_eigenvalues"],
+        max_tables=_CACHE.max_tables,
+        max_cached_length=_CACHE.max_request,
+    )
 
 
-@contextmanager
 def spectral_cache_metrics(metrics, **labels):
     """Record spectral-cache activity within a block into ``metrics``.
 
-    Snapshots the shared cache counters on entry and exit and records
-    the deltas as ``spectral.hits`` / ``.misses`` / ``.extensions`` /
-    ``.evictions`` / ``.eigenvalue_builds`` / ``.eigenvalue_hits``
-    counters, the accumulated ``spectral.eigenvalue_build_seconds``
-    (as a summary observation, the PR 3 timer convention), and a
-    ``spectral.tables`` gauge.
-
-    ``metrics`` is duck-typed (anything with ``inc``/``set``/
-    ``observe``, e.g. a :class:`repro.observability.RunContext`) so
-    this module never imports :mod:`repro.observability` — same
-    layering rule as :func:`~repro.processes.coeff_table.cache_metrics`.
-    ``None`` or a disabled context makes the block free.
+    The deltas land as ``spectral.hits`` / ``.misses`` /
+    ``.extensions`` / ``.evictions`` / ``.eigenvalue_builds`` /
+    ``.eigenvalue_hits`` counters, the accumulated
+    ``spectral.eigenvalue_build_seconds`` as one summary observation,
+    and a ``spectral.tables`` gauge; ``None`` or a disabled context
+    makes the block free (see :meth:`AcvfTableCache.metrics
+    <repro.processes.acvf_cache.AcvfTableCache.metrics>`).
     """
-    enabled = metrics is not None and getattr(metrics, "enabled", True)
-    if not enabled:
-        yield
-        return
-    with _stats_lock:
-        before = dict(_stats)
-    try:
-        yield
-    finally:
-        with _cache_lock:
-            tables = sum(len(bucket) for bucket in _cache.values())
-            with _stats_lock:
-                after = dict(_stats)
-        for key in (
-            "hits",
-            "misses",
-            "extensions",
-            "evictions",
-            "entry_builds",
-            "entry_hits",
-        ):
-            delta = after.get(key, 0) - before.get(key, 0)
-            if delta:
-                name = key.replace("entry_", "eigenvalue_")
-                metrics.inc(f"spectral.{name}", delta, **labels)
-        build_seconds = after.get("entry_build_seconds", 0.0) - before.get(
-            "entry_build_seconds", 0.0
-        )
-        if build_seconds > 0:
-            metrics.observe(
-                "spectral.eigenvalue_build_seconds",
-                build_seconds,
-                **labels,
-            )
-        metrics.set("spectral.tables", tables, **labels)
+    return _CACHE.metrics(metrics, **labels)
 
 
 def set_spectral_cache_limits(
@@ -788,20 +473,15 @@ def set_spectral_cache_limits(
 
     ``max_tables`` bounds the number of live tables (LRU eviction);
     ``max_cached_length`` bounds the path length served from the cache
-    (a cached entry costs ``2n`` doubles — linear, so the default cap
-    is far above the coefficient-table one); ``max_entries_per_table``
-    bounds the per-table eigenvalue entries (insertion-order eviction).
+    (a cached entry costs ``n + 1`` doubles — linear, so the default
+    cap is far above the coefficient-table one);
+    ``max_entries_per_table`` bounds the per-table eigenvalue entries
+    (insertion-order eviction).
     """
-    global _max_tables, _max_cached_length, _max_entries
-    with _cache_lock:
-        if max_tables is not None:
-            _max_tables = check_positive_int(max_tables, "max_tables")
-        if max_cached_length is not None:
-            _max_cached_length = check_positive_int(
-                max_cached_length, "max_cached_length"
-            )
-        if max_entries_per_table is not None:
-            _max_entries = check_positive_int(
-                max_entries_per_table, "max_entries_per_table"
-            )
-        _evict_locked()
+    if max_entries_per_table is not None:
+        max_entries_per_table = check_positive_int(
+            max_entries_per_table, "max_entries_per_table"
+        )
+    _CACHE.set_limits(max_tables=max_tables, max_request=max_cached_length)
+    if max_entries_per_table is not None:
+        SpectralTable.max_entries = max_entries_per_table

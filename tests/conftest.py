@@ -99,7 +99,7 @@ def pooled_generation(model, *, paths=192, length=800, seed=0):
     rather than one long one.
     """
     out = model.generate(
-        length, size=paths, method="davies-harte", random_state=seed
+        length, size=paths, backend="davies-harte", random_state=seed
     )
     return np.asarray(out).ravel()
 

@@ -43,15 +43,6 @@ class TestUnifiedModelBitIdentity:
         )
         np.testing.assert_array_equal(via_registry, direct)
 
-    def test_legacy_method_alias_matches_backend(self, fitted_unified):
-        via_method = fitted_unified.generate(
-            N, method="hosking", random_state=SEED
-        )
-        via_backend = fitted_unified.generate(
-            N, backend="hosking", random_state=SEED
-        )
-        np.testing.assert_array_equal(via_method, via_backend)
-
     def test_batched_background_matches_direct(self, fitted_unified):
         via_registry = fitted_unified.generate_background(
             128, size=4, backend="hosking", random_state=SEED
@@ -100,17 +91,6 @@ class TestCompositeModelBitIdentity:
                 fitted_composite.transforms_[key](x[mask]), dtype=float
             )
         np.testing.assert_array_equal(via_registry.sizes, sizes)
-
-    def test_legacy_method_alias_matches_backend(self, fitted_composite):
-        via_method = fitted_composite.generate(
-            N, method="hosking", random_state=SEED
-        )
-        via_backend = fitted_composite.generate(
-            N, backend="hosking", random_state=SEED
-        )
-        np.testing.assert_array_equal(
-            via_method.sizes, via_backend.sizes
-        )
 
 
 class TestSpectralCacheBitIdentity:

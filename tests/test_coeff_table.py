@@ -32,6 +32,10 @@ def fresh_cache():
     set_coefficient_cache_limits(max_tables=8, max_cached_horizon=4096)
 
 
+#: The storage a lock-free reader of built rows goes through.
+PUBLISHED_BUFFERS = ("_packed", "_variances")
+
+
 def reference_rows(acvf):
     """All Durbin-Levinson outputs via the incremental recursion."""
     state = DurbinLevinson(acvf)
@@ -147,40 +151,38 @@ class TestCoefficientTable:
         # Regression: extend() used to rebind the storage arrays to
         # uninitialized buffers *before* copying the built prefix in,
         # so lock-free readers racing an extension could read garbage.
-        # Hammer reads of the built prefix while another thread grows
-        # the table repeatedly; every read must match the reference.
+        # Read every built row at the exact moment each enlarged buffer
+        # is published (a deterministic stand-in for a racing lock-free
+        # reader); the reads must match the reference recursion.
         model = FGNCorrelation(0.8)
-        base = 40
-        table = CoefficientTable(model.acvf(base), precompute=True)
-        rows, variances, _ = reference_rows(model.acvf(base))
-        stop = threading.Event()
+        final = 1280
+        rows, variances, _ = reference_rows(model.acvf(final))
         errors = []
+        published = []
 
-        def reader():
-            while not stop.is_set():
-                for k in range(1, base):
-                    row = np.array(table.phi_row(k))
-                    if not np.array_equal(row, rows[k - 1]):
-                        errors.append(f"phi_row({k}) mismatch")
-                        return
-                    if table.variance(k) != variances[k]:
-                        errors.append(f"variance({k}) mismatch")
-                        return
+        class ObservedTable(CoefficientTable):
+            checking = False
 
-        readers = [threading.Thread(target=reader) for _ in range(4)]
-        for t in readers:
-            t.start()
-        try:
-            for horizon in (80, 160, 320, 640, 1280):
-                table.extend(model.acvf(horizon))
-                table.ensure(horizon - 1)
-        finally:
-            stop.set()
-            for t in readers:
-                t.join()
-        assert not errors
-        fresh = CoefficientTable(model.acvf(1280), precompute=True)
-        for k in (1, base - 1, 639, 1279):
+            def __setattr__(self, name, value):
+                super().__setattr__(name, value)
+                if self.checking and name in PUBLISHED_BUFFERS:
+                    published.append(name)
+                    for k in range(1, self.built_step + 1):
+                        if not np.array_equal(self.phi_row(k), rows[k - 1]):
+                            errors.append(f"{name}: phi_row({k})")
+                        if self.variance(k) != variances[k]:
+                            errors.append(f"{name}: variance({k})")
+
+        table = ObservedTable(model.acvf(40), precompute=True)
+        table.checking = True
+        for horizon in (80, 160, 320, 640, final):
+            table.extend(model.acvf(horizon))
+            table.ensure(horizon // 2)
+        assert not errors, errors[:5]
+        assert len(published) == 5 * len(PUBLISHED_BUFFERS)
+        table.ensure(final - 1)
+        fresh = CoefficientTable(model.acvf(final), precompute=True)
+        for k in (1, 39, 639, final - 1):
             np.testing.assert_array_equal(table.phi_row(k), fresh.phi_row(k))
 
 

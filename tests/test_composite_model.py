@@ -82,13 +82,13 @@ class TestGenerate:
 
     def test_hosking_method(self, fitted_composite):
         out = fitted_composite.generate(
-            600, method="hosking", random_state=5
+            600, backend="hosking", random_state=5
         )
         assert out.num_frames == 600
 
     def test_invalid_method(self, fitted_composite):
         with pytest.raises(ValidationError):
-            fitted_composite.generate(100, method="nope")
+            fitted_composite.generate(100, backend="nope")
 
     def test_reproducible(self, fitted_composite):
         a = fitted_composite.generate(500, random_state=6)

@@ -199,15 +199,34 @@ class TestSpectralTableArgument:
         np.testing.assert_array_equal(a, b)
 
 
+def legacy_full_fft(correlation, n, size, seed):
+    """The retired complex full-spectrum synthesis, kept as a reference.
+
+    Same noise as the generator (one ``standard_normal`` fill of
+    ``size x 2n`` from ``seed``) and the same clipped eigenvalues,
+    mirrored to the whole embedding spectrum and applied through the
+    complex FFT: ``ifft(fft(g) * sqrt(eig / m)) * sqrt(m)``, truncated
+    to ``n``.
+    """
+    from repro.processes.spectral_cache import build_eigenvalue_entry
+
+    m = 2 * n
+    half = build_eigenvalue_entry(correlation.acvf(n + 1)).half_eigenvalues
+    eigenvalues = np.concatenate([half, half[-2:0:-1]])
+    g = np.random.default_rng(seed).standard_normal((size, m))
+    scale = np.sqrt(eigenvalues / m)
+    return np.fft.ifft(
+        np.fft.fft(g, axis=1) * scale * np.sqrt(m), axis=1
+    ).real[:, :n]
+
+
 class TestSpectrumModes:
     """The real-FFT synthesis contract: same stream, same filter."""
 
     def test_real_and_full_agree_to_pinned_tolerance(self):
-        from repro.processes.davies_harte import davies_harte_generate as gen
-
         with warnings.catch_warnings():
             # The composite fit clips eigenvalues at this length — a
-            # known property, warned identically by both modes.
+            # known property, warned by the generator.
             warnings.simplefilter("ignore", RuntimeWarning)
             for correlation in (
                 FGNCorrelation(0.55),
@@ -216,66 +235,43 @@ class TestSpectrumModes:
                 CompositeCorrelation.paper_fit(),
                 WhiteNoiseCorrelation(),
             ):
-                real = gen(
-                    correlation, 257, size=3, random_state=11,
-                    spectrum_mode="real",
+                real = davies_harte_generate(
+                    correlation, 257, size=3, random_state=11
                 )
-                full = gen(
-                    correlation, 257, size=3, random_state=11,
-                    spectrum_mode="full",
-                )
+                full = legacy_full_fft(correlation, 257, 3, 11)
                 np.testing.assert_allclose(
                     real, full, rtol=1e-10, atol=1e-10,
                 )
 
     def test_default_mode_is_real(self):
-        real = davies_harte_generate(
-            FGNCorrelation(0.8), 64, random_state=5, spectrum_mode="real"
-        )
-        default = davies_harte_generate(
-            FGNCorrelation(0.8), 64, random_state=5
-        )
-        np.testing.assert_array_equal(default, real)
+        # The one synthesis path, bit for bit: irfft(rfft(g) * sqrt(h)).
+        from repro.processes.spectral_cache import build_eigenvalue_entry
 
-    def test_full_mode_matches_legacy_synthesis_bitwise(self):
-        # The opt-out path must stay exactly the pre-real-FFT formula:
-        # ifft(fft(g) * sqrt(eig / m)) * sqrt(m), truncated to n.
-        from repro.processes.spectral_cache import (
-            build_eigenvalue_entry,
-        )
-
-        correlation = FGNCorrelation(0.78)
-        n = 96
-        m = 2 * n
+        correlation = FGNCorrelation(0.8)
+        n, m = 64, 128
         entry = build_eigenvalue_entry(correlation.acvf(n + 1))
-        rng = np.random.default_rng(123)
-        g = rng.standard_normal((2, m))
-        scale = np.sqrt(entry.eigenvalues / m)
-        expected = np.fft.ifft(
-            np.fft.fft(g, axis=1) * scale * np.sqrt(m), axis=1
-        ).real[:, :n]
-        got = davies_harte_generate(
-            correlation, n, size=2, random_state=123,
-            spectrum_mode="full",
-        )
+        g = np.random.default_rng(5).standard_normal((2, m))
+        expected = np.fft.irfft(
+            np.fft.rfft(g, axis=1) * np.sqrt(entry.half_eigenvalues),
+            n=m,
+            axis=1,
+        )[:, :n]
+        got = davies_harte_generate(correlation, n, size=2, random_state=5)
         np.testing.assert_array_equal(got, expected)
 
     def test_paired_hurst_and_acf_contract(self):
-        # Statistical contract: the two modes' paths estimate the same
-        # Hurst exponent and sample ACF (they share noise and filter,
-        # so the estimates differ only at FFT rounding level).
+        # Statistical contract: the real-FFT paths and the legacy
+        # full-FFT reference estimate the same Hurst exponent and
+        # sample ACF (they share noise and filter, so the estimates
+        # differ only at FFT rounding level).
         from repro.estimators.acf import sample_acf
         from repro.estimators.variance_time import variance_time_estimate
 
         hurst = 0.8
         real = davies_harte_generate(
-            FGNCorrelation(hurst), 8192, random_state=31,
-            spectrum_mode="real",
+            FGNCorrelation(hurst), 8192, random_state=31
         )
-        full = davies_harte_generate(
-            FGNCorrelation(hurst), 8192, random_state=31,
-            spectrum_mode="full",
-        )
+        full = legacy_full_fft(FGNCorrelation(hurst), 8192, 1, 31)[0]
         h_real = variance_time_estimate(real).hurst
         h_full = variance_time_estimate(full).hurst
         assert h_real == pytest.approx(h_full, abs=1e-6)
@@ -288,12 +284,6 @@ class TestSpectrumModes:
             FGNCorrelation(hurst)(np.arange(6)),
             atol=0.1,
         )
-
-    def test_invalid_spectrum_mode_rejected(self):
-        with pytest.raises(ValidationError, match="spectrum_mode"):
-            davies_harte_generate(
-                FGNCorrelation(0.8), 32, spectrum_mode="complex"
-            )
 
     def test_workspace_reuse_counts_hits(self):
         from repro.processes.davies_harte import (

@@ -6,6 +6,7 @@ import pytest
 from repro.exceptions import ValidationError
 from repro.processes.correlation import FGNCorrelation
 from repro.processes.fgn import fbm_from_fgn, fgn_acvf, fgn_generate
+from repro.processes.hosking import hosking_generate
 
 
 class TestFgnAcvf:
@@ -22,13 +23,13 @@ class TestFgnAcvf:
 
 class TestFgnGenerate:
     def test_both_methods_produce_shape(self):
-        for method in ("davies-harte", "hosking"):
-            x = fgn_generate(0.75, 64, method=method, random_state=1)
+        # fgn_generate draws through Davies-Harte; Hosking's recursion
+        # draws the same law from the FGN correlation model.
+        for x in (
+            fgn_generate(0.75, 64, random_state=1),
+            hosking_generate(FGNCorrelation(0.75), 64, random_state=1),
+        ):
             assert x.shape == (64,)
-
-    def test_invalid_method(self):
-        with pytest.raises(ValidationError):
-            fgn_generate(0.7, 10, method="magic")
 
     def test_self_similarity_of_variance(self):
         """var of aggregated fGn scales like m^{2H-2}."""

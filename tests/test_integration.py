@@ -59,7 +59,7 @@ class TestFitRegenerate:
     def test_hurst_preserved_through_pipeline(self, fitted_unified):
         """The regenerated trace has the same Hurst exponent class."""
         y = fitted_unified.generate(
-            1 << 16, method="davies-harte", random_state=23
+            1 << 16, backend="davies-harte", random_state=23
         )
         est = variance_time_estimate(y)
         assert est.hurst == pytest.approx(fitted_unified.hurst, abs=0.12)

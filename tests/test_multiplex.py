@@ -155,7 +155,7 @@ class TestAggregateVBRModel:
             random_state=9,
         )
         with pytest.raises(ValidationError):
-            agg.generate(10, method="nope")
+            agg.generate(10, backend="nope")
 
     def test_multiplexing_gain_in_queueing(self, fitted_unified):
         """More sources at the same utilization -> lower overflow

@@ -90,19 +90,17 @@ class TestAutoPolicy:
         assert x.shape == (16,)
 
 
-class TestMergeBackendArgs:
-    def test_both_given_rejected(self):
-        with pytest.raises(ValidationError, match="not both"):
-            registry.merge_backend_args("hosking", "davies_harte")
+class TestOptionsValidatedAtConstruction:
+    """Bad options fail before any simulation work starts."""
 
-    def test_backend_wins(self):
-        assert registry.merge_backend_args(None, "rmd") == "rmd"
-
-    def test_method_is_legacy_alias(self):
-        assert registry.merge_backend_args("hosking", None) == "hosking"
-
-    def test_neither_means_auto(self):
-        assert registry.merge_backend_args(None, None) == "auto"
+    @pytest.mark.parametrize("backend,option,value", [
+        ("davies_harte", "on_negative_eigenvalues", "bogus"),
+        ("davies_harte", "spectral_table", "yes"),
+        ("hosking", "coeff_table", "yes"),
+    ])
+    def test_bad_option_raises_naming_it(self, backend, option, value):
+        with pytest.raises(ValidationError, match=option):
+            registry.create(backend, FGNCorrelation(HURST), **{option: value})
 
 
 @pytest.mark.parametrize("name", ALL_BACKENDS)

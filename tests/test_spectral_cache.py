@@ -58,37 +58,36 @@ def non_embeddable_acvf(lags=33):
     return acvf
 
 
-class TestCirculantSpectrumContract:
-    """The satellite bugfix: one FFT feeds both spectrum views."""
+def embedding(acvf):
+    """The length-2n circulant embedding of r(0) .. r(n)."""
+    r = np.asarray(acvf, dtype=float)
+    return np.concatenate([r, r[-2:0:-1]])
 
-    def test_half_is_prefix_of_full_bitwise(self):
-        acvf = CompositeCorrelation.paper_fit().acvf(129)
-        full = circulant_eigenvalues(acvf, spectrum="full")
-        half = circulant_eigenvalues(acvf, spectrum="half")
-        assert full.shape == (2 * 128,)
-        assert half.shape == (129,)
-        np.testing.assert_array_equal(half, full[:129])
+
+def mirror(half):
+    """The full embedding spectrum [h_0 .. h_n, h_{n-1} .. h_1]."""
+    return np.concatenate([half, half[-2:0:-1]])
+
+
+class TestCirculantSpectrumContract:
+    """One real FFT yields the distinct embedding eigenvalues."""
 
     def test_full_spectrum_is_symmetric(self):
-        full = circulant_eigenvalues(
-            FGNCorrelation(0.85).acvf(65), spectrum="full"
-        )
+        full = np.fft.fft(embedding(FGNCorrelation(0.85).acvf(65))).real
         # Real even embedding: eig[2n - j] == eig[j] (the computed FFT
-        # realizes the symmetry to rounding).
+        # realizes the symmetry to rounding), so the n + 1 distinct
+        # values carry the whole spectrum.
         np.testing.assert_allclose(
             full[1:], full[1:][::-1], rtol=1e-12, atol=1e-12
         )
 
     def test_default_is_half(self):
         acvf = ExponentialCorrelation(0.3).acvf(33)
+        half = circulant_eigenvalues(acvf)
+        assert half.shape == (33,)
         np.testing.assert_array_equal(
-            circulant_eigenvalues(acvf),
-            circulant_eigenvalues(acvf, spectrum="half"),
+            half, np.fft.rfft(embedding(acvf)).real
         )
-
-    def test_rejects_unknown_spectrum(self):
-        with pytest.raises(ValidationError, match="spectrum"):
-            circulant_eigenvalues([1.0, 0.5], spectrum="both")
 
 
 class TestEigenvalueEntry:
@@ -101,7 +100,9 @@ class TestEigenvalueEntry:
 
     def test_clipping_bookkeeping(self):
         acvf = non_embeddable_acvf()
-        raw = circulant_eigenvalues(acvf, spectrum="full")
+        half = circulant_eigenvalues(acvf)
+        # Counts and mass are taken over the whole embedding spectrum.
+        raw = mirror(half)
         entry = build_eigenvalue_entry(acvf)
         assert entry.clipped_count == int(np.count_nonzero(raw < 0))
         assert entry.clipped_mass == pytest.approx(
@@ -110,19 +111,19 @@ class TestEigenvalueEntry:
         assert entry.min_eigenvalue == raw.min()
         assert entry.max_eigenvalue == raw.max()
         assert entry.material
-        assert entry.eigenvalues.min() == 0.0
+        assert entry.half_eigenvalues.min() == 0.0
         np.testing.assert_array_equal(
-            entry.eigenvalues, np.where(raw < 0, 0.0, raw)
+            entry.half_eigenvalues, np.where(half < 0, 0.0, half)
         )
 
     def test_eigenvalues_read_only(self):
         entry = build_eigenvalue_entry(FGNCorrelation(0.6).acvf(17))
         with pytest.raises(ValueError):
-            entry.eigenvalues[0] = 5.0
+            entry.half_eigenvalues[0] = 5.0
 
     def test_material_threshold_ignores_numerical_noise(self):
         entry = EigenvalueEntry(
-            eigenvalues=np.ones(4),
+            np.ones(3),
             clipped_count=2,
             clipped_mass=1e-14,
             min_eigenvalue=-1e-14,
@@ -166,7 +167,7 @@ class TestEigenvaluePolicy:
 
     def test_immaterial_clip_is_silent(self):
         entry = EigenvalueEntry(
-            eigenvalues=np.ones(4),
+            np.ones(3),
             clipped_count=1,
             clipped_mass=1e-15,
             min_eigenvalue=-1e-15,
@@ -175,12 +176,12 @@ class TestEigenvaluePolicy:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = apply_eigenvalue_policy(entry, "clip")
-        np.testing.assert_array_equal(out, entry.eigenvalues)
+        np.testing.assert_array_equal(out, entry.half_eigenvalues)
 
     def test_clean_entry_is_passthrough(self):
         entry = build_eigenvalue_entry(FGNCorrelation(0.7).acvf(33))
         out = apply_eigenvalue_policy(entry, "raise")
-        assert out is entry.eigenvalues
+        assert out is entry.half_eigenvalues
 
 
 class TestSpectralTable:
@@ -225,7 +226,7 @@ class TestSpectralTable:
             FGNCorrelation(0.8).acvf(33)
         )
         np.testing.assert_array_equal(
-            first.eigenvalues, expected.eigenvalues
+            first.half_eigenvalues, expected.half_eigenvalues
         )
 
     def test_requests_beyond_horizon_rejected(self):
@@ -245,10 +246,10 @@ class TestSpectralTable:
         # n=8 was evicted; a rebuild is bit-identical anyway.
         rebuilt = table.eigenvalues(8)
         np.testing.assert_array_equal(
-            rebuilt.eigenvalues,
+            rebuilt.half_eigenvalues,
             build_eigenvalue_entry(
                 FGNCorrelation(0.8).acvf(9)
-            ).eigenvalues,
+            ).half_eigenvalues,
         )
 
     def test_extend_requires_exact_prefix(self):
@@ -268,8 +269,8 @@ class TestSpectralTable:
         assert table.eigenvalues(32) is short
         longer = table.eigenvalues(128)
         np.testing.assert_array_equal(
-            longer.eigenvalues,
-            build_eigenvalue_entry(model.acvf(129)).eigenvalues,
+            longer.half_eigenvalues,
+            build_eigenvalue_entry(model.acvf(129)).half_eigenvalues,
         )
 
     def test_extend_with_shorter_is_noop(self):
@@ -420,8 +421,8 @@ class TestConcurrency:
         assert spectral_cache_info().eigenvalue_builds == len(lengths)
         for n, entry in zip(lengths, results[0]):
             np.testing.assert_array_equal(
-                entry.eigenvalues,
-                build_eigenvalue_entry(model.acvf(n + 1)).eigenvalues,
+                entry.half_eigenvalues,
+                build_eigenvalue_entry(model.acvf(n + 1)).half_eigenvalues,
             )
 
     def test_racing_lookups_and_extensions(self):
@@ -451,8 +452,8 @@ class TestConcurrency:
         assert table.horizon >= 257
         for n, (_, entry) in tables.items():
             np.testing.assert_array_equal(
-                entry.eigenvalues,
-                build_eigenvalue_entry(model.acvf(n + 1)).eigenvalues,
+                entry.half_eigenvalues,
+                build_eigenvalue_entry(model.acvf(n + 1)).half_eigenvalues,
             )
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -519,8 +520,8 @@ class TestPrefixStabilityProperty:
         n = short - 1
         if n >= 1:
             np.testing.assert_array_equal(
-                table.eigenvalues(n).eigenvalues,
-                build_eigenvalue_entry(model.acvf(short)).eigenvalues,
+                table.eigenvalues(n).half_eigenvalues,
+                build_eigenvalue_entry(model.acvf(short)).half_eigenvalues,
             )
 
 
@@ -588,13 +589,11 @@ class TestRealFFTLegacyAgreement:
         ]
         for model in models:
             acvf = model.acvf(lags)
-            r = np.asarray(acvf, dtype=float)
-            legacy = np.fft.fft(
-                np.concatenate([r, r[-2:0:-1]])
-            ).real
-            full = circulant_eigenvalues(acvf, spectrum="full")
-            half = circulant_eigenvalues(acvf, spectrum="half")
-            np.testing.assert_allclose(full, legacy, rtol=1e-10, atol=1e-12)
+            legacy = np.fft.fft(embedding(acvf)).real
+            half = circulant_eigenvalues(acvf)
+            np.testing.assert_allclose(
+                mirror(half), legacy, rtol=1e-10, atol=1e-12
+            )
             np.testing.assert_allclose(
                 half, legacy[:lags], rtol=1e-10, atol=1e-12
             )
@@ -606,13 +605,10 @@ class TestRealFFTLegacyAgreement:
         # spectra whichever backend's correlation feeds the cache.
         assert len(registry.names()) == 6
         acvf = FGNCorrelation(0.8).acvf(129)
-        r = np.asarray(acvf, dtype=float)
-        legacy = np.fft.fft(np.concatenate([r, r[-2:0:-1]])).real
+        legacy = np.fft.fft(embedding(acvf)).real
         for name in registry.names():
             spec = registry.get(name)
             assert spec.name == name
             np.testing.assert_allclose(
-                circulant_eigenvalues(acvf, spectrum="full"),
-                legacy,
-                rtol=1e-10,
+                mirror(circulant_eigenvalues(acvf)), legacy, rtol=1e-10,
             )

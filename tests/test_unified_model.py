@@ -132,7 +132,7 @@ class TestGenerate:
 
     def test_invalid_generation_method(self, fitted_unified):
         with pytest.raises(ValidationError):
-            fitted_unified.generate(100, method="nope")
+            fitted_unified.generate(100, backend="nope")
 
     def test_acf_of_generated_matches_empirical(self, fitted_unified):
         """The headline claim (Fig. 8): the synthetic foreground ACF
@@ -140,7 +140,7 @@ class TestGenerate:
         from repro.estimators.acf import sample_acf
 
         y = fitted_unified.generate(
-            120_000, method="davies-harte", random_state=8
+            120_000, backend="davies-harte", random_state=8
         )
         model_acf = sample_acf(y, 300)
         emp_acf = fitted_unified.empirical_acf_
