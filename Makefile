@@ -4,7 +4,7 @@ export PYTHONPATH := src
 .PHONY: test test-stats test-stats-matrix bench bench-smoke \
 	bench-backends bench-spectral bench-hosking-blocked \
 	bench-aggregate bench-aggregate-scale bench-chunked bench-bakeoff \
-	bench-ipc perfbench perfbench-pairs loc
+	bench-ipc perfbench perfbench-pairs loc importtime
 
 # Statistical/property harness: seeded-randomized eq. 7 transform
 # properties, the Appendix A Hurst-invariance check, the ESS closed
@@ -179,3 +179,13 @@ loc:
 		printf '%-12s %s\n' $$dir \
 		    "$$(find $$dir -name '*.py' -print0 | xargs -0 cat | wc -l)"; \
 	done
+
+# Start-up cost of the package: the median wall time of `import repro`
+# over 5 fresh interpreters, then the ten heaviest modules by
+# cumulative `python -X importtime` microseconds (the first is `repro`
+# itself).
+importtime:
+	@for i in 1 2 3 4 5; do \
+		$(PYTHON) -c 'import time; t = time.perf_counter(); import repro; print(time.perf_counter() - t)'; \
+	done | sort -g | sed -n 3p | xargs printf 'import repro: %.3f s (median of 5 fresh interpreters)\n'
+	@$(PYTHON) -X importtime -c 'import repro' 2>&1 | grep -v '| imported package$$' | sort -t '|' -k 2 -g -r | head -n 10

@@ -11,6 +11,15 @@ distributions the VBR video literature actually uses:
 - GammaPareto — the combined Gamma body / Pareto tail model of
   Garrett & Willinger, the paper's reference [7],
 - Lognormal and Normal — common baselines.
+
+Gamma, Pareto, Lognormal and Normal are closed forms over
+:mod:`scipy.special` ufuncs and numpy that return the bits of the
+frozen :mod:`scipy.stats` distribution with the same parameters,
+conventions included: ``ppf`` is NaN outside ``[0, 1]`` and at NaN and
+takes the support's edges at 0 and 1; ``cdf`` is 0 below the support,
+1 above it and NaN at NaN; a scalar argument gives a numpy scalar.
+``scipy.stats`` costs more than half a second to import, so no module
+of the package loads it.
 """
 
 from __future__ import annotations
@@ -19,9 +28,13 @@ import abc
 from typing import Union
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
-from .._validation import check_in_range, check_positive_float
+from .._validation import (
+    check_finite_float,
+    check_in_range,
+    check_positive_float,
+)
 from ..exceptions import ValidationError
 
 __all__ = [
@@ -62,70 +75,179 @@ class MarginalDistribution(abc.ABC):
         return np.asarray(self.ppf(rng.uniform(size=n)), dtype=float)
 
 
-class _ScipyBacked(MarginalDistribution):
-    """Adapter for frozen scipy.stats distributions."""
+def _core_args(valid: np.ndarray, z: np.ndarray, params: tuple) -> tuple:
+    """A core's arguments, laid out as ``scipy.stats`` lays them out.
 
-    def __init__(self, frozen) -> None:
-        self._dist = frozen
-
-    def cdf(self, x: ArrayLike) -> ArrayLike:
-        return self._dist.cdf(x)
-
-    def ppf(self, q: ArrayLike) -> ArrayLike:
-        return self._dist.ppf(q)
-
-    @property
-    def mean(self) -> float:
-        return float(self._dist.mean())
-
-    @property
-    def variance(self) -> float:
-        return float(self._dist.var())
+    Where ``valid`` holds everywhere the core sees all of ``z``
+    (raveled) with each shape parameter broadcast to its size; else it
+    sees the valid entries with each parameter as a 1-element array.
+    The layout decides some bits: numpy's power loop computes a
+    stride-0 exponent of -1 as a reciprocal, so a Pareto with
+    ``alpha = 1`` returns scipy's values only in scipy's layout.
+    """
+    if valid.all():
+        return (z.ravel(),) + tuple(np.full(z.size, p) for p in params)
+    return (z[valid],) + tuple(np.array([p]) for p in params)
 
 
-class GammaDistribution(_ScipyBacked):
+def _cdf(z: np.ndarray, lower: float, core, *params):
+    """``scipy.stats``' cdf of the standardized argument ``z``.
+
+    ``core`` is evaluated inside the open support ``(lower, inf)``;
+    at or below ``lower`` the cdf is 0, at ``inf`` 1, at NaN NaN.
+    """
+    inside = (lower < z) & (z < np.inf)
+    out = np.zeros(z.shape)
+    out[np.isnan(z)] = np.nan
+    out[z == np.inf] = 1.0
+    if inside.any():
+        out[inside] = core(*_core_args(inside, z, params))
+    return out[()]
+
+
+def _ppf(q: ArrayLike, lower: float, core, *params):
+    """``scipy.stats``' ppf: ``core`` inside (0, 1), the support's
+    edges ``lower`` and ``inf`` at 0 and 1, NaN elsewhere."""
+    q = np.asarray(q, dtype=float)
+    inside = (0.0 < q) & (q < 1.0)
+    out = np.full(q.shape, np.nan)
+    out[q == 0.0] = lower
+    out[q == 1.0] = np.inf
+    if inside.any():
+        out[inside] = core(*_core_args(inside, q, params))
+    return out[()]
+
+
+class GammaDistribution(MarginalDistribution):
     """Gamma distribution with shape ``k`` and scale ``theta``."""
 
     def __init__(self, shape: float, scale: float) -> None:
         self.shape = check_positive_float(shape, "shape")
         self.scale = check_positive_float(scale, "scale")
-        super().__init__(stats.gamma(self.shape, scale=self.scale))
+
+    def cdf(self, x: ArrayLike) -> ArrayLike:
+        z = np.asarray(x, dtype=float) / self.scale
+        return _cdf(z, 0.0, lambda z, a: special.gammainc(a, z), self.shape)
+
+    def ppf(self, q: ArrayLike) -> ArrayLike:
+        return _ppf(
+            q,
+            0.0,
+            lambda q, a: special.gammaincinv(a, q) * self.scale,
+            self.shape,
+        )
+
+    @property
+    def mean(self) -> float:
+        return self.shape * self.scale
+
+    @property
+    def variance(self) -> float:
+        return self.shape * self.scale * self.scale
 
     def __repr__(self) -> str:
         return f"GammaDistribution(shape={self.shape}, scale={self.scale})"
 
 
-class ParetoDistribution(_ScipyBacked):
+class ParetoDistribution(MarginalDistribution):
     """Pareto distribution: ``P(X > x) = (xm / x)^alpha`` for ``x >= xm``."""
 
     def __init__(self, alpha: float, xm: float) -> None:
         self.alpha = check_positive_float(alpha, "alpha")
         self.xm = check_positive_float(xm, "xm")
-        super().__init__(stats.pareto(self.alpha, scale=self.xm))
+
+    def cdf(self, x: ArrayLike) -> ArrayLike:
+        z = np.asarray(x, dtype=float) / self.xm
+        return _cdf(z, 1.0, lambda z, b: 1 - z ** (-b), self.alpha)
+
+    def ppf(self, q: ArrayLike) -> ArrayLike:
+        return _ppf(
+            q,
+            self.xm,
+            lambda q, b: (1 - q) ** (-1.0 / b) * self.xm,
+            self.alpha,
+        )
+
+    @property
+    def mean(self) -> float:
+        b = self.alpha
+        return b / (b - 1.0) * self.xm if b > 1.0 else np.inf
+
+    @property
+    def variance(self) -> float:
+        b = self.alpha
+        if b <= 2.0:
+            return np.inf
+        return b / (b - 2.0) / ((b - 1.0) * (b - 1.0)) * self.xm * self.xm
 
     def __repr__(self) -> str:
         return f"ParetoDistribution(alpha={self.alpha}, xm={self.xm})"
 
 
-class LognormalDistribution(_ScipyBacked):
+class LognormalDistribution(MarginalDistribution):
     """Lognormal distribution of ``exp(N(mu, sigma^2))``."""
 
     def __init__(self, mu: float, sigma: float) -> None:
-        self.mu = float(mu)
+        self.mu = check_finite_float(mu, "mu")
         self.sigma = check_positive_float(sigma, "sigma")
-        super().__init__(stats.lognorm(self.sigma, scale=np.exp(self.mu)))
+        with np.errstate(over="ignore"):
+            self._scale = float(np.exp(self.mu))
+        if not 0.0 < self._scale < np.inf:
+            raise ValidationError(
+                f"mu must keep exp(mu) positive and finite, got {self.mu}"
+            )
+
+    def cdf(self, x: ArrayLike) -> ArrayLike:
+        z = np.asarray(x, dtype=float) / self._scale
+        return _cdf(
+            z, 0.0, lambda z, s: special.ndtr(np.log(z) / s), self.sigma
+        )
+
+    def ppf(self, q: ArrayLike) -> ArrayLike:
+        return _ppf(
+            q,
+            0.0,
+            lambda q, s: np.exp(s * special.ndtri(q)) * self._scale,
+            self.sigma,
+        )
+
+    @property
+    def mean(self) -> float:
+        p = np.exp(self.sigma * self.sigma)
+        return float(np.sqrt(p) * self._scale)
+
+    @property
+    def variance(self) -> float:
+        p = np.exp(self.sigma * self.sigma)
+        return float(p * (p - 1) * self._scale * self._scale)
 
     def __repr__(self) -> str:
         return f"LognormalDistribution(mu={self.mu}, sigma={self.sigma})"
 
 
-class NormalDistribution(_ScipyBacked):
+class NormalDistribution(MarginalDistribution):
     """Normal distribution N(mu, sigma^2)."""
 
     def __init__(self, mu: float = 0.0, sigma: float = 1.0) -> None:
-        self.mu = float(mu)
+        self.mu = check_finite_float(mu, "mu")
         self.sigma = check_positive_float(sigma, "sigma")
-        super().__init__(stats.norm(self.mu, self.sigma))
+
+    def cdf(self, x: ArrayLike) -> ArrayLike:
+        z = (np.asarray(x, dtype=float) - self.mu) / self.sigma
+        return _cdf(z, -np.inf, special.ndtr)
+
+    def ppf(self, q: ArrayLike) -> ArrayLike:
+        return _ppf(
+            q, -np.inf, lambda q: special.ndtri(q) * self.sigma + self.mu
+        )
+
+    @property
+    def mean(self) -> float:
+        return self.mu
+
+    @property
+    def variance(self) -> float:
+        return self.sigma * self.sigma
 
     def __repr__(self) -> str:
         return f"NormalDistribution(mu={self.mu}, sigma={self.sigma})"
@@ -237,7 +359,7 @@ class GammaParetoDistribution(MarginalDistribution):
     def _truncated_gamma_mean(self) -> float:
         """E[X; X <= splice] of the Gamma body (exact via Gamma identity)."""
         k, theta = self.gamma.shape, self.gamma.scale
-        inner = stats.gamma(k + 1.0, scale=theta)
+        inner = GammaDistribution(k + 1.0, theta)
         return k * theta * float(inner.cdf(self.splice_point))
 
     def __repr__(self) -> str:

@@ -70,9 +70,10 @@ class MarginalTransform:
         # Normal: h(x) = mu + sigma x exactly — Phi then Phi^{-1}
         # cancel, so the affine form is the *more* accurate one (and
         # skips the copula clip, which only exists to keep unbounded
-        # ppf's finite at |x| beyond ~8).  Gamma: the frozen scipy
-        # machinery reduces to gammaincinv(shape, ndtr(x)) * scale —
-        # calling the ufunc directly is bitwise identical.
+        # ppf's finite at |x| beyond ~8).  Gamma: on the clipped
+        # uniforms, all inside (0, 1), the target's ppf (and
+        # scipy.stats.gamma's) reduces to gammaincinv(shape, u) * scale
+        # — calling the ufunc directly skips the masking, bit for bit.
         self._fast: str = "generic"
         if isinstance(target, NormalDistribution):
             self._fast = "normal"

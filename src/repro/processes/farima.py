@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .._validation import (
     check_1d_array,
@@ -137,6 +136,10 @@ def farima_generate(
     )
 
     if has_arma:
+        # Imported here, the only use: scipy.signal imports scipy.stats,
+        # which would double the cost of ``import repro``.
+        from scipy.signal import lfilter
+
         # phi(B) X = theta(B) core  =>  X = (theta/phi)(B) core.
         b = np.concatenate([[1.0], ma_arr])
         a = np.concatenate([[1.0], -ar_arr])

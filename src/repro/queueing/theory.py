@@ -23,7 +23,7 @@ than exponentially fast" claim of §4 is quantitative).
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .._validation import check_hurst, check_positive_float
 from ..exceptions import ValidationError
@@ -97,7 +97,8 @@ def norros_overflow_approximation(
         (mu - m) ** hurst * b ** (1.0 - hurst)
         / (kappa * np.sqrt(a * m))
     )
-    return np.asarray(stats.norm.sf(argument), dtype=float)
+    # The standard normal tail 1 - Phi(z) = Phi(-z), as scipy.stats.norm.sf.
+    return np.asarray(special.ndtr(-argument), dtype=float)
 
 
 def norros_effective_bandwidth(
@@ -142,7 +143,7 @@ def norros_effective_bandwidth(
         raise ValidationError(
             f"epsilon must be in (0, 0.5), got {epsilon}"
         )
-    z = float(stats.norm.isf(epsilon))
+    z = float(-special.ndtri(epsilon))
     kappa = hurst**hurst * (1.0 - hurst) ** (1.0 - hurst)
     headroom = (
         kappa * z * np.sqrt(a * m) * b ** (hurst - 1.0)

@@ -157,26 +157,41 @@ class TestAggregateVBRModel:
         with pytest.raises(ValidationError):
             agg.generate(10, backend="nope")
 
+    @pytest.mark.filterwarnings("error::repro.exceptions.SimulationWarning")
     def test_multiplexing_gain_in_queueing(self, fitted_unified):
         """More sources at the same utilization -> lower overflow
         probability at the same normalized buffer (the paper's §1
-        statistical-multiplexing motivation)."""
+        statistical-multiplexing motivation).
+
+        The aggregate marginal is an empirical histogram of 2^14
+        convolution draws, so its unit-mean transform saturates at the
+        largest draw over the mean: 2.25 for N = 16.  At a service rate
+        above that no path can overflow, so the utilization is chosen
+        to put the service rate below it, and each N gets a twist that
+        reaches the buffer.
+        """
         from repro.simulation import is_overflow_probability
 
+        service_rate = 1.0 / 0.6
         results = {}
-        for n in (1, 16):
+        for n, twist in ((1, 1.0), (16, 2.5)):
             agg = AggregateVBRModel(
                 fitted_unified, n, convolution_samples=1 << 14,
                 random_state=10,
             )
+            arrivals = agg.arrival_transform()
+            assert float(arrivals(np.array([40.0]))[0]) > service_rate
             results[n] = is_overflow_probability(
                 agg.background_correlation,
-                agg.arrival_transform(),
-                service_rate=1.0 / 0.4,
+                arrivals,
+                service_rate=service_rate,
                 buffer_size=25.0,
                 horizon=250,
-                twisted_mean=1.5,
+                twisted_mean=twist,
                 replications=400,
                 random_state=11,
-            ).probability
-        assert results[16] < results[1]
+            )
+        single, aggregate = results[1], results[16]
+        assert single.hits > 0 and aggregate.hits > 0
+        gap = single.probability - aggregate.probability
+        assert gap > 5.0 * np.hypot(single.std_error, aggregate.std_error)

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.exceptions import ValidationError
 from repro.queueing.theory import (
     norros_decay_exponent,
+    norros_effective_bandwidth,
     norros_overflow_approximation,
 )
 
@@ -194,3 +196,39 @@ class TestEffectiveBandwidth:
                 hurst=0.8, mean_rate=1.0, variance_coefficient=1.0,
                 buffer_size=10.0, epsilon=0.9,
             )
+
+
+@pytest.mark.parametrize("hurst", [0.5, 0.55, 0.8, 0.95])
+class TestScipyParity:
+    """The standard normal tail and its inverse are scipy.special's
+    ndtr / ndtri; scipy.stats.norm.sf / .isf return the same bits."""
+
+    def test_overflow_approximation_matches_norm_sf(self, hurst):
+        m, mu, a = 1.0, 1.25, 2.0
+        b = np.array([0.0, 1e-3, 1.0, 25.0, 250.0, 1e4, 1e8, np.inf])
+        kappa = hurst**hurst * (1.0 - hurst) ** (1.0 - hurst)
+        argument = (
+            (mu - m) ** hurst * b ** (1.0 - hurst)
+            / (kappa * np.sqrt(a * m))
+        )
+        np.testing.assert_array_equal(
+            norros_overflow_approximation(
+                b, hurst=hurst, mean_rate=m, service_rate=mu,
+                variance_coefficient=a,
+            ),
+            stats.norm.sf(argument),
+            strict=True,
+        )
+
+    def test_effective_bandwidth_matches_norm_isf(self, hurst):
+        m, a, b = 1.0, 2.0, 50.0
+        kappa = hurst**hurst * (1.0 - hurst) ** (1.0 - hurst)
+        for eps in (1e-300, 1e-12, 1e-4, 0.1, np.nextafter(0.5, 0.0)):
+            z = float(stats.norm.isf(eps))
+            expected = m + (
+                kappa * z * np.sqrt(a * m) * b ** (hurst - 1.0)
+            ) ** (1.0 / hurst)
+            assert norros_effective_bandwidth(
+                hurst=hurst, mean_rate=m, variance_coefficient=a,
+                buffer_size=b, epsilon=eps,
+            ) == expected

@@ -19,7 +19,7 @@ from repro.video.synthetic import SyntheticCodecConfig, SyntheticMPEGCodec
 _GAMMA_VALUES = np.random.default_rng(11).gamma(3.0, 1.0, size=500)
 
 # Targets that take the generic copula branch: both empirical methods
-# and one scipy-backed parametric marginal without a fast path.
+# and one parametric marginal without a fast path.
 _GENERIC_TARGETS = (
     EmpiricalDistribution(_GAMMA_VALUES),
     EmpiricalDistribution(_GAMMA_VALUES, method="exact"),
@@ -140,14 +140,13 @@ class TestFastPaths:
 
     def test_gamma_fast_path_bitwise_matches_frozen_scipy(self):
         # The direct gammaincinv(shape, ndtr(x)) * scale ufunc chain
-        # must reproduce the frozen-distribution roundtrip bit for bit
+        # must reproduce the frozen scipy.stats roundtrip bit for bit
         # — this is the pin that lets the engine skip scipy's per-call
         # dispatch without changing any generated feed.
-        target = GammaDistribution(4.0, 0.5)
-        tr = MarginalTransform(target)
+        tr = MarginalTransform(GammaDistribution(4.0, 0.5))
         x = np.random.default_rng(3).normal(size=(4, 257))
         u = np.clip(stats.norm.cdf(x), 1e-300, float(np.nextafter(1, 0)))
-        legacy = target.ppf(u)
+        legacy = stats.gamma(4.0, scale=0.5).ppf(u)
         np.testing.assert_array_equal(tr(x), legacy)
 
     def test_normal_fast_path_is_affine(self):
