@@ -4,7 +4,7 @@ export PYTHONPATH := src
 .PHONY: test test-stats test-stats-matrix bench bench-smoke \
 	bench-backends bench-spectral bench-hosking-blocked \
 	bench-aggregate bench-aggregate-scale bench-chunked bench-bakeoff \
-	bench-ipc perfbench perfbench-pairs loc importtime
+	perfbench perfbench-pairs loc importtime
 
 # Statistical/property harness: seeded-randomized eq. 7 transform
 # properties, the Appendix A Hurst-invariance check, the ESS closed
@@ -52,9 +52,7 @@ bench:
 # loop at the acceptance workload and a < 2% block_size=1 bypass
 # overhead; the bake-off bench snapshots the cross-estimator
 # bias/RMSE matrix and asserts MAVAR beats R/S and variance-time plus
-# the < 2% metrics-off overhead bound; the IPC bench forces every
-# partial sum through shared memory (REPRO_SHM_MIN_BYTES=0) and asserts
-# >= 90% of the bytes move zero-copy.
+# the < 2% metrics-off overhead bound.
 bench-smoke:
 	REPRO_BENCH_SCALE=0.2 REPRO_BENCH_JSON=BENCH_hosking.json \
 	$(PYTHON) -m pytest benchmarks/test_ablation_hosking_batch.py \
@@ -65,8 +63,7 @@ bench-smoke:
 	    benchmarks/test_ablation_aggregate.py \
 	    benchmarks/test_ablation_aggregate_scale.py \
 	    benchmarks/test_ablation_chunked.py \
-	    benchmarks/test_ablation_bakeoff.py \
-	    benchmarks/test_ablation_ipc.py -q
+	    benchmarks/test_ablation_bakeoff.py -q
 
 # Backend ablation alone: Davies-Harte vs Hosking vs FARIMA through the
 # registry on a Fig. 8-sized (2^14-sample) unconditional path.
@@ -101,19 +98,19 @@ bench-aggregate:
 	REPRO_BENCH_JSON=BENCH_hosking.json \
 	$(PYTHON) -m pytest benchmarks/test_ablation_aggregate.py -q
 
-# Scale acceptance alone: the process-parallel real-FFT engine at
+# Scale acceptance alone: the thread-pooled real-FFT engine at
 # N=1e6 heterogeneous sources over a 2048-slot horizon — records
 # source-slots/s, asserts the 256 MiB feed-memory budget, bit-identity
-# across process and shard counts, and (core-gated at >= 4 cores) >= 3x
-# the recorded 4.4M source-slots/s single-process baseline.
+# across pool sizes and shard counts, and (core-gated at >= 4 cores)
+# >= 3x the recorded 4.4M source-slots/s single-process baseline.
 bench-aggregate-scale:
 	REPRO_BENCH_JSON=BENCH_hosking.json \
 	$(PYTHON) -m pytest benchmarks/test_ablation_aggregate_scale.py -q
 
-# Chunked-pipeline ablation alone: the scene-chunked multiprocess
+# Chunked-pipeline ablation alone: the scene-chunked thread-pooled
 # generator at the 2^22-frame acceptance horizon — bit-identical at any
-# process count, >= 3x over the single-process pipeline when >= 4 cores
-# are available (the assertion is core-gated; the ratio is always
+# pool size, >= 3x over the in-line pipeline when >= 4 cores are
+# available (the assertion is core-gated; the ratio is always
 # recorded), in-line chunking within 2x of single-pass generation, and
 # the O(chunk x window) tracemalloc budget at two horizons.
 bench-chunked:
@@ -128,17 +125,6 @@ bench-chunked:
 bench-bakeoff:
 	REPRO_BENCH_JSON=BENCH_hosking.json \
 	$(PYTHON) -m pytest benchmarks/test_ablation_bakeoff.py -q
-
-# IPC ablation alone: result transport on the N=10^6 aggregate
-# workload — the same pooled generation with REPRO_SHM_MIN_BYTES at 0
-# (every partial sum through a shared-memory segment) and above every
-# result (all pickled): bit-identical feeds, >= 90% of result bytes
-# zero-copy in the shm run, no segment in the pickle run, and a
-# zero-leaked-segments check after each run.  Results land in
-# REPRO_BENCH_JSON.
-bench-ipc:
-	REPRO_BENCH_JSON=BENCH_hosking.json \
-	$(PYTHON) -m pytest benchmarks/test_ablation_ipc.py -q
 
 # The repository benchmark (BENCHMARK.json, perfbench/README.md): every
 # workload timed with tracing off (end-to-end metrics), then every

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +34,22 @@ TRACE_SEED = 1995
 BENCH_JSON_ENV = "REPRO_BENCH_JSON"
 
 _bench_records: dict = {}
+
+
+def pytest_collection_modifyitems(items):
+    """Keep ``SimulationWarning`` a warning in benches.
+
+    pyproject.toml makes it an error for the tier-1 tests.  A bench
+    scaled down by ``REPRO_BENCH_SCALE`` can leave a plain-MC leg
+    without hits (Fig. 14's m* = 0 leg at 0.2); it prints the warning
+    instead of failing the quick pass.
+    """
+    here = Path(__file__).parent
+    for item in items:
+        if item.path.is_relative_to(here):
+            item.add_marker(pytest.mark.filterwarnings(
+                "default::repro.exceptions.SimulationWarning"
+            ))
 
 
 def scaled(replications: int, *, minimum: int = 50) -> int:

@@ -3,7 +3,7 @@
 The scale tier above ``test_ablation_aggregate``: the heterogeneous
 mixture grown to N=10^6 sources (scaled by ``REPRO_BENCH_SCALE``,
 floored at 50k), generated over a 2048-slot horizon through the
-process-parallel real-FFT engine.  What is asserted:
+thread-pooled real-FFT engine.  What is asserted:
 
 - **Throughput:** source-slots per second are recorded unconditionally;
   on a multi-core runner (>= 4 cores, the ``test_ablation_chunked``
@@ -108,7 +108,7 @@ def test_scale_acceptance_million_sources(benchmark, emit, record_bench):
                 ),
             ],
         ),
-        "feed bit-identical across process and shard counts",
+        "feed bit-identical across pool sizes and shard counts",
     )
     record_bench(
         "aggregate_scale_acceptance",
@@ -129,5 +129,5 @@ def test_scale_acceptance_million_sources(benchmark, emit, record_bench):
     if cores >= 4:
         assert throughput > SPEEDUP_BOUND * BASELINE_SLOTS_PER_S, (
             f"{throughput / 1e6:.1f}M slots/s with {processes} "
-            f"processes on {cores} cores"
+            f"threads on {cores} cores"
         )

@@ -1,15 +1,15 @@
-"""Ablation — chunked multiprocess pipeline vs single-pass generation.
+"""Ablation — chunked thread-pool pipeline vs single-pass generation.
 
 Three claims, one workload (the ISSUE pins the speedup assertion at a
 horizon >= 2^22 on >= 4 cores):
 
 - **Multi-core speedup:** the same chunk plan, same seeds, same bits,
-  dispatched on a process pool instead of in-line, must clear >= 3x
+  dispatched on a thread pool instead of in-line, must clear >= 3x
   once >= 4 cores are available.  The assertion is gated on
   ``os.cpu_count() >= 4`` (a 1-core CI box cannot exhibit it); the
   measurements are recorded unconditionally so the JSON dump shows the
   actual ratio wherever the bench ran.
-- **Single-process sanity:** chunking is not a tax — the in-line
+- **In-line sanity:** chunking is not a tax — the in-line
   chunked pipeline stays within ``SINGLE_OVERHEAD`` of the single-pass
   Davies-Harte generator (in practice it is *faster* at 2^22: many
   2^17-point FFTs beat one 2^23-point FFT plus a 4M-lag ACVF build).
@@ -105,7 +105,7 @@ def test_ablation_multiprocess_speedup(benchmark, emit, record_bench):
         f"(horizon=2^{horizon.bit_length() - 1}, chunk={CHUNK}, "
         f"window={WINDOW}, {cores} cores) ==",
         *format_series(
-            ("variant", "seconds", "vs single-process"),
+            ("variant", "seconds", "vs in-line"),
             [
                 ("single-pass Davies-Harte", f"{direct_seconds:.2f}s", "-"),
                 (
@@ -136,13 +136,13 @@ def test_ablation_multiprocess_speedup(benchmark, emit, record_bench):
         speedup=speedup,
         stitch_seconds=report.stitch_seconds,
     )
-    # Chunking must not tax the single-process path.
+    # Chunking must not tax the in-line path.
     assert single_seconds < SINGLE_OVERHEAD * direct_seconds
     # The >= 3x multi-core bound only means something with cores to
     # run on; a 1-core box still records the measurement above.
     if cores >= 4:
         assert speedup > 3.0, (
-            f"{speedup:.2f}x with {processes} processes on {cores} cores"
+            f"{speedup:.2f}x with {processes} threads on {cores} cores"
         )
 
 

@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--processes", type=int, default=None, metavar="P",
         help=(
             "chunk jobs in flight for --chunk-frames (default: "
-            "REPRO_PROCESSES or 1; never changes output bits)"
+            "REPRO_WORKERS or 1; never changes output bits)"
         ),
     )
     fit.add_argument(
@@ -237,9 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--processes", type=int, default=None, metavar="P",
         help=(
-            "process-pool size for the --num-sources aggregate feed "
+            "thread-pool size for the --num-sources aggregate feed "
             "and for --chunk-frames chunk jobs (default: "
-            "REPRO_PROCESSES or 1; never changes output bits)"
+            "REPRO_WORKERS or 1; never changes output bits)"
         ),
     )
     simulate.add_argument("--seed", type=int, default=None)

@@ -20,33 +20,33 @@ phases — without ever materializing an ``(N, horizon)`` matrix:
   ``(horizon,)`` multiplexer feed, so peak memory is
   O(batch_size x horizon) regardless of N.
 
-Seeding contract (shard- and process-count invariance)
-------------------------------------------------------
+Seeding contract (shard- and pool-size invariance)
+--------------------------------------------------
 Sources are partitioned into fixed *generation blocks* of at most
 ``batch_size`` sources, enumerated class by class in population order;
 block ``b`` draws from the ``b``-th child of
 ``SeedSequence(random_state)`` and blocks are always reduced in block
 order.  ``shards=`` only groups contiguous blocks for reduction and
-accounting, and ``processes=`` only moves block *generation* onto a
-process pool — neither ever moves a block boundary, reseeds a stream,
-or reorders an accumulation — so for a fixed seed the aggregate feed
-is **bit-identical at any shard count and any process count** (the
-same contract as the ``workers=`` invariance of the parallel runners).
-``batch_size`` and the class order, by contrast, are part of the law:
-changing either changes which stream a source draws from (same
-distribution, different bits).
+accounting, and ``processes=`` only sets how many blocks a thread pool
+generates at once — neither ever moves a block boundary, reseeds a
+stream, or reorders an accumulation — so for a fixed seed the
+aggregate feed is **bit-identical at any shard count and any pool
+size** (the same contract as the ``workers=`` invariance of the
+parallel runners).  ``batch_size`` and the class order, by contrast,
+are part of the law: changing either changes which stream a source
+draws from (same distribution, different bits).
 
-Why process pools cannot change the bits: each worker computes the
-*per-block* partial sum ``y_b = sum over the block's rows`` — a pure
-function of the block's spec and its spawned child generator, with no
-cross-block arithmetic — and the parent folds ``total += y_b``
-strictly in global block order through the streaming reducer of
-:func:`~repro.simulation.parallel.reduce_tasks`.  The fold performs
-exactly the additions of the serial path, in exactly the serial order,
-so floating-point non-associativity never enters; the pool only
-reorders wall-clock time.  Streaming the fold (a bounded in-flight
-window, results released as they are folded) keeps feed memory
-O(horizon), not O(blocks x horizon) or O(shards x horizon).
+Why the pool cannot change the bits: each task computes one block's
+partial sum ``y_b = sum over the block's rows`` — a pure function of
+the block's spec and its spawned child generator, with no cross-block
+arithmetic — and the calling thread folds ``total += y_b`` strictly in
+global block order through the streaming reducer of
+:func:`~repro.simulation.parallel.reduce_tasks` (in-line at
+``processes=1``).  The fold performs the same additions in the same
+order at every pool size, so floating-point non-associativity never
+enters; the pool only reorders wall-clock time.  Streaming the fold (a
+bounded in-flight window, results released as they are folded) keeps
+feed memory O(horizon), not O(blocks x horizon) or O(shards x horizon).
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
-from uuid import uuid4
 
 import numpy as np
 
@@ -377,7 +376,7 @@ class AggregateFeed:
         Shard count the generation was grouped into (accounting only;
         the arrivals are bit-identical at any value).
     processes:
-        Resolved process-pool size the blocks were generated on
+        Resolved thread-pool size the blocks were generated on
         (accounting only; the arrivals are bit-identical at any value).
     """
 
@@ -407,43 +406,6 @@ _Block = Tuple[int, int, int]
 #: float64 feed).
 _FEED_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 
-#: Per-interpreter memo of resolved sources for the process-pooled
-#: path, keyed by an opaque per-engine token.  A persistent shared pool
-#: outlives any one engine, so worker state cannot ride a pool
-#: initializer any more: every task instead carries its engine's
-#: ``(key, classes)`` and each interpreter — worker or parent (for the
-#: inline fallback of :func:`~repro.simulation.parallel.reduce_tasks`)
-#: — resolves the sources once per engine via :func:`_sources_for`.
-_WORKER_SOURCES: Dict[str, List[GaussianSource]] = {}
-
-#: Engines memoized per interpreter before old entries are evicted.
-_WORKER_SOURCES_CAP = 8
-
-
-def _sources_for(
-    key: str, classes: Tuple[SourceClass, ...]
-) -> List[GaussianSource]:
-    """Resolve (once per interpreter per engine) one source per class.
-
-    Workers rebuild their sources from the registry instead of
-    unpickling them — source instances hold per-interpreter caches
-    (spectral tables, coefficient tables) guarded by locks that cannot
-    cross a process boundary.  Resolution is deterministic, so every
-    worker holds the same law as the parent.
-    """
-    sources = _WORKER_SOURCES.get(key)
-    if sources is None:
-        sources = [
-            registry.resolve(
-                klass.backend, klass.correlation, **klass.backend_options
-            )
-            for klass in classes
-        ]
-        while len(_WORKER_SOURCES) >= _WORKER_SOURCES_CAP:
-            _WORKER_SOURCES.pop(next(iter(_WORKER_SOURCES)))
-        _WORKER_SOURCES[key] = sources
-    return sources
-
 
 def _block_partial(
     klass: SourceClass,
@@ -455,11 +417,10 @@ def _block_partial(
 ) -> np.ndarray:
     """One generation block's ``(horizon,)`` partial sum (float64).
 
-    This is the engine's unit of arithmetic: sample the block's
-    background, push it through the class transform, apply staggered
-    GOP gains, and sum the rows.  Both the serial and the pooled paths
-    call exactly this function per block, which is what makes the feed
-    bit-identical across ``processes=`` values.
+    This is the engine's unit of arithmetic and its pool task: sample
+    the block's background, push it through the class transform, apply
+    staggered GOP gains, and sum the rows.  It reads nothing but its
+    arguments, so it returns the same bits on any thread.
     """
     x = source.sample(horizon, size=rows, random_state=rng)
     y = np.asarray(klass.transform(x), dtype=float)
@@ -469,29 +430,6 @@ def _block_partial(
         indices = (phases[:, None] + np.arange(horizon)[None, :]) % period
         y = y * klass.gop_pattern[indices]
     return y.sum(axis=0)
-
-
-def _block_partials_task(task) -> np.ndarray:
-    """Pool task: stack the partial sums of a contiguous block run.
-
-    ``task`` is ``(key, classes, horizon, specs, rngs)`` with one
-    ``(class_index, offset, rows)`` spec and one spawned child
-    generator per block.  The payload is self-contained — any
-    interpreter (a fresh worker, a reused shared-pool worker, or the
-    parent on the inline fallback) memoizes the engine's sources from
-    ``(key, classes)`` — and the task is a pure function of it, so
-    completion order cannot change results: the parent folds the rows
-    in global block order.
-    """
-    key, classes, horizon, specs, rngs = task
-    sources = _sources_for(key, classes)
-    return np.stack([
-        _block_partial(
-            classes[class_index], sources[class_index],
-            horizon, offset, rows, rng,
-        )
-        for (class_index, offset, rows), rng in zip(specs, rngs)
-    ])
 
 
 def _check_feed_dtype(dtype) -> np.dtype:
@@ -552,11 +490,6 @@ class ShardedAggregateModel:
             )
             for klass in self.population.classes
         ]
-        # Opaque per-engine token for the worker-side source memo: a
-        # persistent pool serves many engines over its lifetime, and
-        # tasks carrying (key, classes) let each worker resolve this
-        # engine's sources exactly once, not once per task.
-        self._task_key = uuid4().hex
 
     @classmethod
     def from_unified(
@@ -618,43 +551,72 @@ class ShardedAggregateModel:
         """Generate one aggregate arrival path of length ``horizon``.
 
         ``shards`` groups the generation blocks into contiguous runs
-        for reduction and accounting, and ``processes`` moves block
-        generation onto a process pool (``None`` defers to the
-        ``REPRO_PROCESSES`` environment variable, default 1 = in-line);
+        for reduction and accounting, and ``processes`` generates that
+        many blocks at once on a thread pool (``None`` defers to the
+        ``REPRO_WORKERS`` environment variable, default 1 = in-line);
         the returned feed is bit-identical for any value of either
         (see the module seeding contract).  ``dtype`` selects the feed
         accumulator precision: float64 (default) or, opt-in, float32 —
         partial sums are always computed in float64 and only the
         running feed is stored narrow, halving feed memory at scale
         (the float32 feed is *not* bit-comparable to the float64 one).
-        Peak memory is O(batch_size x horizon) plus, when pooled, the
-        bounded in-flight reduction window — never
-        O(shards x horizon).
+        Peak memory is O(batch_size x horizon) per thread plus the
+        bounded in-flight reduction window — never O(shards x horizon).
         """
         horizon = check_positive_int(horizon, "horizon")
         shards = check_positive_int(shards, "shards")
         # Lazy import: repro.simulation.__init__ pulls in the runner,
         # which imports this module back — resolving at call time keeps
         # the cycle out of import order.
-        from ..simulation.parallel import resolve_processes
+        from ..simulation.parallel import reduce_tasks, resolve_workers
 
-        procs = resolve_processes(processes)
+        procs = resolve_workers(processes, "processes")
         out_dtype = _check_feed_dtype(dtype)
         ctx = self._metrics
+        classes = self.population.classes
         blocks = self._blocks()
         children = spawn_rngs(random_state, len(blocks))
         total = np.zeros(horizon, dtype=out_dtype)
-        pooled = procs > 1 and len(blocks) > 1
+        folded = 0
         ctx.set("aggregate.batch_size", float(self.batch_size))
         ctx.set("aggregate.horizon", float(horizon))
         ctx.set("aggregate.processes", float(procs))
+
+        def partial_sum(block_id: int) -> np.ndarray:
+            class_index, offset, rows = blocks[block_id]
+            return _block_partial(
+                classes[class_index],
+                self._sources[class_index],
+                horizon,
+                offset,
+                rows,
+                children[block_id],
+            )
+
+        def fold(partial: np.ndarray, _index: int) -> None:
+            # Partials arrive in block order across every shard, so
+            # ``folded`` is the global id of the block being added.
+            nonlocal total, folded
+            total += partial
+            klass = classes[blocks[folded][0]]
+            ctx.inc("aggregate.blocks", source_class=klass.name)
+            folded += 1
+
         workspace_before = workspace_stats()
         start = time.perf_counter()
         with ctx.time("aggregate.generate_seconds"):
-            if pooled:
-                self._generate_pooled(total, blocks, children, shards, procs)
-            else:
-                self._generate_serial(total, blocks, children, shards)
+            for shard_blocks in np.array_split(np.arange(len(blocks)), shards):
+                if shard_blocks.size:
+                    ctx.inc("aggregate.shards")
+                with ctx.time("aggregate.shard_seconds"):
+                    reduce_tasks(
+                        partial_sum,
+                        shard_blocks.tolist(),
+                        fold,
+                        workers=procs,
+                        metrics=ctx,
+                        prefix="aggregate_pool",
+                    )
         elapsed = time.perf_counter() - start
         if elapsed > 0.0:
             ctx.set(
@@ -668,7 +630,7 @@ class ShardedAggregateModel:
             ctx.inc("spectral.workspace_hits", hits)
         if builds:
             ctx.inc("spectral.workspace_builds", builds)
-        for klass in self.population.classes:
+        for klass in classes:
             ctx.inc(
                 "aggregate.sources",
                 klass.count,
@@ -682,126 +644,6 @@ class ShardedAggregateModel:
             shards=shards,
             processes=procs,
         )
-
-    def _generate_serial(
-        self,
-        total: np.ndarray,
-        blocks: List[_Block],
-        children: List[np.random.Generator],
-        shards: int,
-    ) -> None:
-        """In-line block loop (the pooled path's arithmetic reference)."""
-        ctx = self._metrics
-        classes = self.population.classes
-        for shard_blocks in np.array_split(np.arange(len(blocks)), shards):
-            if shard_blocks.size:
-                ctx.inc("aggregate.shards")
-            with ctx.time("aggregate.shard_seconds"):
-                for block_id in shard_blocks:
-                    class_index, offset, rows = blocks[block_id]
-                    total += _block_partial(
-                        classes[class_index],
-                        self._sources[class_index],
-                        total.size,
-                        offset,
-                        rows,
-                        children[block_id],
-                    )
-                    ctx.inc(
-                        "aggregate.blocks",
-                        source_class=classes[class_index].name,
-                    )
-
-    def _generate_pooled(
-        self,
-        total: np.ndarray,
-        blocks: List[_Block],
-        children: List[np.random.Generator],
-        shards: int,
-        procs: int,
-    ) -> None:
-        """Process-pooled block generation with a streaming ordered fold.
-
-        Contiguous block runs ship to the pool as tasks; each worker
-        returns the run's stacked per-block partial sums and the parent
-        folds the rows into ``total`` strictly in global block order
-        through :func:`~repro.simulation.parallel.reduce_tasks`, so the
-        additions are exactly the serial path's, in the serial order.
-        Every shard is served by the process-wide shared pool; the fold
-        below never retains the transient zero-copy views it is handed.
-        """
-        from ..simulation.parallel import reduce_tasks
-
-        ctx = self._metrics
-        classes = self.population.classes
-        instance_backed = [
-            klass.name for klass in classes
-            if isinstance(klass.backend, GaussianSource)
-        ]
-        if instance_backed:
-            raise ValidationError(
-                "processes > 1 requires registry-name backends (pool "
-                "workers re-resolve sources; built source instances "
-                "hold per-interpreter caches that cannot cross a "
-                "process boundary) — classes with instance backends: "
-                + ", ".join(repr(name) for name in instance_backed)
-            )
-        # Parent-side memo too: a shard that collapses to one task runs
-        # through reduce_tasks' inline fallback in this process and
-        # must find the already-resolved sources.
-        _WORKER_SOURCES[self._task_key] = list(self._sources)
-        classes = tuple(classes)
-        horizon = total.size
-        reduction_bytes = 0
-        for shard_blocks in np.array_split(np.arange(len(blocks)), shards):
-            if shard_blocks.size:
-                ctx.inc("aggregate.shards")
-            with ctx.time("aggregate.shard_seconds"):
-                if not shard_blocks.size:
-                    continue
-                # A few tasks per worker amortizes pickling without
-                # starving the pool; the cap bounds task payloads.
-                per_task = max(
-                    1,
-                    min(32, -(-int(shard_blocks.size) // (4 * procs))),
-                )
-                tasks = []
-                task_specs = []
-                for low in range(0, shard_blocks.size, per_task):
-                    ids = shard_blocks[low:low + per_task]
-                    specs = tuple(blocks[i] for i in ids)
-                    tasks.append((
-                        self._task_key,
-                        classes,
-                        horizon,
-                        specs,
-                        tuple(children[i] for i in ids),
-                    ))
-                    task_specs.append(specs)
-
-                def fold(partials, index):
-                    nonlocal reduction_bytes, total
-                    partials = np.asarray(partials)
-                    reduction_bytes += partials.nbytes
-                    for row, (class_index, _offset, _rows) in zip(
-                        partials, task_specs[index]
-                    ):
-                        total += row
-                        ctx.inc(
-                            "aggregate.blocks",
-                            source_class=classes[class_index].name,
-                        )
-
-                reduce_tasks(
-                    _block_partials_task,
-                    tasks,
-                    fold,
-                    workers=procs,
-                    kind="process",
-                    metrics=ctx,
-                    prefix="aggregate_pool",
-                )
-        ctx.inc("aggregate.reduction_bytes", reduction_bytes)
 
     def __repr__(self) -> str:
         return (

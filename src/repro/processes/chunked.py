@@ -20,8 +20,8 @@ Three pieces live here:
   floor.
 - :class:`ChunkedGenerator` — the pipeline: per-chunk raw generation
   jobs (dispatched through :func:`~repro.simulation.parallel.run_tasks`
-  in-line, on threads, or on a :class:`~concurrent.futures.ProcessPoolExecutor`)
-  followed by a sequential stitch pass in chunk order.
+  in-line or on a thread pool) followed by a sequential stitch pass in
+  chunk order.
 - :func:`stitched_covariance` — the *exactly computed* covariance the
   bridge-stitched process actually has, used to state and test the
   approximation contract.
@@ -50,7 +50,7 @@ table.
 **Bridge mode** (``stitch="bridge"``, the default for spectral
 backends and the scale path): chunk ``c``'s raw job draws
 ``w + L`` samples of the target law via circulant embedding (O(L log L),
-O(L) memory, reusing the per-process spectral cache), where ``w`` is
+O(L) memory, reusing the shared spectral cache), where ``w`` is
 the *stitch window*.  The stitch then replaces the raw window with the
 actual boundary history through the exact conditional-Gaussian bridge
 
@@ -71,16 +71,16 @@ covariance exactly so the deviation can be bounded per
 (Hurst, chunk, window) geometry; the tested contract lives in
 ``tests/test_chunked.py`` and DESIGN.md §5g.
 
-Seeding contract (process-count invariance)
--------------------------------------------
+Seeding contract (pool-size invariance)
+---------------------------------------
 Chunk ``c`` draws from the ``c``-th child of
 ``spawn_rngs(random_state, num_chunks)``, spawned *before* any job
 runs, and chunks are always stitched in chunk order.  ``processes=``
-(or ``REPRO_PROCESSES``) only selects how many jobs run concurrently —
+(or ``REPRO_WORKERS``) only selects how many jobs run concurrently —
 it never moves a chunk boundary, reseeds a stream, or reorders the
 stitch — so for a fixed seed the output is **bit-identical at any
-process count** (and whether jobs run in-line, on threads, or on a
-process pool).  ``chunk_frames``, the alignment, and the stitch window,
+pool size** (and whether jobs run in-line or on threads).
+``chunk_frames``, the alignment, and the stitch window,
 by contrast, are part of the law: changing any of them changes which
 stream a sample draws from (same distribution — exactly, for exact
 mode — different bits).
@@ -366,10 +366,9 @@ def bridge_matrix(
 def _bridge_chunk_job(payload) -> np.ndarray:
     """One raw bridge-mode chunk: ``window + length`` samples of the law.
 
-    Module-level (and all-ndarray payload) so it can cross a process
-    boundary.  The circulant embedding reuses the per-process spectral
-    cache; cached and uncached draws are bit-identical, so warm and
-    cold workers produce the same chunk.
+    The circulant embedding reuses the shared spectral cache; cached
+    and uncached draws are bit-identical, so a warm or cold cache
+    produces the same chunk.
     """
     acvf, total, rng = payload
     return davies_harte_generate(
@@ -467,12 +466,10 @@ class ChunkedGenerator:
         ``"auto"`` (exact when the source exposes the exact
         conditional recursion, else bridge), ``"exact"``, or ``"bridge"``.
     processes:
-        Chunk-job pool size; ``None`` defers to ``REPRO_PROCESSES``
-        (default 1 = in-line).  Bridge jobs run on the process-wide
-        shared pool (:func:`~repro.simulation.parallel.shared_pool`),
-        exact-mode noise jobs on a thread pool (they share the
-        coefficient table; BLAS releases the GIL).  Never changes
-        output bits.
+        Chunk-job thread-pool size; ``None`` defers to
+        ``REPRO_WORKERS`` (default 1 = in-line).  Bridge jobs share the
+        spectral cache and exact-mode noise jobs the coefficient table;
+        FFTs and BLAS release the GIL.  Never changes output bits.
     metrics:
         Optional :class:`~repro.observability.RunContext`; records the
         ``chunked.*`` series (see docs/observability.md).
@@ -525,7 +522,7 @@ class ChunkedGenerator:
         # Validate eagerly (registry contract: bad options fail before
         # any simulation work), but remember whether the caller gave an
         # explicit count so generate() can re-read the environment.
-        _parallel().resolve_processes(processes)
+        _parallel().resolve_workers(processes, "processes")
         self._processes = processes
         self._metrics = ensure_context(metrics)
         self._bridge_cache: Dict[Tuple[int, int], np.ndarray] = {}
@@ -572,7 +569,6 @@ class ChunkedGenerator:
             _bridge_chunk_job,
             payloads,
             workers=count,
-            kind="process",
             metrics=ctx,
             prefix="chunked",
         )
@@ -590,9 +586,9 @@ class ChunkedGenerator:
         """Whether the batched stitch applies: every history-providing
         chunk covers a full window, so all stitches share one ``A``.
 
-        Depends only on the plan geometry — never on the process count
-        — so the path choice keeps the bit-identical-at-any-process-
-        count contract.
+        Depends only on the plan geometry — never on the pool size —
+        so the path choice keeps the bit-identical-at-any-pool-size
+        contract.
         """
         if plan.num_chunks < 2:
             return False
@@ -635,7 +631,7 @@ class ChunkedGenerator:
         O(w^2) per chunk, and all full-length corrections collapse into
         the single BLAS-3 product ``A @ [d_1 .. d_k]``.  Serial stitch
         time stops scaling with ``horizon x window``, which is what
-        keeps the multi-process pipeline out of Amdahl territory.
+        keeps the pooled pipeline out of Amdahl territory.
         """
         w = self.stitch_window
         chunks = plan.chunks[1:]
@@ -670,7 +666,6 @@ class ChunkedGenerator:
                 _exact_noise_job,
                 payloads,
                 workers=count,
-                kind="thread",
                 metrics=ctx,
                 prefix="chunked",
             )
@@ -744,11 +739,7 @@ class ChunkedGenerator:
             if innovations is None
             else [None] * plan.num_chunks
         )
-        # Both modes size their chunk-job pool from ``processes=`` /
-        # ``REPRO_PROCESSES`` (never ``REPRO_WORKERS``): exact-mode
-        # noise jobs merely run that many *threads* because they share
-        # the coefficient table.
-        count = _parallel().resolve_processes(self._processes)
+        count = _parallel().resolve_workers(self._processes, "processes")
         pipeline_start = time.perf_counter()
         if self.stitch == "bridge":
             x, stitch_seconds, peak_bytes = self._generate_bridge(

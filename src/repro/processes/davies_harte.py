@@ -64,8 +64,7 @@ SpectralTableArg = Union[None, bool, SpectralTable]
 # The aggregate engine calls this generator once per (batch, horizon)
 # block — hundreds of times per feed with identical geometry — and the
 # white-noise buffer is the largest allocation of a call (batch x 2n
-# doubles).  One buffer per thread (workers in a process pool are
-# single-threaded processes, so "per thread" is "per worker"), keyed by
+# doubles).  One buffer per thread (so one per pool worker), keyed by
 # shape and replaced when the geometry changes, removes that churn.
 # Reuse is RNG-neutral: ``Generator.standard_normal(out=buf)`` draws
 # the same stream, and writes the same bits, as a fresh allocation.
@@ -93,9 +92,7 @@ def workspace_stats() -> Dict[str, int]:
     """Snapshot of this process's workspace reuse counters.
 
     ``hits`` counts calls served by an existing same-shape buffer,
-    ``builds`` counts (re)allocations.  Counters are process-local: a
-    process-pool worker accumulates its own (its deltas surface in the
-    parent's metrics only for in-line execution).
+    ``builds`` counts (re)allocations, summed over every thread.
     """
     with _workspace_lock:
         return dict(_workspace_stats)

@@ -324,10 +324,9 @@ def loss_vs_n(
     offered work across ``replications`` independent paths.  ``theory``
     holds the matching analytic reference: the Gaussian bufferless
     formula at ``buffer_size = 0``, Norros' ``P(Q > b)`` otherwise.
-    ``processes`` is forwarded to the engine's pooled generation path
-    (``None`` defers to ``REPRO_PROCESSES``); like ``shards``, it never
-    changes the simulated bits.  Every replication at every ``n``
-    reuses the process-wide shared worker pool.
+    ``processes`` is forwarded to the engine's block-level thread pool
+    (``None`` defers to ``REPRO_WORKERS``); like ``shards``, it never
+    changes the simulated bits.
     """
     ctx = ensure_context(metrics)
     utilization = check_in_range(

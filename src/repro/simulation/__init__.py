@@ -11,8 +11,6 @@ scanning the estimator's normalized variance for its "valley"
 
 from .estimators import ISEstimate, effective_sample_size
 from .importance import is_overflow_probability, is_transient_overflow_curve
-from .parallel import pool_stats, shared_pool, shutdown_shared_pool
-from .shm import shm_stats
 from .runner import (
     ModelComparisonResult,
     OverflowCurve,
@@ -32,10 +30,6 @@ from .twist_search import (
 __all__ = [
     "ISEstimate",
     "effective_sample_size",
-    "shared_pool",
-    "shutdown_shared_pool",
-    "pool_stats",
-    "shm_stats",
     "is_overflow_probability",
     "is_transient_overflow_curve",
     "TwistSearchResult",

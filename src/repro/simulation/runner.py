@@ -34,8 +34,7 @@ from ..processes.spectral_cache import (
     get_spectral_table,
     spectral_cache_metrics,
 )
-from ..core.aggregate import ShardedAggregateModel, SourcePopulation
-from ..processes.source import GaussianSource
+from ..core.aggregate import ShardedAggregateModel
 from ..queueing.multiplexer import service_rate_for_utilization
 from ..queueing.overflow import (
     OverflowEstimate,
@@ -50,7 +49,7 @@ from .importance import (
     is_overflow_probability,
     is_transient_overflow_curve,
 )
-from .parallel import resolve_processes, run_legs, run_tasks
+from .parallel import run_legs
 
 __all__ = [
     "OverflowCurve",
@@ -478,33 +477,6 @@ def model_comparison_curves(
     )
 
 
-def _aggregate_replication_job(payload) -> np.ndarray:
-    """Pool task: one full replication of the aggregate overflow curve.
-
-    Rebuilds the engine from its population (workers re-resolve
-    sources; see :mod:`repro.core.aggregate`), generates one feed with
-    its pre-spawned child generator, and runs the Lindley recursion —
-    returning the per-buffer overflow fractions as one float vector.
-    ``processes=1`` inside the task: pool workers are daemonic and must
-    not nest pools, and the parallelism budget is already spent across
-    replications.
-    """
-    (classes, batch_size, horizon, shards, service, buffers, warmup,
-     rng) = payload
-    engine = ShardedAggregateModel(
-        SourcePopulation(classes), batch_size=batch_size
-    )
-    feed = engine.generate(
-        horizon, shards=shards, processes=1, random_state=rng
-    )
-    per_path = steady_state_overflow_from_trace(
-        feed.normalized, service, buffers, warmup=warmup
-    )
-    return np.fromiter(
-        (e.probability for e in per_path), dtype=float, count=buffers.size
-    )
-
-
 def aggregate_overflow_curve(
     engine: ShardedAggregateModel,
     buffer_sizes: Sequence[float],
@@ -528,13 +500,10 @@ def aggregate_overflow_curve(
     overflow fractions.  Peak memory is O(batch_size x horizon) during
     generation and O(horizon) during queueing — N never enters.
 
-    ``processes`` (``None`` defers to ``REPRO_PROCESSES``) spends the
-    parallelism budget at the widest grain available: with more than
-    one replication, whole replications dispatch onto the process-wide
-    shared pool (each pre-seeded from :func:`spawn_rngs`, so the curve
-    is bit-identical at any worker count); with a single replication
-    the budget is forwarded to the engine's block-level pooled
-    generation instead.  Neither changes the curve's bits.
+    Replications run in order, each pre-seeded from
+    :func:`spawn_rngs`.  ``processes`` is forwarded to the engine's
+    block-level thread pool (``None`` defers to ``REPRO_WORKERS``); it
+    never changes the curve's bits.
 
     Variance across replications is the sample variance of the
     per-path estimates over ``replications`` (NaN for a single path,
@@ -551,56 +520,24 @@ def aggregate_overflow_curve(
     replications = check_positive_int(replications, "replications")
     ctx = ensure_context(metrics)
     service = service_rate_for_utilization(1.0, utilization)
-    procs = resolve_processes(processes)
     rngs = spawn_rngs(random_state, replications)
     probabilities = np.empty((replications, buffers.size), dtype=float)
     with ctx.time("capacity.overflow_curve_seconds"):
-        if procs > 1 and replications > 1:
-            classes = tuple(engine.population.classes)
-            instance_backed = [
-                klass.name for klass in classes
-                if isinstance(klass.backend, GaussianSource)
-            ]
-            if instance_backed:
-                raise ValidationError(
-                    "processes > 1 requires registry-name backends "
-                    "(replication workers re-resolve sources; built "
-                    "source instances hold per-interpreter caches that "
-                    "cannot cross a process boundary) — classes with "
-                    "instance backends: "
-                    + ", ".join(repr(name) for name in instance_backed)
-                )
-            payloads = [
-                (classes, engine.batch_size, horizon, shards, service,
-                 buffers, warmup, rngs[r])
-                for r in range(replications)
-            ]
-            rows = run_tasks(
-                _aggregate_replication_job,
-                payloads,
-                workers=procs,
-                kind="process",
-                metrics=ctx,
-                prefix="runner_pool",
+        for r in range(replications):
+            feed = engine.generate(
+                horizon,
+                shards=shards,
+                processes=processes,
+                random_state=rngs[r],
             )
-            for r, row in enumerate(rows):
-                probabilities[r] = row
-        else:
-            for r in range(replications):
-                feed = engine.generate(
-                    horizon,
-                    shards=shards,
-                    processes=procs,
-                    random_state=rngs[r],
-                )
-                per_path = steady_state_overflow_from_trace(
-                    feed.normalized, service, buffers, warmup=warmup
-                )
-                probabilities[r] = np.fromiter(
-                    (e.probability for e in per_path),
-                    dtype=float,
-                    count=buffers.size,
-                )
+            per_path = steady_state_overflow_from_trace(
+                feed.normalized, service, buffers, warmup=warmup
+            )
+            probabilities[r] = np.fromiter(
+                (e.probability for e in per_path),
+                dtype=float,
+                count=buffers.size,
+            )
     pooled = probabilities.mean(axis=0)
     if replications > 1:
         variances = probabilities.var(axis=0, ddof=1) / replications

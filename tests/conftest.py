@@ -69,26 +69,6 @@ def fitted_unified(intra_trace):
     ).fit(intra_trace, random_state=303)
 
 
-#: ``REPRO_SHM_MIN_BYTES`` settings spanning the pooled result paths,
-#: keyed by the path they select: unset (the default 64 KiB threshold),
-#: ``0`` (every ndarray result through a shared-memory segment) and a
-#: value above every result (everything pickled).
-SHM_THRESHOLDS = {"auto": None, "shm": "0", "pickle": str(2**40)}
-
-
-@pytest.fixture()
-def shm_threshold(monkeypatch):
-    """Setter for ``REPRO_SHM_MIN_BYTES`` in one test; ``None`` unsets it."""
-
-    def apply(value):
-        if value is None:
-            monkeypatch.delenv("REPRO_SHM_MIN_BYTES", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_SHM_MIN_BYTES", value)
-
-    return apply
-
-
 def pooled_generation(model, *, paths=192, length=800, seed=0):
     """Pool many short independent foreground paths.
 

@@ -25,7 +25,6 @@ from repro.processes.correlation import (
     FGNCorrelation,
 )
 from repro.stats.random import spawn_rngs
-from tests.conftest import SHM_THRESHOLDS
 
 
 @pytest.fixture()
@@ -398,7 +397,8 @@ class TestShardedAggregateModel:
 
 
 class TestProcessInvariance:
-    """processes= mirrors the chunked pipeline's worker-count matrix."""
+    """processes= (the block thread pool) mirrors the chunked pipeline's
+    worker-count matrix."""
 
     def test_bit_identical_across_process_counts(self, mixed_population):
         engine = ShardedAggregateModel(mixed_population, batch_size=4)
@@ -422,75 +422,25 @@ class TestProcessInvariance:
                 )
                 np.testing.assert_array_equal(feed.arrivals, reference)
 
-    def test_transport_pool_matrix_bit_identical(
-        self, mixed_population, shm_threshold
-    ):
-        # The acceptance matrix: the shm threshold only picks the
-        # result path — the feed must be bit-identical to the serial
-        # reference at every process count and every threshold.
-        engine = ShardedAggregateModel(mixed_population, batch_size=4)
-        reference = engine.generate(128, random_state=21).arrivals
-        for processes in (1, 2, 7, 16):
-            for threshold in SHM_THRESHOLDS.values():
-                shm_threshold(threshold)
-                feed = engine.generate(
-                    128, processes=processes, random_state=21
-                )
-                np.testing.assert_array_equal(feed.arrivals, reference)
-
-    def test_feed_reports_effective_transport(
-        self, mixed_population, shm_threshold
-    ):
-        # The shm.* series report the path that actually ran.  Each task
-        # returns one 512-byte partial sum, far under the default 64 KiB
-        # threshold: by default every partial-sum byte is pickled, and
-        # only a zero threshold moves them through segments.  The feed
-        # bits never depend on it.
-        from repro.observability import RunContext
-        from repro.simulation.shm import shm_available
-
-        if not shm_available():
-            pytest.skip("POSIX shared memory unavailable")
-        reference = ShardedAggregateModel(
-            mixed_population, batch_size=4
-        ).generate(64, processes=1, random_state=3).arrivals
-        series = {}
-        for threshold in (None, "0"):
-            shm_threshold(threshold)
-            ctx = RunContext()
-            feed = ShardedAggregateModel(
-                mixed_population, batch_size=4, metrics=ctx
-            ).generate(64, processes=2, random_state=3)
-            np.testing.assert_array_equal(feed.arrivals, reference)
-            series[threshold] = {
-                e["name"]: e.get("value")
-                for e in ctx.snapshot() if not e["labels"]
-            }
-        partial_bytes = series[None]["aggregate.reduction_bytes"]
-        assert partial_bytes == 6 * 64 * 8
-        assert series[None]["shm.bytes_pickled"] == partial_bytes
-        assert series[None]["shm.bytes_zero_copy"] == 0
-        assert series[None]["shm.segments"] == 0
-        assert series["0"]["shm.bytes_zero_copy"] == partial_bytes
-        assert series["0"]["shm.bytes_pickled"] == 0
-        assert series["0"]["shm.segments"] == 6
-
     def test_env_variable_resolves_processes(
         self, mixed_population, monkeypatch
     ):
         engine = ShardedAggregateModel(mixed_population, batch_size=4)
         reference = engine.generate(64, random_state=13).arrivals
-        monkeypatch.setenv("REPRO_PROCESSES", "3")
+        monkeypatch.setenv("REPRO_WORKERS", "3")
         feed = engine.generate(64, random_state=13)
         assert feed.processes == 3
         np.testing.assert_array_equal(feed.arrivals, reference)
 
     def test_processes_validated(self, mixed_population):
         engine = ShardedAggregateModel(mixed_population)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="processes"):
             engine.generate(16, processes=0)
 
     def test_instance_backend_rejected_in_pooled_mode(self):
+        # Name kept from when pooled mode rejected instance backends:
+        # the pool threads share the built source, so a pooled feed
+        # must equal the in-line one bit for bit.
         source = registry.resolve("davies_harte", FGNCorrelation(0.8))
         klass = SourceClass(
             "inst", correlation=0.8,
@@ -498,11 +448,10 @@ class TestProcessInvariance:
             backend=source,
         )
         engine = ShardedAggregateModel(klass, batch_size=2)
-        with pytest.raises(ValidationError, match="registry-name"):
-            engine.generate(32, processes=2, random_state=0)
-        # Serial mode still accepts instance backends.
-        feed = engine.generate(32, processes=1, random_state=0)
-        assert feed.horizon == 32
+        inline = engine.generate(32, processes=1, random_state=0)
+        pooled = engine.generate(32, processes=2, random_state=0)
+        assert pooled.processes == 2
+        np.testing.assert_array_equal(pooled.arrivals, inline.arrivals)
 
     def test_pool_metrics_recorded(self, mixed_population):
         from repro.observability import RunContext
@@ -517,7 +466,8 @@ class TestProcessInvariance:
             for e in ctx.snapshot()
         }
         assert snapshot[("aggregate.processes", ())] == 2.0
-        assert snapshot[("aggregate.reduction_bytes", ())] > 0
+        assert snapshot[("aggregate_pool.workers", ())] == 2
+        assert snapshot[("aggregate_pool.legs", ())] == 6
         assert ("aggregate.throughput_source_slots_per_s", ()) in snapshot
         # Per-class block counters match the serial accounting.
         assert snapshot[

@@ -19,7 +19,6 @@ from repro.queueing.capacity import (
     loss_vs_n,
 )
 from repro.simulation import aggregate_overflow_curve
-from tests.conftest import SHM_THRESHOLDS
 
 
 @pytest.fixture()
@@ -225,9 +224,9 @@ class TestAggregateOverflowCurve:
             )
 
     def test_processes_never_change_the_curve(self, mixture):
-        # Replications are pre-seeded from spawn_rngs before the
-        # pooling decision, so dispatching them onto the shared pool
-        # must reproduce the serial curve bit for bit.
+        # Replications are pre-seeded from spawn_rngs and each feed is
+        # bit-identical at any pool size, so the curve must reproduce
+        # the serial one bit for bit.
         engine = ShardedAggregateModel(mixture, batch_size=8)
         serial = aggregate_overflow_curve(
             engine, [0.05, 0.5], utilization=0.95, horizon=512,
@@ -254,18 +253,22 @@ class TestAggregateOverflowCurve:
             marginal=NormalDistribution(10.0, 2.0), count=4,
             backend=source,
         )
-        engine = ShardedAggregateModel(klass, batch_size=4)
-        with pytest.raises(ValidationError, match="registry-name"):
-            aggregate_overflow_curve(
-                engine, [0.1], utilization=0.95, horizon=64,
-                replications=2, processes=2, random_state=0,
-            )
-        # Serial replications still accept instance backends.
-        curve = aggregate_overflow_curve(
-            engine, [0.1], utilization=0.95, horizon=64,
-            replications=2, random_state=0,
+        # Name kept from when pooled replications rejected instance
+        # backends: the pool threads share the built source, so the
+        # pooled curve must equal the in-line one bit for bit.
+        engine = ShardedAggregateModel(klass, batch_size=2)
+        inline = aggregate_overflow_curve(
+            engine, [0.02, 0.1], utilization=0.95, horizon=64,
+            replications=2, processes=1, random_state=0,
         )
-        assert curve.estimates[0].replications == 2
+        pooled = aggregate_overflow_curve(
+            engine, [0.02, 0.1], utilization=0.95, horizon=64,
+            replications=2, processes=2, random_state=0,
+        )
+        assert pooled.estimates[0].replications == 2
+        for a, b in zip(inline.estimates, pooled.estimates):
+            assert b.probability == a.probability
+            assert b.variance == a.variance
 
 
 class TestLossVsNProcesses:
@@ -282,20 +285,3 @@ class TestLossVsNProcesses:
             pooled.loss_ratios, serial.loss_ratios
         )
         np.testing.assert_array_equal(pooled.theory, serial.theory)
-
-    def test_transport_and_pool_never_change_the_loss_bits(
-        self, mixture, shm_threshold
-    ):
-        serial = loss_vs_n(
-            mixture, [16, 48], utilization=0.9, buffer_size=0.0,
-            horizon=256, batch_size=8, random_state=5,
-        )
-        for threshold in SHM_THRESHOLDS.values():
-            shm_threshold(threshold)
-            pooled = loss_vs_n(
-                mixture, [16, 48], utilization=0.9, buffer_size=0.0,
-                horizon=256, batch_size=8, processes=2, random_state=5,
-            )
-            np.testing.assert_array_equal(
-                pooled.loss_ratios, serial.loss_ratios
-            )

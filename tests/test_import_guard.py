@@ -1,12 +1,15 @@
-"""No default code path loads ``scipy.stats`` or ``scipy.signal``.
+"""No default code path loads ``scipy.stats``, ``scipy.signal`` or
+``multiprocessing``.
 
 ``scipy.stats`` costs more to import than an ``is_sweep`` operation
 takes, and ``scipy.signal`` imports it.  The parametric marginals and
 the Norros formulas are closed forms on ``scipy.special`` instead, and
 FARIMA's ARMA filter imports ``lfilter`` where it uses it (the ARMA
-tests in tests/test_farima.py cover that path).  A fresh interpreter
-runs small versions of every benchmark workload's path and the CLI's
-start-up, then reports which of the two modules got loaded.
+tests in tests/test_farima.py cover that path).  Every pool is a
+thread pool, so ``multiprocessing`` has no reason to load either.  A
+fresh interpreter runs small versions of every benchmark workload's
+path, with the pooled calls in-line and on two workers, and the CLI's
+start-up, then reports which of the three modules got loaded.
 """
 
 import json
@@ -58,7 +61,10 @@ _SCRIPT = textwrap.dedent(
     CompositeMPEGModel(max_lag_i=10, histogram_bins=50).fit(
         ibp, random_state=5
     ).generate(1000, random_state=6)
-    foreground = model.generate(2**12, chunk_frames=2**10, random_state=7)
+    for processes in (1, 2):
+        foreground = model.generate(
+            2**12, chunk_frames=2**10, processes=processes, random_state=7
+        )
     estimators.variance_time_estimate(foreground)
     estimators.rs_estimate(foreground)
     steady_state_overflow_from_trace(
@@ -72,9 +78,10 @@ _SCRIPT = textwrap.dedent(
         SourceClass("gamma", correlation=0.7,
                     marginal=GammaDistribution(6.0, 1.0), count=2),
     ])
-    ShardedAggregateModel(population, batch_size=4).generate(
-        128, processes=1, random_state=8
-    )
+    for processes in (1, 2):
+        ShardedAggregateModel(population, batch_size=4).generate(
+            128, processes=processes, random_state=8
+        )
 
     norros_overflow_approximation(
         [1.0, 10.0], hurst=0.8, mean_rate=1.0, service_rate=1.5,
@@ -94,6 +101,7 @@ _SCRIPT = textwrap.dedent(
     print(json.dumps(sorted(
         name for name in sys.modules
         if name.split(".")[:2] in (["scipy", "stats"], ["scipy", "signal"])
+        or name.split(".")[0] == "multiprocessing"
     )))
     """
 )

@@ -7,10 +7,10 @@ to the caller — same type, same message — whether the pool is bypassed
 partial result list.
 
 Also covered: the engine behind :func:`repro.simulation.parallel.run_tasks`
-and :func:`~repro.simulation.parallel.reduce_tasks` — the
-``kind="process"`` flavour the chunked pipeline runs on, the bounded
-in-flight window of the streaming fold, and the independence of
-``REPRO_WORKERS`` (thread legs) from ``REPRO_PROCESSES`` (chunk jobs).
+and :func:`~repro.simulation.parallel.reduce_tasks` — submission-order
+delivery, the bounded in-flight window of the streaming fold, and the
+``processes=`` arguments of the aggregate and chunked engines, which
+size the same thread pool from ``REPRO_WORKERS``.
 """
 
 from __future__ import annotations
@@ -23,11 +23,9 @@ import pytest
 from repro.exceptions import SimulationError, ValidationError
 from repro.observability import RunContext
 from repro.simulation.parallel import (
-    PROCESSES_ENV,
     WORKERS_ENV,
-    default_processes,
     default_workers,
-    resolve_processes,
+    reduce_tasks,
     resolve_workers,
     run_legs,
     run_tasks,
@@ -132,32 +130,22 @@ class TestWorkerResolution:
         assert WORKERS_ENV in str(err.value)
         assert repr(raw) in str(err.value)
 
-    @pytest.mark.parametrize(
-        "raw", ["many", "0", "-3", "2.5", "   "],
-        ids=["non-integer", "zero", "negative", "float", "whitespace"],
-    )
-    def test_malformed_processes_env_raises(self, monkeypatch, raw):
-        monkeypatch.setenv(PROCESSES_ENV, raw)
-        with pytest.raises(ValidationError) as err:
-            default_processes()
-        assert PROCESSES_ENV in str(err.value)
-        assert repr(raw) in str(err.value)
-
     def test_malformed_env_raises_through_resolve(self, monkeypatch):
-        # resolve_*(None) defers to the env, so it surfaces the same
-        # error; an explicit argument never consults the env.
-        monkeypatch.setenv(PROCESSES_ENV, "garbage")
-        with pytest.raises(ValidationError, match=PROCESSES_ENV):
-            resolve_processes(None)
-        assert resolve_processes(3) == 3
+        # resolve_workers(None) defers to the env, so it surfaces the
+        # same error; an explicit argument never consults the env.
+        monkeypatch.setenv(WORKERS_ENV, "garbage")
+        with pytest.raises(ValidationError, match=WORKERS_ENV):
+            resolve_workers(None)
+        assert resolve_workers(3) == 3
 
 
 def _double(x):
-    """Module-level task so it can cross a process boundary."""
     return 2 * x
 
 
 class TestRunTasks:
+    # kind="process" is still accepted (the benchmark harness passes
+    # it) and runs on threads like kind="thread".
     @pytest.mark.parametrize("kind", ["thread", "process"])
     @pytest.mark.parametrize("workers", [1, 3])
     def test_submission_order(self, kind, workers):
@@ -185,28 +173,20 @@ class TestRunTasks:
 
 
 class TestProcessResolution:
+    """``processes=`` on the aggregate and chunked engines."""
+
     def test_explicit_processes_validated(self):
+        # The error names the caller's argument, not the helper's.
         with pytest.raises(ValidationError, match="processes"):
-            resolve_processes(0)
+            resolve_workers(0, "processes")
 
     def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(PROCESSES_ENV, "4")
-        assert resolve_processes(None) == 4
+        monkeypatch.setenv(WORKERS_ENV, "4")
+        assert resolve_workers(None, "processes") == 4
 
     def test_unset_env_means_inline(self, monkeypatch):
-        monkeypatch.delenv(PROCESSES_ENV, raising=False)
-        assert default_processes() == 1
-
-    def test_workers_env_does_not_leak_into_processes(self, monkeypatch):
-        # The two knobs are independent: a threaded leg pool must not
-        # silently inflate the chunk-job process pool, or vice versa.
-        monkeypatch.setenv(WORKERS_ENV, "8")
-        monkeypatch.delenv(PROCESSES_ENV, raising=False)
-        assert default_processes() == 1
-        monkeypatch.setenv(PROCESSES_ENV, "2")
         monkeypatch.delenv(WORKERS_ENV, raising=False)
-        assert default_workers() == 1
-        assert default_processes() == 2
+        assert resolve_workers(None, "processes") == 1
 
 
 def _boom_on_two(x):
@@ -216,19 +196,14 @@ def _boom_on_two(x):
 
 
 class TestReduceTasks:
-    @pytest.mark.parametrize("kind,workers", [
-        ("thread", 1), ("thread", 3), ("process", 1), ("process", 3),
-    ])
-    def test_reducer_sees_submission_order(self, kind, workers):
-        from repro.simulation.parallel import reduce_tasks
-
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_reducer_sees_submission_order(self, workers):
         seen = []
         count = reduce_tasks(
             _double,
             [5, 1, 4, 2, 3],
             lambda result, index: seen.append((index, result)),
             workers=workers,
-            kind=kind,
         )
         assert count == 5
         assert seen == [(0, 10), (1, 2), (2, 8), (3, 4), (4, 6)]
@@ -238,8 +213,6 @@ class TestReduceTasks:
         # this window: a slow fold must hold at most 2 x pool size tasks
         # started but not yet delivered (collecting every result, as
         # run_tasks does, would start all 40 here).
-        from repro.simulation.parallel import reduce_tasks
-
         lock = threading.Lock()
         counts = {"started": 0, "peak": 0}
         seen = []
@@ -257,32 +230,26 @@ class TestReduceTasks:
             with lock:
                 seen.append(result)
 
-        reduce_tasks(task, range(40), fold, workers=2, kind="thread")
+        reduce_tasks(task, range(40), fold, workers=2)
         assert seen == list(range(40))
         assert 0 < counts["peak"] <= 2 * 2
 
     def test_exception_propagates(self):
-        from repro.simulation.parallel import reduce_tasks
-
         with pytest.raises(SimulationError, match="task 2 failed"):
             reduce_tasks(
                 _boom_on_two,
                 [1, 2, 3],
                 lambda r, i: None,
                 workers=2,
-                kind="thread",
             )
 
     def test_metrics_recorded(self):
-        from repro.simulation.parallel import reduce_tasks
-
         ctx = RunContext()
         reduce_tasks(
             _double,
             [1, 2, 3, 4],
             lambda r, i: None,
             workers=2,
-            kind="thread",
             metrics=ctx,
             prefix="aggregate_pool",
         )

@@ -17,11 +17,13 @@ def arrivals(x):
 
 @pytest.fixture(scope="module")
 def search_result():
+    # Service 3.0 and buffer 6 leave the plain-MC (m* = 0) leg a few
+    # dozen hits, so the variance reduction is measured, not infinite.
     return search_twisted_mean(
         ExponentialCorrelation(0.3),
         arrivals,
-        service_rate=3.5,
-        buffer_size=8.0,
+        service_rate=3.0,
+        buffer_size=6.0,
         horizon=80,
         twist_values=[0.0, 0.5, 1.0, 1.5, 2.5, 4.0],
         replications=1500,
@@ -41,6 +43,7 @@ class TestSearchTwistedMean:
         assert 0.0 < search_result.best_twist < 4.0
 
     def test_variance_reduction_vs_mc(self, search_result):
+        assert search_result.estimates[0].hits > 0
         assert search_result.variance_reduction_vs(0) > 2.0
 
     def test_scaled_variances_max_one(self, search_result):

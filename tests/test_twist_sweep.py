@@ -34,6 +34,11 @@ MU = 3.5
 BUFFER = 8.0
 HORIZON = 80
 GRID = np.linspace(0.0, 4.5, 10)  # the Fig. 14 scan
+#: A tighter queue whose plain-MC (m* = 0) leg has hits at a few
+#: hundred replications, for bookkeeping tests over grids that start
+#: at 0 (a zero-hit leg raises under the suite's warning filter).
+HIT_MU = 3.0
+HIT_BUFFER = 6.0
 
 
 def arrivals(x):
@@ -198,7 +203,7 @@ class TestSingleGeneration:
     def test_one_generation_serves_whole_grid(self):
         ctx = RunContext()
         sweep_twists(
-            CORR, arrivals, service_rate=MU, buffer_size=BUFFER,
+            CORR, arrivals, service_rate=HIT_MU, buffer_size=HIT_BUFFER,
             horizon=HORIZON, twist_values=GRID, replications=600,
             random_state=5, metrics=ctx,
         )
@@ -217,7 +222,7 @@ class TestSingleGeneration:
     def test_per_twist_hit_counters(self, sweep_result):
         ctx = RunContext()
         sweep_twists(
-            CORR, arrivals, service_rate=MU, buffer_size=BUFFER,
+            CORR, arrivals, service_rate=HIT_MU, buffer_size=HIT_BUFFER,
             horizon=HORIZON, twist_values=GRID[:3], replications=400,
             random_state=5, metrics=ctx,
         )
@@ -233,8 +238,8 @@ class TestSingleGeneration:
 class TestSharedPathsDelegate:
     def test_search_delegates_to_sweep(self):
         kwargs = dict(
-            service_rate=MU,
-            buffer_size=BUFFER,
+            service_rate=HIT_MU,
+            buffer_size=HIT_BUFFER,
             horizon=HORIZON,
             twist_values=GRID[:5],
             replications=500,
