@@ -41,8 +41,8 @@ def pytest_collection_modifyitems(items):
 
     pyproject.toml makes it an error for the tier-1 tests.  A bench
     scaled down by ``REPRO_BENCH_SCALE`` can leave a plain-MC leg
-    without hits (Fig. 14's m* = 0 leg at 0.2); it prints the warning
-    instead of failing the quick pass.
+    without hits; it prints the warning instead of failing the quick
+    pass.
     """
     here = Path(__file__).parent
     for item in items:

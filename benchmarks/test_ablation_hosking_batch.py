@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+from repro.processes.coeff_table import clear_coefficient_cache
 from repro.processes.correlation import CompositeCorrelation
 from repro.processes.hosking import hosking_generate
 
@@ -29,18 +30,15 @@ def test_ablation_hosking_batch(benchmark, emit, record_bench):
             correlation, N, size=reps, random_state=1
         )
 
-    # coeff_table=False keeps the naive loop paying the per-path
-    # Durbin-Levinson recursion this ablation is about; otherwise the
-    # shared table cache would quietly absorb most of the naive cost.
+    def naive_path(i):
+        # Emptying the cache keeps the naive loop paying the per-path
+        # Durbin-Levinson recursion this ablation is about; otherwise
+        # the shared table would quietly absorb most of the naive cost.
+        clear_coefficient_cache()
+        return hosking_generate(correlation, N, random_state=1000 + i)
+
     start = time.perf_counter()
-    naive_paths = np.stack(
-        [
-            hosking_generate(
-                correlation, N, random_state=1000 + i, coeff_table=False
-            )
-            for i in range(reps)
-        ]
-    )
+    naive_paths = np.stack([naive_path(i) for i in range(reps)])
     naive_seconds = time.perf_counter() - start
 
     start = time.perf_counter()

@@ -18,6 +18,7 @@ Run:  python examples/atm_cell_loss_importance_sampling.py
 import numpy as np
 
 from repro import (
+    SimulationError,
     SyntheticCodecConfig,
     SyntheticMPEGCodec,
     UnifiedVBRModel,
@@ -70,8 +71,12 @@ def main() -> None:
             f"  {est.hits:>5}"
         )
     best = search.best_twist
+    try:
+        reduction = f"{search.variance_reduction_vs(0):.0f}x"
+    except SimulationError:
+        reduction = "n/a (m*=0 leg had no hits)"
     print(f"favorable twist m* = {best:.1f}; variance reduction vs MC: "
-          f"{search.variance_reduction_vs(0):.0f}x")
+          f"{reduction}")
 
     # ------------------------------------------------------------------
     # Overflow curve (Fig. 16 style) at the favorable twist.

@@ -41,7 +41,7 @@ from .estimators.mavar import mavar_estimate
 from .estimators.rs_analysis import rs_estimate
 from .estimators.variance_time import variance_time_estimate
 from .estimators.whittle import whittle_estimate
-from .exceptions import ReproError
+from .exceptions import ReproError, SimulationError
 from .queueing.capacity import (
     admissible_sources,
     bufferless_loss_gaussian,
@@ -481,9 +481,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             + f"{estimate.ess:>10.1f}"
         )
     best = search.best_twist
+    try:
+        reduction = f"{search.variance_reduction_vs(0):.3g}x"
+    except SimulationError:
+        reduction = "n/a (m*=0 leg had no hits)"
     print(f"favorable twist: m* = {best:g} "
-          f"(variance reduction vs m*=0: "
-          f"{search.variance_reduction_vs(0):.3g}x)")
+          f"(variance reduction vs m*=0: {reduction})")
 
     curve = overflow_vs_buffer_curve(
         correlation,

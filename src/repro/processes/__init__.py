@@ -8,8 +8,7 @@ synthesize correlated Gaussian *background* processes:
   fractional Gaussian noise, FARIMA(0, d, 0), and the lag-rescaled model
   used by the composite MPEG model (eq. 15).
 - :mod:`repro.processes.hosking` — Hosking's exact conditional-Gaussian
-  generator (eq. 1-6), batch-vectorised across replications, plus a
-  stateful step-at-a-time variant exposing the conditional moments.
+  generator (eq. 1-6), batch-vectorised across replications.
 - :mod:`repro.processes.davies_harte` — the O(n log n) circulant
   embedding generator for long traces.
 - :mod:`repro.processes.spectral_cache` — shared ACVF/eigenvalue tables
@@ -62,7 +61,7 @@ from .farima import (
 )
 from .fgn import fbm_from_fgn, fgn_acvf, fgn_generate
 from .forecast import GaussianForecast, conditional_forecast
-from .hosking import HoskingProcess, hosking_generate
+from .hosking import hosking_generate
 from .mg_infinity import MGInfinityConfig, mg_infinity_generate
 from .partial_corr import DurbinLevinson, partial_autocorrelations
 from .rmd import rmd_fbm, rmd_generate
@@ -108,7 +107,6 @@ __all__ = [
     "clear_coefficient_cache",
     "coefficient_cache_info",
     "set_coefficient_cache_limits",
-    "HoskingProcess",
     "hosking_generate",
     "davies_harte_generate",
     "circulant_eigenvalues",

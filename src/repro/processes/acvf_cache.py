@@ -45,7 +45,6 @@ __all__ = [
     "AcvfTable",
     "AcvfTableCache",
     "acvf_fingerprint",
-    "check_table_arg",
     "resolve_acvf",
 ]
 
@@ -88,22 +87,6 @@ def resolve_acvf(correlation: AcvfLike, lags: int) -> np.ndarray:
             f"{lags}), so it cannot generate the requested path"
         )
     return _check_variance(acvf[:lags])
-
-
-def check_table_arg(value, name: str, table_type: type, bypass: str):
-    """Validate a ``<name>=`` table argument before any draw.
-
-    ``None`` or ``True`` mean the shared cache, ``False`` the uncached
-    ``bypass``, and a ``table_type`` instance is used as-is; anything
-    else raises :class:`~repro.exceptions.ValidationError` naming the
-    argument.
-    """
-    if value is None or isinstance(value, (bool, table_type)):
-        return value
-    raise ValidationError(
-        f"{name} must be a {table_type.__name__}, None (shared cache) "
-        f"or False ({bypass}), got {value!r}"
-    )
 
 
 def acvf_fingerprint(acvf: np.ndarray) -> bytes:

@@ -25,7 +25,7 @@ generator run over the same background model:
   the acvf-keyed cache of :mod:`repro.processes.acvf_cache` (leading-lag
   fingerprint, full prefix verification, a weak per-model memo, LRU
   eviction), so independent call sites (the batch generator, the
-  incremental generator, the importance-sampling likelihood ratios) all
+  exact chunk stitch, the importance-sampling likelihood ratios) all
   share one table per background model without coordinating.
 
 Because the table wraps the exact same
@@ -321,8 +321,9 @@ class CacheInfo(NamedTuple):
 
 #: The shared cache.  A table costs O(horizon^2 / 2) doubles, so
 #: uncapped caching of very long runs would dwarf the sample paths
-#: themselves: horizons above 4096 get an uncached table (callers may
-#: still build and pass an explicit one).
+#: themselves: horizons above 4096 get an uncached table, and
+#: :func:`~repro.processes.hosking.hosking_generate` runs the recursion
+#: in step for them instead of asking for one.
 _CACHE = AcvfTableCache(
     "coeff_table",
     CoefficientTable,

@@ -14,12 +14,12 @@ substitute feasible; the ablation bench compares it against Hosking.
 The spectral decomposition (model ACVF plus circulant eigenvalues) is
 shared across calls through :mod:`repro.processes.spectral_cache` —
 the unconditional-path counterpart of the Hosking path's coefficient
-tables.  ``spectral_table=`` follows the same convention as
-``coeff_table=`` there: ``None``/``True`` use the shared fingerprint
-cache, ``False`` recomputes from scratch (the seed behaviour), and an
-explicit :class:`~repro.processes.spectral_cache.SpectralTable` is
-used as-is.  Caching is RNG-neutral: every variant draws the same
-samples in the same order.
+tables.  ``spectral_table=`` selects the source: ``None``/``True`` use
+the shared fingerprint cache, ``False`` recomputes from scratch (the
+seed behaviour), and an explicit
+:class:`~repro.processes.spectral_cache.SpectralTable` is used as-is.
+Caching is RNG-neutral: every variant draws the same samples in the
+same order.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 from .._validation import check_choice, check_min_length, check_positive_int
 from ..exceptions import ValidationError
 from ..stats.random import RandomState, make_rng
-from .acvf_cache import check_table_arg, resolve_acvf
+from .acvf_cache import resolve_acvf
 from .correlation import CorrelationModel
 from .spectral_cache import (
     EigenvalueEntry,
@@ -118,8 +118,13 @@ def check_davies_harte_options(
     check_choice(
         on_negative_eigenvalues, "on_negative_eigenvalues", ("clip", "raise")
     )
-    check_table_arg(
-        spectral_table, "spectral_table", SpectralTable, "recompute per call"
+    if spectral_table is None or isinstance(
+        spectral_table, (bool, SpectralTable)
+    ):
+        return
+    raise ValidationError(
+        "spectral_table must be a SpectralTable, None (shared cache) or "
+        f"False (recompute per call), got {spectral_table!r}"
     )
 
 

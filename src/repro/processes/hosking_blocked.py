@@ -60,10 +60,7 @@ from ..exceptions import ValidationError
 __all__ = [
     "resolve_block_size",
     "iter_blocks",
-    "is_block_start",
-    "block_width",
     "stack_old_rows",
-    "gemm_fraction",
 ]
 
 #: The ``block_size`` argument accepted by the Hosking interfaces:
@@ -86,24 +83,14 @@ def iter_blocks(n: int, block_size: int) -> Iterator[Tuple[int, int]]:
     """Yield ``(k0, width)`` blocks covering recursion steps ``1 .. n-1``.
 
     Boundaries sit at multiples of ``block_size`` (the first block is
-    ``[1, block_size)``), so a stateful stepper can detect a block
-    start from the step index alone — see :func:`is_block_start`.
+    ``[1, block_size)``); they fix the accumulation order, and so the
+    bits, of the blocked kernel's output.
     """
     k0 = 1
     while k0 < n:
         end = min((k0 // block_size + 1) * block_size, n)
         yield k0, end - k0
         k0 = end
-
-
-def is_block_start(k: int, block_size: int) -> bool:
-    """True when step ``k >= 1`` opens a new block of :func:`iter_blocks`."""
-    return k == 1 or k % block_size == 0
-
-
-def block_width(k0: int, block_size: int, horizon: int) -> int:
-    """Width of the :func:`iter_blocks` block starting at step ``k0``."""
-    return min((k0 // block_size + 1) * block_size, horizon) - k0
 
 
 def stack_old_rows(
@@ -125,27 +112,8 @@ def stack_old_rows(
     return out
 
 
-def gemm_fraction(n: int, block_size: int) -> float:
-    """Analytic share of conditional-mean flops done by block GEMMs.
-
-    Per block, the old-history GEMM performs ``width * k0``
-    coefficient-sample products while the within-block tail performs
-    ``i`` products at local step ``i`` (``sum i = width (width-1)/2``).
-    The batch size scales both identically and cancels.  This is the
-    value exported as the ``hosking.gemm_fraction`` gauge: 0.0 for the
-    per-step bypass, approaching 1 as ``n / block_size`` grows.
-    """
-    gemm = 0
-    tail = 0
-    for k0, width in iter_blocks(n, max(block_size, 1)):
-        gemm += width * k0
-        tail += width * (width - 1) // 2
-    total = gemm + tail
-    return float(gemm / total) if total else 0.0
-
-
 class BlockRows:
-    """Per-block coefficient bundle consumed by the blocked steppers.
+    """Per-block coefficient bundle consumed by :func:`generate_blocked`.
 
     Attributes
     ----------
@@ -157,50 +125,33 @@ class BlockRows:
         (whose row buffer is reused across steps).
     sqrt_variances:
         ``sqrt(v_k)`` per step of the block.
-    variances / phi_sums:
-        ``v_k`` and ``s_k = sum_j phi_kj`` per step (needed by the
-        stateful stepper's :class:`~repro.processes.hosking.HoskingStep`
-        metadata).
     phi_old:
         The stacked ``(width, k0)`` GEMM operand of
         :func:`stack_old_rows`.
     """
 
-    __slots__ = ("k0", "rows", "sqrt_variances", "variances",
-                 "phi_sums", "phi_old")
+    __slots__ = ("k0", "rows", "sqrt_variances", "phi_old")
 
     def __init__(
         self,
         k0: int,
         rows: List[np.ndarray],
-        variances: np.ndarray,
         sqrt_variances: np.ndarray,
-        phi_sums: np.ndarray,
     ) -> None:
         self.k0 = k0
         self.rows = rows
-        self.variances = variances
         self.sqrt_variances = sqrt_variances
-        self.phi_sums = phi_sums
         self.phi_old = stack_old_rows(rows, k0)
-
-    @property
-    def width(self) -> int:
-        return len(self.rows)
 
 
 def table_block_rows(table, k0: int, width: int) -> BlockRows:
     """Collect a block's coefficients from a shared table (zero-copy rows)."""
-    last = k0 + width - 1
-    table.ensure(last)
+    table.ensure(k0 + width - 1)
     rows = [table.phi_row(k0 + i) for i in range(width)]
-    steps = np.arange(k0, k0 + width)
     return BlockRows(
         k0,
         rows,
-        np.array([table.variance(int(k)) for k in steps]),
-        np.array([table.sqrt_variance(int(k)) for k in steps]),
-        np.array([table.phi_sum(int(k)) for k in steps]),
+        np.array([table.sqrt_variance(k0 + i) for i in range(width)]),
     )
 
 
@@ -211,16 +162,12 @@ def incremental_block_rows(state, k0: int, width: int) -> BlockRows:
     ahead of generation leaves the innovation stream untouched.
     """
     rows: List[np.ndarray] = []
-    variances = np.empty(width)
     sqrt_variances = np.empty(width)
-    phi_sums = np.empty(width)
     for i in range(width):
         phi, variance = state.advance()
         rows.append(np.array(phi, copy=True))
-        variances[i] = variance
         sqrt_variances[i] = np.sqrt(variance)
-        phi_sums[i] = state.phi_sum
-    return BlockRows(k0, rows, variances, sqrt_variances, phi_sums)
+    return BlockRows(k0, rows, sqrt_variances)
 
 
 def generate_blocked(
@@ -243,9 +190,9 @@ def generate_blocked(
         per-step bypass instead — this kernel accepts it but pays the
         GEMM bookkeeping for no benefit).
     block_rows_for:
-        ``block_rows_for(k0, width) -> BlockRows`` coefficient provider
-        (:func:`table_block_rows` or :func:`incremental_block_rows`
-        partially applied).
+        ``block_rows_for(k0, width) -> BlockRows`` coefficient provider,
+        backed by :func:`table_block_rows` or
+        :func:`incremental_block_rows`.
     variance0:
         Unconditional variance ``v_0 = r(0)`` driving the first sample.
 

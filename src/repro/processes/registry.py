@@ -176,7 +176,7 @@ def resolve(
         forwarded to the factory.
     options:
         Extra keyword arguments for the backend factory (e.g.
-        ``coeff_table=`` or ``block_size=`` for ``hosking``,
+        ``block_size=`` for ``hosking``,
         ``spectral_table=`` or ``on_negative_eigenvalues=`` for
         ``davies_harte``).
     """

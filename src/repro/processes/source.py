@@ -48,7 +48,7 @@ from .davies_harte import (
     davies_harte_generate,
 )
 from .farima import farima_generate
-from .hosking import CoeffTableArg, check_coeff_table, hosking_generate
+from .hosking import hosking_generate
 from .hosking_blocked import BlockSizeArg, resolve_block_size
 from .mg_infinity import MGInfinityConfig, mg_infinity_generate
 from .rmd import rmd_generate
@@ -217,13 +217,11 @@ class HoskingSource(GaussianSource):
         self,
         correlation: CorrelationLike,
         *,
-        coeff_table: CoeffTableArg = None,
         block_size: BlockSizeArg = None,
     ) -> None:
         self._correlation = correlation
         # Validate at construction (registry contract: bad options fail
         # before any simulation work starts).
-        self._coeff_table = check_coeff_table(coeff_table)
         self._block_size = resolve_block_size(block_size)
 
     def sample(self, n, *, size=None, mean=0.0, random_state=None):
@@ -233,7 +231,6 @@ class HoskingSource(GaussianSource):
             size=size,
             mean=mean,
             random_state=random_state,
-            coeff_table=self._coeff_table,
             block_size=self._block_size,
         )
 

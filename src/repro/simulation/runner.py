@@ -207,12 +207,6 @@ def overflow_vs_buffer_curve(
     )
 
 
-# Batched transform application now lives in repro.simulation.importance
-# (shared with the shared-path twist sweep); keep the historical private
-# name importable for downstream code.
-_batched_arrivals = batched_arrivals
-
-
 def _mc_buffer_leg(
     correlation: Union[CorrelationModel, Sequence[float]],
     transform: ArrivalTransform,
@@ -232,7 +226,7 @@ def _mc_buffer_leg(
         paths = source.sample(
             horizon, size=replications, random_state=random_state
         )
-        arrivals = _batched_arrivals(transform, paths)
+        arrivals = batched_arrivals(transform, paths)
         estimate = transient_overflow_mc(
             arrivals, service_rate, buffer_size
         )

@@ -123,12 +123,26 @@ class TwistSearchResult:
         With index 0 pointing at ``m* = 0`` (plain Monte Carlo) this is
         the paper's "required number of replications ... reduced by
         1000" figure of merit.
+
+        Raises
+        ------
+        SimulationError
+            If the baseline grid point had no hits: its normalized
+            variance is undefined, so no reduction can be read off it.
         """
-        baseline = self.estimates[baseline_index].normalized_variance
+        baseline = self.estimates[baseline_index]
+        if baseline.hits == 0:
+            raise SimulationError(
+                f"baseline grid point {baseline_index} (m* = "
+                f"{baseline.twisted_mean:g}) had 0 hits in "
+                f"{baseline.replications} replications, so it has no "
+                "normalized variance to compare against; raise "
+                "replications or lower the buffer"
+            )
         best = self.best_estimate.normalized_variance
-        if not np.isfinite(baseline) or best <= 0:
+        if not np.isfinite(baseline.normalized_variance) or best <= 0:
             return float("inf")
-        return baseline / best
+        return baseline.normalized_variance / best
 
 
 def search_twisted_mean(

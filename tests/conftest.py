@@ -6,10 +6,17 @@ so the suite stays fast while many test modules can exercise them.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 from repro.core import CompositeMPEGModel, UnifiedVBRModel
+from repro.processes.coeff_table import (
+    clear_coefficient_cache,
+    coefficient_cache_info,
+    set_coefficient_cache_limits,
+)
 from repro.video import SyntheticCodecConfig, SyntheticMPEGCodec
 
 
@@ -88,3 +95,22 @@ def pooled_generation(model, *, paths=192, length=800, seed=0):
 def fitted_composite(ibp_trace):
     """A composite MPEG model fitted to the interframe trace."""
     return CompositeMPEGModel(max_lag_i=30).fit(ibp_trace, random_state=404)
+
+
+@contextmanager
+def coefficient_cache_cap(horizon: int):
+    """Lower the coefficient cache's horizon cap inside the block.
+
+    ``hosking_generate`` reads the shared table for a horizon up to the
+    cap and runs the Durbin-Levinson recursion in step above it, so a
+    lowered cap lets a short path drive the in-step source.  The cache
+    is emptied on entry and exit, and the previous cap is restored.
+    """
+    previous = coefficient_cache_info().max_cached_horizon
+    clear_coefficient_cache()
+    set_coefficient_cache_limits(max_cached_horizon=horizon)
+    try:
+        yield
+    finally:
+        set_coefficient_cache_limits(max_cached_horizon=previous)
+        clear_coefficient_cache()

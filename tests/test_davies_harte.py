@@ -136,7 +136,7 @@ class TestEdgeCases:
 
 
 class TestSpectralTableArgument:
-    """The spectral_table= knob mirrors hosking's coeff_table=."""
+    """The spectral_table= knob: shared cache, explicit table or bypass."""
 
     def setup_method(self):
         from repro.processes.spectral_cache import clear_spectral_cache

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
+from repro.processes.coeff_table import get_coefficient_table
 from repro.processes.correlation import (
     FGNCorrelation,
     WhiteNoiseCorrelation,
@@ -48,22 +49,15 @@ class TestConditionalForecast:
 
     def test_matches_hosking_one_step(self):
         """The one-step conditional mean equals Hosking's m_k."""
-        from repro.processes.hosking import HoskingProcess
-
         corr = FGNCorrelation(0.8)
-        proc = HoskingProcess(corr, 21, size=1, random_state=2)
-        for _ in range(20):
-            step = proc.step()
-        history = proc.history[0, :20]
+        history = hosking_generate(corr, 20, random_state=2)
         fc = conditional_forecast(corr, history, 1)
-        # Generate the 21st step and compare its conditional mean.
-        final = proc.step()
+        # Hosking's 21st step: m_20 = sum_j phi_20j x_{20-j}, variance v_20.
+        table = get_coefficient_table(corr, 21)
         assert fc.mean[0] == pytest.approx(
-            float(final.cond_mean[0]), abs=1e-9
+            float(table.phi_row(20) @ history[::-1]), abs=1e-9
         )
-        assert fc.std[0] ** 2 == pytest.approx(
-            final.cond_variance, abs=1e-9
-        )
+        assert fc.std[0] ** 2 == pytest.approx(table.variance(20), abs=1e-9)
 
     def test_monte_carlo_coverage(self):
         """~95% of simulated futures fall inside the 1.96-sigma band."""

@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import GenerationError, ValidationError
+from repro.exceptions import ValidationError
+from repro.processes import hosking
+from repro.processes.coeff_table import coefficient_cache_info
 from repro.processes.correlation import (
+    CompositeCorrelation,
     ExponentialCorrelation,
     FGNCorrelation,
     WhiteNoiseCorrelation,
 )
-from repro.processes.hosking import HoskingProcess, hosking_generate
+from repro.processes.hosking import hosking_generate
+from tests.conftest import coefficient_cache_cap
 
 
 class TestHoskingGenerate:
@@ -72,67 +76,6 @@ class TestHoskingGenerate:
         assert sample == pytest.approx(float(corr(10)), abs=0.05)
 
 
-class TestHoskingProcess:
-    def test_matches_batch_with_same_innovations(self):
-        corr = FGNCorrelation(0.8)
-        n, size = 40, 6
-        rng = np.random.default_rng(9)
-        z = rng.standard_normal((size, n))
-        batch = hosking_generate(corr, n, size=size, innovations=z)
-
-        class _FixedRng:
-            def __init__(self, table):
-                self._table = table
-                self._i = 0
-
-            def standard_normal(self, count):
-                col = self._table[:, self._i]
-                self._i += 1
-                return col.copy()
-
-        proc = HoskingProcess(corr, n, size=size, random_state=0)
-        proc._rng = _FixedRng(z)  # inject the same innovations
-        out = proc.run()
-        np.testing.assert_allclose(out, batch, atol=1e-12)
-
-    def test_step_metadata(self):
-        proc = HoskingProcess(FGNCorrelation(0.7), 10, size=4,
-                              random_state=1)
-        first = proc.step()
-        assert first.cond_variance == pytest.approx(1.0)
-        assert first.phi_sum == 0.0
-        np.testing.assert_array_equal(first.cond_mean, np.zeros(4))
-        second = proc.step()
-        assert 0 < second.cond_variance < 1.0
-        assert second.phi_sum != 0.0
-
-    def test_horizon_exhaustion(self):
-        proc = HoskingProcess(FGNCorrelation(0.7), 3, random_state=1)
-        proc.run()
-        with pytest.raises(GenerationError, match="horizon"):
-            proc.step()
-
-    def test_run_partial_then_rest(self):
-        proc = HoskingProcess(FGNCorrelation(0.7), 10, size=2,
-                              random_state=2)
-        proc.run(4)
-        assert proc.step_index == 4
-        out = proc.run()
-        assert out.shape == (2, 10)
-
-    def test_run_rejects_overshoot(self):
-        proc = HoskingProcess(FGNCorrelation(0.7), 5, random_state=3)
-        with pytest.raises(GenerationError, match="remain"):
-            proc.run(6)
-
-    def test_history_is_copy(self):
-        proc = HoskingProcess(FGNCorrelation(0.7), 5, random_state=4)
-        proc.step()
-        h = proc.history
-        h[:] = 99.0
-        assert not np.any(proc.history == 99.0)
-
-
 class TestEdgeCases:
     def test_single_sample(self):
         x = hosking_generate(FGNCorrelation(0.9), 1, random_state=20)
@@ -179,105 +122,60 @@ class TestInnovationsValidation:
         assert xb.shape == (3, 4)
 
 
-class TestRunAtExhaustedHorizon:
-    def test_run_default_after_completion_returns_history(self):
-        # Regression: run(steps=None) on a finished process used to
-        # raise "steps must be a positive int, got 0".
-        proc = HoskingProcess(FGNCorrelation(0.7), 6, size=2,
-                              random_state=11)
-        first = proc.run()
-        again = proc.run()
-        np.testing.assert_array_equal(first, again)
-        assert proc.step_index == 6
-
-    def test_explicit_steps_after_completion_still_rejected(self):
-        proc = HoskingProcess(FGNCorrelation(0.7), 4, random_state=12)
-        proc.run()
-        with pytest.raises(GenerationError, match="remain"):
-            proc.run(1)
-
-
 class TestCoefficientTableParity:
+    """The horizon picks the coefficient source.
+
+    Up to the coefficient cache's cap a run reads the shared table;
+    above it the Durbin-Levinson recursion runs in step with generation.
+    The table stores exactly the recursion's outputs, so both sources
+    give the same bits in both kernels.
+    """
+
+    CAP = 32
+
+    @staticmethod
+    def _generate(model, z, block_size, cap):
+        """Paths and the number of cached tables under a given cap."""
+        with coefficient_cache_cap(cap):
+            x = hosking_generate(model, z.shape[1], size=z.shape[0],
+                                 innovations=z, block_size=block_size)
+            return x, coefficient_cache_info().tables
+
     def test_generate_table_matches_incremental(self):
-        model = FGNCorrelation(0.85)
         rng = np.random.default_rng(7)
-        z = rng.standard_normal((4, 60))
-        with_table = hosking_generate(
-            model, 60, size=4, innovations=z, coeff_table=True
+        models = (
+            FGNCorrelation(0.85),
+            CompositeCorrelation.paper_fit().with_continuity(),
         )
-        without = hosking_generate(
-            model, 60, size=4, innovations=z, coeff_table=False
-        )
-        np.testing.assert_array_equal(with_table, without)
+        for model in models:
+            for n in (self.CAP, self.CAP + 1, 3 * self.CAP):
+                z = rng.standard_normal((4, n))
+                for block_size in (1, 8):
+                    cached, cached_tables = self._generate(
+                        model, z, block_size, cap=n
+                    )
+                    lowered, lowered_tables = self._generate(
+                        model, z, block_size, cap=self.CAP
+                    )
+                    assert cached_tables == 1
+                    # At the cap the table still serves; above it the
+                    # recursion runs in step and caches nothing.
+                    assert lowered_tables == int(n <= self.CAP)
+                    np.testing.assert_array_equal(lowered, cached)
 
-    def test_process_table_matches_incremental(self):
-        model = ExponentialCorrelation(0.3)
-        a = HoskingProcess(model, 30, size=3, random_state=13,
-                           coeff_table=True)
-        b = HoskingProcess(model, 30, size=3, random_state=13,
-                           coeff_table=False)
-        np.testing.assert_array_equal(a.run(), b.run())
+    def test_no_table_requested_above_cap(self, monkeypatch):
+        requested = []
+        shared = hosking.get_coefficient_table
 
-    def test_explicit_table_instance(self):
-        from repro.processes.coeff_table import CoefficientTable
+        def spy(correlation, n):
+            requested.append(n)
+            return shared(correlation, n)
 
-        model = FGNCorrelation(0.75)
-        table = CoefficientTable(model.acvf(25))
-        a = HoskingProcess(model, 25, random_state=14, coeff_table=table)
-        b = HoskingProcess(model, 25, random_state=14, coeff_table=False)
-        np.testing.assert_array_equal(a.run(), b.run())
-
-
-class TestRetirement:
-    def test_retired_rows_freeze_active_rows_unchanged(self):
+        monkeypatch.setattr(hosking, "get_coefficient_table", spy)
         model = FGNCorrelation(0.8)
-        ref = HoskingProcess(model, 20, size=4, random_state=15)
-        full = ref.run()
-        proc = HoskingProcess(model, 20, size=4, random_state=15)
-        proc.run(8)
-        assert proc.retire(np.array([False, True, False, True])) == 2
-        out = proc.run()
-        # Active rows are bit-identical to the never-retired run;
-        # retired rows stay frozen at zero past the retirement step.
-        np.testing.assert_array_equal(out[0], full[0])
-        np.testing.assert_array_equal(out[2], full[2])
-        np.testing.assert_array_equal(out[1, :8], full[1, :8])
-        assert np.all(out[1, 8:] == 0.0)
-        assert np.all(out[3, 8:] == 0.0)
-
-    def test_retire_by_indices(self):
-        proc = HoskingProcess(FGNCorrelation(0.7), 10, size=5,
-                              random_state=16)
-        assert proc.retire(np.array([1, 3])) == 3
-        assert proc.active_count == 3
-        np.testing.assert_array_equal(
-            proc.active_mask, [True, False, True, False, True]
-        )
-
-    def test_retire_is_permanent_and_idempotent(self):
-        proc = HoskingProcess(FGNCorrelation(0.7), 10, size=3,
-                              random_state=17)
-        proc.retire(np.array([0]))
-        proc.retire(np.array([0]))
-        assert proc.active_count == 2
-
-    def test_retire_validation(self):
-        proc = HoskingProcess(FGNCorrelation(0.7), 10, size=3,
-                              random_state=18)
-        with pytest.raises(ValidationError):
-            proc.retire(np.array([0.5, 1.5]))
-        with pytest.raises(ValidationError):
-            proc.retire(np.array([5]))
-        with pytest.raises(ValidationError):
-            proc.retire(np.ones(4, dtype=bool))
-
-    def test_all_retired_step_is_cheap_noop_draw(self):
-        # Even fully retired, step() must keep consuming innovations so
-        # that later un-retired processes cannot desynchronize streams.
-        proc = HoskingProcess(FGNCorrelation(0.7), 6, size=2,
-                              random_state=19)
-        proc.step()
-        proc.retire(np.array([True, True]))
-        out = proc.step()
-        assert np.all(out.values == 0.0)
-        assert proc.step_index == 2
+        with coefficient_cache_cap(self.CAP):
+            for block_size in (1, 8):
+                for n in (self.CAP, self.CAP + 1):
+                    hosking_generate(model, n, size=2, random_state=1,
+                                     block_size=block_size)
+        assert requested == [self.CAP, self.CAP]

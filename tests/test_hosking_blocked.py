@@ -4,9 +4,10 @@ Covers the exactness contract spelled out in
 ``repro.processes.hosking_blocked``:
 
 * ``block_size=1`` (and ``None``) is **bitwise identical** to the
-  historical per-step loop — including the ``coeff_table=False``
-  incremental bypass, whose reversed-view matmul hits numpy's pairwise
-  summation fallback and therefore must not be re-laid-out.
+  historical per-step loop, on the cached table and on the recursion
+  run in step above the cache cap alike; its reversed-view matmul hits
+  numpy's pairwise summation fallback and therefore must not be
+  re-laid-out.
 * ``block_size > 1`` is ``allclose`` at ``rtol <= 1e-10`` (same
   conditional law, different floating-point accumulation order).
 * Blocked output is distributionally indistinguishable from per-step
@@ -19,23 +20,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
-from repro.observability import RunContext
 from repro.processes import registry
 from repro.processes.coeff_table import CoefficientTable
 from repro.processes.correlation import (
     ExponentialCorrelation,
     FGNCorrelation,
 )
-from repro.processes.hosking import HoskingProcess, hosking_generate
+from repro.processes.hosking import hosking_generate
 from repro.processes.hosking_blocked import (
-    block_width,
-    gemm_fraction,
-    is_block_start,
     iter_blocks,
     resolve_block_size,
     stack_old_rows,
 )
 from repro.processes.source import HoskingSource
+from tests.conftest import coefficient_cache_cap
 
 FAST = settings(max_examples=25, deadline=None)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -66,25 +64,11 @@ class TestBlockGeometry:
         k = 1
         for k0, width in blocks:
             assert k0 == k
-            assert width == block_width(k0, B, n)
             assert width >= 1
             # Every block ends on a multiple of B (or at the horizon).
             assert (k0 + width) % B == 0 or k0 + width == n
             k += width
         assert k == n
-
-    @pytest.mark.parametrize("n", [5, 64, 100])
-    @pytest.mark.parametrize("B", [2, 8, 33])
-    def test_is_block_start_matches_iteration(self, n, B):
-        starts = {k0 for k0, _ in iter_blocks(n, B)}
-        for k in range(1, n):
-            assert is_block_start(k, B) == (k in starts)
-
-    def test_gemm_fraction_bounds(self):
-        frac = gemm_fraction(4096, 64)
-        assert 0.9 < frac < 1.0
-        # Larger blocks shift less work into the GEMM.
-        assert gemm_fraction(4096, 256) < frac
 
     def test_stack_old_rows(self):
         rows = [np.arange(10, dtype=float) + i for i in range(3)]
@@ -120,13 +104,15 @@ class TestBlockedEquivalence:
         "corr", [FGNCorrelation(0.6), ExponentialCorrelation(0.9)]
     )
     def test_blocked_allclose_incremental_path(self, B, corr):
-        # coeff_table=False exercises the DurbinLevinson block advance.
+        # A horizon above the cache cap exercises the in-step
+        # DurbinLevinson block advance.
         n = 70
         z = _shared_innovations(11, 3, n)
-        base = hosking_generate(corr, n, size=3, innovations=z,
-                                coeff_table=False, block_size=1)
-        blocked = hosking_generate(corr, n, size=3, innovations=z,
-                                   coeff_table=False, block_size=B)
+        with coefficient_cache_cap(n - 1):
+            base = hosking_generate(corr, n, size=3, innovations=z,
+                                    block_size=1)
+            blocked = hosking_generate(corr, n, size=3, innovations=z,
+                                       block_size=B)
         np.testing.assert_allclose(blocked, base, rtol=1e-10, atol=1e-12)
 
     def test_flat_path_blocked(self):
@@ -167,12 +153,12 @@ class TestBypassBitIdentity:
 
         for bs in (None, 1):
             got = hosking_generate(corr, n, size=size, innovations=z,
-                                   coeff_table=table, block_size=bs)
+                                   block_size=bs)
             np.testing.assert_array_equal(got, x)
 
     @pytest.mark.parametrize("seed", [1, 42])
     def test_incremental_bypass_bitwise_vs_legacy_reference(self, seed):
-        # Satellite: the coeff_table=False bypass reads the SAME
+        # Above the cache cap the recursion runs in step under the SAME
         # reversed-view formulation as the table path; pin its bits.
         from repro.processes.coeff_table import resolve_acvf
         from repro.processes.partial_corr import DurbinLevinson
@@ -190,10 +176,11 @@ class TestBypassBitIdentity:
             mean_k = x[:, k - 1 :: -1][:, :k] @ phi
             x[:, k] = mean_k + np.sqrt(variance) * z[:, k]
 
-        for bs in (None, 1):
-            got = hosking_generate(corr, n, size=size, innovations=z,
-                                   coeff_table=False, block_size=bs)
-            np.testing.assert_array_equal(got, x)
+        with coefficient_cache_cap(n - 1):
+            for bs in (None, 1):
+                got = hosking_generate(corr, n, size=size, innovations=z,
+                                       block_size=bs)
+                np.testing.assert_array_equal(got, x)
 
     @given(seed=seeds)
     @FAST
@@ -203,101 +190,6 @@ class TestBypassBitIdentity:
         b = hosking_generate(corr, 40, size=3, random_state=seed,
                              block_size=1)
         np.testing.assert_array_equal(a, b)
-
-    def test_process_bypass_bitwise(self):
-        corr = FGNCorrelation(0.8)
-        base = HoskingProcess(corr, 30, size=4, random_state=5).run()
-        bypass = HoskingProcess(corr, 30, size=4, random_state=5,
-                                block_size=1).run()
-        np.testing.assert_array_equal(base, bypass)
-
-
-class TestBlockedProcess:
-    def _fixed(self, table):
-        class _FixedRng:
-            def __init__(self, tbl):
-                self._table = tbl
-                self._i = 0
-
-            def standard_normal(self, count):
-                col = self._table[:, self._i]
-                self._i += 1
-                return col.copy()
-
-        return _FixedRng(table)
-
-    def test_blocked_process_matches_per_step(self):
-        corr = FGNCorrelation(0.85)
-        n, size = 50, 6
-        z = _shared_innovations(21, size, n)
-        base = HoskingProcess(corr, n, size=size)
-        base._rng = self._fixed(z)
-        blocked = HoskingProcess(corr, n, size=size, block_size=8)
-        blocked._rng = self._fixed(z)
-        for _ in range(n):
-            a = base.step()
-            b = blocked.step()
-            np.testing.assert_allclose(b.values, a.values,
-                                       rtol=1e-10, atol=1e-12)
-            np.testing.assert_allclose(b.cond_mean, a.cond_mean,
-                                       rtol=1e-10, atol=1e-10)
-            assert b.cond_variance == pytest.approx(a.cond_variance)
-            assert b.phi_sum == pytest.approx(a.phi_sum)
-
-    def test_blocked_retirement_alignment(self):
-        # Retiring mid-block must not disturb the innovation stream or
-        # the surviving rows' values.
-        corr = FGNCorrelation(0.8)
-        n, size = 40, 5
-        z = _shared_innovations(33, size, n)
-        base = HoskingProcess(corr, n, size=size)
-        base._rng = self._fixed(z)
-        blocked = HoskingProcess(corr, n, size=size, block_size=8)
-        blocked._rng = self._fixed(z)
-        for k in range(n):
-            a = base.step()
-            b = blocked.step()
-            if k == 5:
-                base.retire(np.array([1, 3]))
-                blocked.retire(np.array([1, 3]))
-            if k == 20:
-                base.retire(np.array([0]))
-                blocked.retire(np.array([0]))
-            active = base.active_mask
-            np.testing.assert_allclose(
-                b.values[active], a.values[active],
-                rtol=1e-10, atol=1e-12,
-            )
-        np.testing.assert_allclose(
-            blocked.history[base.active_mask],
-            base.history[base.active_mask],
-            rtol=1e-10, atol=1e-12,
-        )
-
-    def test_blocked_metrics(self):
-        ctx = RunContext()
-        proc = HoskingProcess(FGNCorrelation(0.7), 33, size=3,
-                              block_size=8, metrics=ctx)
-        proc.retire(np.array([2]))
-        proc.run()
-        values = {
-            (e["name"], tuple(sorted(e["labels"].items()))): e["value"]
-            for e in ctx.snapshot()
-        }
-        flat = {name: v for (name, _), v in values.items()}
-        assert flat["hosking.block_size"] == 8
-        assert 0.0 < flat["hosking.gemm_fraction"] < 1.0
-        assert flat["hosking.blocks"] == len(list(iter_blocks(33, 8)))
-        # One compaction event per opened block while a row is retired.
-        assert flat["hosking.compaction_events"] == flat["hosking.blocks"]
-
-    def test_generate_metrics(self):
-        ctx = RunContext()
-        hosking_generate(FGNCorrelation(0.7), 65, size=2, block_size=16,
-                         metrics=ctx, random_state=0)
-        flat = {e["name"]: e["value"] for e in ctx.snapshot()}
-        assert flat["hosking.block_size"] == 16
-        assert flat["hosking.blocks"] == len(list(iter_blocks(65, 16)))
 
 
 class TestSourceAndRegistry:

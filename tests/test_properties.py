@@ -410,44 +410,30 @@ class TestNorrosProperties:
 
 
 class TestCoefficientTableProperties:
-    """Table-backed generation must be bit-identical to the incremental
+    """Table-backed generation must be bit-identical to the in-step
     Durbin-Levinson path for any Hurst parameter, horizon, and batch."""
 
     @FAST
     @given(
         hurst=hurst_values,
-        n=st.integers(min_value=1, max_value=40),
+        # The lowest cap is 1, so the in-step source needs n >= 2.
+        n=st.integers(min_value=2, max_value=40),
         size=st.integers(min_value=1, max_value=4),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
     def test_generate_bit_identical(self, hurst, n, size, seed):
         from repro.processes.hosking import hosking_generate
+        from tests.conftest import coefficient_cache_cap
 
         model = FGNCorrelation(hurst)
         z = np.random.default_rng(seed).standard_normal((size, n))
-        with_table = hosking_generate(
-            model, n, size=size, innovations=z, coeff_table=True
-        )
-        without = hosking_generate(
-            model, n, size=size, innovations=z, coeff_table=False
-        )
-        np.testing.assert_array_equal(with_table, without)
-
-    @FAST
-    @given(
-        hurst=hurst_values,
-        n=st.integers(min_value=2, max_value=30),
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-    )
-    def test_process_bit_identical(self, hurst, n, seed):
-        from repro.processes.hosking import HoskingProcess
-
-        model = FGNCorrelation(hurst)
-        a = HoskingProcess(model, n, size=2, random_state=seed,
-                           coeff_table=True)
-        b = HoskingProcess(model, n, size=2, random_state=seed,
-                           coeff_table=False)
-        np.testing.assert_array_equal(a.run(), b.run())
+        with coefficient_cache_cap(n):
+            with_table = hosking_generate(
+                model, n, size=size, innovations=z
+            )
+        with coefficient_cache_cap(n - 1):
+            in_step = hosking_generate(model, n, size=size, innovations=z)
+        np.testing.assert_array_equal(with_table, in_step)
 
     @FAST
     @given(

@@ -84,8 +84,9 @@ class TestAutoPolicy:
 
     def test_options_forwarded_to_factory(self):
         source = registry.resolve(
-            "hosking", FGNCorrelation(HURST), coeff_table=False
+            "hosking", FGNCorrelation(HURST), block_size=4
         )
+        assert source.describe()["block_size"] == 4
         x = source.sample(16, random_state=0)
         assert x.shape == (16,)
 
@@ -96,7 +97,7 @@ class TestOptionsValidatedAtConstruction:
     @pytest.mark.parametrize("backend,option,value", [
         ("davies_harte", "on_negative_eigenvalues", "bogus"),
         ("davies_harte", "spectral_table", "yes"),
-        ("hosking", "coeff_table", "yes"),
+        ("hosking", "block_size", "yes"),
     ])
     def test_bad_option_raises_naming_it(self, backend, option, value):
         with pytest.raises(ValidationError, match=option):

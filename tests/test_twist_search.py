@@ -5,6 +5,7 @@ import pytest
 
 from repro.exceptions import SimulationError
 from repro.processes.correlation import ExponentialCorrelation
+from repro.simulation.estimators import ISEstimate
 from repro.simulation.twist_search import (
     TwistSearchResult,
     search_twisted_mean,
@@ -86,6 +87,39 @@ class TestSearchTwistedMean:
         )
         with pytest.raises(SimulationError):
             _ = result.best_index
+
+
+class TestVarianceReductionBaseline:
+    """A baseline leg without hits has no normalized variance to beat."""
+
+    @staticmethod
+    def _result(baseline_hits):
+        baseline = ISEstimate(
+            probability=0.006 if baseline_hits else 0.0,
+            variance=3e-5 if baseline_hits else 0.0,
+            replications=200,
+            hits=baseline_hits,
+            twisted_mean=0.0,
+        )
+        best = ISEstimate(
+            probability=0.005, variance=2e-8, replications=200, hits=180,
+            twisted_mean=2.5,
+        )
+        return TwistSearchResult(np.array([0.0, 2.5]), [baseline, best])
+
+    def test_zero_hit_baseline_raises(self):
+        with pytest.raises(SimulationError,
+                           match=r"grid point 0 .* 0 hits in 200"):
+            self._result(0).variance_reduction_vs(0)
+
+    def test_baseline_with_hits_gives_ratio(self):
+        result = self._result(6)
+        expected = (
+            result.estimates[0].normalized_variance
+            / result.estimates[1].normalized_variance
+        )
+        assert result.variance_reduction_vs(0) == pytest.approx(expected)
+        assert np.isfinite(expected)
 
 
 class TestParallelSearch:

@@ -90,8 +90,7 @@ class TestSequentialEquivalence:
         table = CoefficientTable(resolve_acvf(CORR, horizon))
         z = make_rng(seed).standard_normal((replications, horizon))
         paths = hosking_generate(
-            CORR, horizon, size=replications, innovations=z,
-            coeff_table=table,
+            CORR, horizon, size=replications, innovations=z
         )
         return table, z, paths
 
