@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from repro.estimators.bakeoff import run_bakeoff
-from repro.observability import NULL_CONTEXT, RunContext
+from repro.observability import RunContext, current_context, recording
 
 from .conftest import format_series, scaled
 
@@ -37,7 +37,7 @@ def _null_cost_per_op(calls: int = 200_000) -> float:
     """Seconds per disabled-instrumentation call (with label kwargs)."""
     start = time.perf_counter()
     for _ in range(calls):
-        NULL_CONTEXT.inc("bakeoff.estimates", 1.0, estimator="mavar")
+        current_context().inc("bakeoff.estimates", 1.0, estimator="mavar")
     return (time.perf_counter() - start) / calls
 
 
@@ -52,9 +52,10 @@ def test_bakeoff_matrix_and_overhead(benchmark, emit, record_bench):
     )
     timings = {}
 
-    def bakeoff(label, metrics=None):
+    def bakeoff(label, ctx=None):
         start = time.perf_counter()
-        result = run_bakeoff(metrics=metrics, **kwargs)
+        with recording(ctx):
+            result = run_bakeoff(**kwargs)
         timings[label] = time.perf_counter() - start
         return result
 
@@ -62,7 +63,7 @@ def test_bakeoff_matrix_and_overhead(benchmark, emit, record_bench):
         lambda: bakeoff("plain"), rounds=1, iterations=1
     )
     ctx = RunContext()
-    instrumented = bakeoff("instrumented", metrics=ctx)
+    instrumented = bakeoff("instrumented", ctx)
 
     # Instrumentation must not perturb a single estimate.
     for a, b in zip(plain.cells, instrumented.cells):

@@ -1,8 +1,9 @@
 """Ablation — cost of the observability layer on a Fig. 16-style sweep.
 
-The observability contract is "no-op cheap when disabled": a run
-without ``metrics=`` pays one attribute lookup and an empty method call
-per instrumented site.  This bench bounds that cost directly:
+The observability contract is "no-op cheap when disabled": a run with
+no context bound (no ``recording`` block) pays one context-variable
+read and an empty method call per instrumented site.  This bench bounds
+that cost directly:
 
 1. run the importance-sampling buffer sweep plain and instrumented,
    checking the estimates are bit-identical (instrumentation never
@@ -10,7 +11,8 @@ per instrumented site.  This bench bounds that cost directly:
 2. count the metric operations the instrumented run recorded
    (``MetricsRegistry.operation_count``) — a proxy for the number of
    instrumented call sites the disabled run executes;
-3. microbenchmark the null context's per-call cost, and assert
+3. microbenchmark the null context's per-call cost (charging every
+   call a ``current_context()`` read), and assert
 
    ``operation_count * null_cost_per_op < 2% of the plain sweep time``.
 
@@ -25,7 +27,7 @@ import time
 
 import numpy as np
 
-from repro.observability import NULL_CONTEXT, RunContext
+from repro.observability import RunContext, current_context, recording
 from repro.observability.sinks import sanitize_value
 from repro.simulation.runner import overflow_vs_buffer_curve
 
@@ -63,7 +65,7 @@ def _null_cost_per_op(calls: int = 200_000) -> float:
     """Seconds per disabled-instrumentation call (with label kwargs)."""
     start = time.perf_counter()
     for _ in range(calls):
-        NULL_CONTEXT.inc("is.hits", 1.0, twist=0.5)
+        current_context().inc("is.hits", 1.0, twist=0.5)
     return (time.perf_counter() - start) / calls
 
 
@@ -81,11 +83,12 @@ def test_observability_null_overhead(benchmark, unified_model,
     correlation = unified_model.background_correlation
     timings = {}
 
-    def sweep(label, metrics=None):
+    def sweep(label, ctx=None):
         start = time.perf_counter()
-        curve = overflow_vs_buffer_curve(
-            correlation, arrival_transform, metrics=metrics, **kwargs
-        )
+        with recording(ctx):
+            curve = overflow_vs_buffer_curve(
+                correlation, arrival_transform, **kwargs
+            )
         timings[label] = time.perf_counter() - start
         return curve
 
@@ -93,7 +96,7 @@ def test_observability_null_overhead(benchmark, unified_model,
         lambda: sweep("plain"), rounds=1, iterations=1
     )
     ctx = RunContext()
-    instrumented = sweep("instrumented", metrics=ctx)
+    instrumented = sweep("instrumented", ctx)
 
     # Instrumentation must not perturb the estimates.
     for a, b in zip(plain.estimates, instrumented.estimates):

@@ -47,7 +47,7 @@ from repro.processes.spectral_cache import (
     clear_spectral_cache,
     spectral_cache_info,
 )
-from repro.observability import RunContext
+from repro.observability import RunContext, recording
 from repro.observability.sinks import sanitize_value
 from repro.queueing.multiplexer import service_rate_for_utilization
 from repro.queueing.overflow import transient_overflow_mc
@@ -147,17 +147,17 @@ def test_ablation_spectral_cache(benchmark, emit, record_bench):
     ctx = RunContext()
 
     def cached_sweep():
-        return mc_overflow_vs_buffer_curve(
-            model,
-            _transform,
-            utilization=UTILIZATION,
-            buffer_sizes=BUFFERS,
-            replications=REPLICATIONS,
-            horizon_factor=HORIZON_FACTOR,
-            random_state=SEED,
-            workers=1,
-            metrics=ctx,
-        )
+        with recording(ctx):
+            return mc_overflow_vs_buffer_curve(
+                model,
+                _transform,
+                utilization=UTILIZATION,
+                buffer_sizes=BUFFERS,
+                replications=REPLICATIONS,
+                horizon_factor=HORIZON_FACTOR,
+                random_state=SEED,
+                workers=1,
+            )
 
     start = time.perf_counter()
     curve = benchmark.pedantic(cached_sweep, rounds=1, iterations=1)

@@ -4,9 +4,9 @@ The same pipeline as ``atm_cell_loss_importance_sampling.py`` — fit the
 unified model, locate the variance valley (Fig. 14), run the Fig. 16
 buffer sweep — but with the run-metrics observability layer attached:
 
-1. a :class:`repro.observability.RunContext` is threaded through the
-   fit, the twist search, and the buffer sweep (each under its own
-   ``phase=`` scope);
+1. a :class:`repro.observability.RunContext` is bound with
+   :func:`repro.recording` around the fit, the twist search, and the
+   buffer sweep (each under its own ``phase=`` scope);
 2. afterwards the snapshot is interrogated for importance-sampling
    convergence diagnostics: effective sample size (ESS) per twist, the
    likelihood-ratio weight spread, per-leg wall times, and
@@ -27,6 +27,7 @@ from repro import (
     SyntheticCodecConfig,
     SyntheticMPEGCodec,
     UnifiedVBRModel,
+    recording,
     render_prometheus,
     to_json_lines,
 )
@@ -47,37 +48,36 @@ def main() -> None:
     trace = SyntheticMPEGCodec(
         SyntheticCodecConfig.intraframe_paper_like(num_frames=120_000)
     ).generate(random_state=21)
-    model = UnifiedVBRModel(
-        max_lag=400, metrics=ctx.scoped(phase="fit")
-    ).fit(trace, random_state=22)
+    with recording(ctx.scoped(phase="fit")):
+        model = UnifiedVBRModel(max_lag=400).fit(trace, random_state=22)
     arrivals = model.arrival_transform()
     mu = service_rate_for_utilization(1.0, UTILIZATION)
     print(f"fitted: {model}")
 
-    search = search_twisted_mean(
-        model.background_correlation,
-        arrivals,
-        service_rate=mu,
-        buffer_size=50.0,
-        horizon=500,
-        twist_values=[0.0, 1.0, 2.0, 3.0],
-        replications=REPLICATIONS,
-        random_state=23,
-        metrics=ctx.scoped(phase="search"),
-    )
+    with recording(ctx.scoped(phase="search")):
+        search = search_twisted_mean(
+            model.background_correlation,
+            arrivals,
+            service_rate=mu,
+            buffer_size=50.0,
+            horizon=500,
+            twist_values=[0.0, 1.0, 2.0, 3.0],
+            replications=REPLICATIONS,
+            random_state=23,
+        )
     best = search.best_twist
     print(f"favorable twist m* = {best:.1f}")
 
-    curve = overflow_vs_buffer_curve(
-        model.background_correlation,
-        arrivals,
-        utilization=UTILIZATION,
-        buffer_sizes=BUFFER_SIZES,
-        replications=REPLICATIONS,
-        twisted_mean=best,
-        random_state=24,
-        metrics=ctx.scoped(phase="curve"),
-    )
+    with recording(ctx.scoped(phase="curve")):
+        curve = overflow_vs_buffer_curve(
+            model.background_correlation,
+            arrivals,
+            utilization=UTILIZATION,
+            buffer_sizes=BUFFER_SIZES,
+            replications=REPLICATIONS,
+            twisted_mean=best,
+            random_state=24,
+        )
     for b, estimate in zip(BUFFER_SIZES, curve.estimates):
         print(f"  b={b:>5.0f}: log10 P = {estimate.log10_probability:.2f}"
               f"  (hits {estimate.hits}, ESS {estimate.ess:.1f})")

@@ -72,6 +72,7 @@ from .exceptions import (
 from .observability import (
     MetricsRegistry,
     RunContext,
+    recording,
     render_prometheus,
     to_json_lines,
 )
@@ -177,6 +178,7 @@ __all__ = [
     # observability
     "MetricsRegistry",
     "RunContext",
+    "recording",
     "to_json_lines",
     "render_prometheus",
     # exceptions

@@ -31,7 +31,7 @@ from .core.aggregate import ShardedAggregateModel
 from .core.multiplex import AggregateVBRModel
 from .core.pipeline import fit_report
 from .core.unified import UnifiedVBRModel
-from .observability import NULL_CONTEXT, RunContext, to_json_lines
+from .observability import NULL_CONTEXT, RunContext, recording, to_json_lines
 from .processes import registry
 from .processes.chunked import ChunkedGenerator
 from .processes.coeff_table import coefficient_cache_info
@@ -49,7 +49,11 @@ from .queueing.capacity import (
 )
 from .queueing.multiplexer import service_rate_for_utilization
 from .queueing.overflow import steady_state_overflow_from_trace
-from .simulation import overflow_vs_buffer_curve, search_twisted_mean
+from .simulation import (
+    overflow_vs_buffer_curve,
+    search_twisted_mean,
+    sweep_twists,
+)
 from .stats.random import spawn_rngs
 from .video.io import load_trace, save_trace
 from .video.synthetic import SyntheticCodecConfig, SyntheticMPEGCodec
@@ -380,23 +384,23 @@ def _write_metrics(
 def _cmd_fit(args: argparse.Namespace) -> int:
     trace = load_trace(args.trace, frame_rate=args.frame_rate)
     ctx = _metrics_context(args)
-    model = UnifiedVBRModel(
-        max_lag=args.max_lag,
-        background_method=args.background,
-        metrics=ctx.scoped(phase="fit"),
-    ).fit(trace, random_state=args.seed)
+    with recording(ctx.scoped(phase="fit")):
+        model = UnifiedVBRModel(
+            max_lag=args.max_lag, background_method=args.background
+        ).fit(trace, random_state=args.seed)
     print(fit_report(model))
     if args.generate:
         if not args.output:
             print("error: --generate requires --output", file=sys.stderr)
             return 2
-        synthetic = model.generate(
-            args.generate,
-            backend=args.backend,
-            chunk_frames=args.chunk_frames,
-            processes=args.processes,
-            random_state=args.seed,
-        )
+        with recording(ctx.scoped(phase="fit")):
+            synthetic = model.generate(
+                args.generate,
+                backend=args.backend,
+                chunk_frames=args.chunk_frames,
+                processes=args.processes,
+                random_state=args.seed,
+            )
         save_trace(
             VideoTrace(
                 sizes=synthetic,
@@ -415,9 +419,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     trace = load_trace(args.trace, frame_rate=args.frame_rate)
     ctx = _metrics_context(args)
 
-    model = UnifiedVBRModel(
-        max_lag=args.max_lag, metrics=ctx.scoped(phase="fit")
-    ).fit(trace, random_state=args.seed)
+    with recording(ctx.scoped(phase="fit")):
+        model = UnifiedVBRModel(max_lag=args.max_lag).fit(
+            trace, random_state=args.seed
+        )
     print(f"fitted: {model!r}")
 
     # Extra child streams are spawned ONLY for the modes that consume
@@ -447,20 +452,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         else float(args.buffers[0])
     )
 
-    search = search_twisted_mean(
-        correlation,
-        transform,
+    scan = dict(
         service_rate=mu,
         buffer_size=search_buffer,
         horizon=max(int(args.horizon_factor * search_buffer), 1),
         twist_values=args.twists,
         replications=args.replications,
         random_state=rng_search,
-        workers=args.workers,
         backend=args.backend,
-        shared_paths=args.shared_paths,
-        metrics=ctx.scoped(phase="search"),
     )
+    with recording(ctx.scoped(phase="search")):
+        if args.shared_paths:
+            search = sweep_twists(correlation, transform, **scan)
+        else:
+            search = search_twisted_mean(
+                correlation, transform, workers=args.workers, **scan
+            )
     mode = "shared-path sweep" if args.shared_paths else "twist scan"
     print(
         f"\n{mode} at b={search_buffer:g}, "
@@ -488,19 +495,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     print(f"favorable twist: m* = {best:g} "
           f"(variance reduction vs m*=0: {reduction})")
 
-    curve = overflow_vs_buffer_curve(
-        correlation,
-        transform,
-        utilization=args.utilization,
-        buffer_sizes=args.buffers,
-        replications=args.replications,
-        twisted_mean=best,
-        horizon_factor=args.horizon_factor,
-        random_state=rng_curve,
-        workers=args.workers,
-        backend=args.backend,
-        metrics=ctx.scoped(phase="curve"),
-    )
+    with recording(ctx.scoped(phase="curve")):
+        curve = overflow_vs_buffer_curve(
+            correlation,
+            transform,
+            utilization=args.utilization,
+            buffer_sizes=args.buffers,
+            replications=args.replications,
+            twisted_mean=best,
+            horizon_factor=args.horizon_factor,
+            random_state=rng_curve,
+            workers=args.workers,
+            backend=args.backend,
+        )
     print(f"\noverflow sweep at m*={best:g}:")
     print(
         "buffer b".rjust(10) + "log10 P".rjust(12) + "rel err".rjust(10)
@@ -536,16 +543,15 @@ def _print_capacity_panel(
 ) -> None:
     """Sharded-engine feed plus the Norros capacity-planning numbers."""
     n = args.num_sources
-    engine = ShardedAggregateModel.from_unified(
-        model, n, metrics=ctx.scoped(phase="aggregate")
-    )
     horizon = max(int(args.horizon_factor * max(args.buffers)), 64)
-    feed = engine.generate(
-        horizon,
-        shards=args.shards,
-        processes=args.processes,
-        random_state=rng_feed,
-    )
+    with recording(ctx.scoped(phase="aggregate")):
+        engine = ShardedAggregateModel.from_unified(model, n)
+        feed = engine.generate(
+            horizon,
+            shards=args.shards,
+            processes=args.processes,
+            random_state=rng_feed,
+        )
     print(
         f"\naggregate engine feed: N={feed.num_sources}, "
         f"horizon={feed.horizon}, shards={feed.shards}, "
@@ -557,9 +563,10 @@ def _print_capacity_panel(
     buffer_norm = float(args.buffers[0])
     epsilon = 1e-6
     counts = sorted({1, max(n // 10, 1), n})
-    curve = effective_bandwidth_vs_n(
-        pop, counts, buffer_size=buffer_norm, epsilon=epsilon, metrics=ctx
-    )
+    with recording(ctx):
+        curve = effective_bandwidth_vs_n(
+            pop, counts, buffer_size=buffer_norm, epsilon=epsilon
+        )
     print(
         f"effective bandwidth vs N (b={buffer_norm:g} x mean, "
         f"eps={epsilon:g}):"
@@ -572,14 +579,14 @@ def _print_capacity_panel(
     ):
         print(f"{count:>10d}{cap:>14.4g}{per:>14.4g}{util:>8.3f}")
     capacity = float(curve.bandwidths[-1])
-    admitted = admissible_sources(
-        pop,
-        capacity=capacity,
-        buffer_size=buffer_norm,
-        epsilon=epsilon,
-        n_max=max(4 * n, 16),
-        metrics=ctx,
-    )
+    with recording(ctx):
+        admitted = admissible_sources(
+            pop,
+            capacity=capacity,
+            buffer_size=buffer_norm,
+            epsilon=epsilon,
+            n_max=max(4 * n, 16),
+        )
     loss = bufferless_loss_gaussian(
         mean_rate=pop.mean_rate,
         std=float(np.sqrt(pop.slot_variance)),
@@ -593,23 +600,19 @@ def _print_chunked_panel(
     model: UnifiedVBRModel, args: argparse.Namespace, ctx, rng_chunk
 ) -> None:
     """Chunked-pipeline engine report over the sweep horizon."""
-    chunked_ctx = ctx.scoped(phase="chunked")
-    source = registry.resolve(
-        args.backend,
-        model.background_correlation,
-        chunked=True,
-        metrics=chunked_ctx,
-    )
     horizon = max(
         int(args.horizon_factor * max(args.buffers)), args.chunk_frames
     )
-    generator = ChunkedGenerator(
-        source,
-        chunk_frames=args.chunk_frames,
-        processes=args.processes,
-        metrics=chunked_ctx,
-    )
-    generator.generate(horizon, random_state=rng_chunk)
+    with recording(ctx.scoped(phase="chunked")):
+        source = registry.resolve(
+            args.backend, model.background_correlation, chunked=True
+        )
+        generator = ChunkedGenerator(
+            source,
+            chunk_frames=args.chunk_frames,
+            processes=args.processes,
+        )
+        generator.generate(horizon, random_state=rng_chunk)
     report = generator.last_report
     print(
         f"\nchunked generation ({source.name}): "
@@ -657,15 +660,15 @@ def _cmd_bakeoff(args: argparse.Namespace) -> int:
     import json
 
     ctx = _metrics_context(args)
-    result = run_bakeoff(
-        hursts=args.hurst,
-        horizons=args.horizons,
-        backends=args.backends,
-        estimators=args.estimators,
-        replications=args.replications,
-        random_state=args.seed,
-        metrics=ctx,
-    )
+    with recording(ctx):
+        result = run_bakeoff(
+            hursts=args.hurst,
+            horizons=args.horizons,
+            backends=args.backends,
+            estimators=args.estimators,
+            replications=args.replications,
+            random_state=args.seed,
+        )
     if args.format == "json":
         print(json.dumps(result.to_dict(), indent=2))
     else:

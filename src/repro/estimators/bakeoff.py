@@ -28,14 +28,15 @@ Design
 
 Observability
 -------------
-With a ``metrics=`` context the run records ``bakeoff.cells``,
-``bakeoff.paths``, ``bakeoff.estimates`` and ``bakeoff.failures``
-counters, ``bakeoff.generate_seconds`` / ``bakeoff.estimator_seconds``
-timers, and ``bakeoff.bias`` / ``bakeoff.rmse`` / ``bakeoff.coverage``
-gauges labelled by estimator/backend/hurst/horizon (catalogued in
-``docs/observability.md``).  Passing ``metrics=None`` routes through
-the shared :data:`~repro.observability.NULL_CONTEXT`; the benchmark
-suite holds the metrics-off path to a <2% overhead bound.
+Under a bound run context (:func:`repro.observability.recording`) the
+run records ``bakeoff.cells``, ``bakeoff.paths``, ``bakeoff.estimates``
+and ``bakeoff.failures`` counters, ``bakeoff.generate_seconds`` /
+``bakeoff.estimator_seconds`` timers, and ``bakeoff.bias`` /
+``bakeoff.rmse`` / ``bakeoff.coverage`` gauges labelled by
+estimator/backend/hurst/horizon (catalogued in
+``docs/observability.md``).  With none bound it records into the shared
+:data:`~repro.observability.NULL_CONTEXT`; the benchmark suite holds
+that metrics-off path to a <2% overhead bound.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import numpy as np
 
 from .._validation import check_in_range, check_positive_int
 from ..exceptions import EstimationError, ValidationError
-from ..observability import ensure_context
+from ..observability import current_context
 from ..processes import registry
 from ..processes.correlation import FGNCorrelation
 from ..stats.random import RandomState, spawn_rngs
@@ -377,7 +378,6 @@ def run_bakeoff(
     estimators: Optional[Sequence[str]] = None,
     replications: int = 8,
     random_state: RandomState = None,
-    metrics=None,
 ) -> BakeoffResult:
     """Run the paired cross-estimator bake-off.
 
@@ -399,9 +399,9 @@ def run_bakeoff(
     random_state:
         Seed or generator; one child stream is spawned per path cell,
         so the matrix is reproducible and cells are independent.
-    metrics:
-        Optional :class:`~repro.observability.RunContext`; see the
-        module docstring for the ``bakeoff.*`` catalogue.
+
+    The current run context records the ``bakeoff.*`` catalogue (see
+    the module docstring).
     """
     hursts = tuple(
         check_in_range(
@@ -444,7 +444,7 @@ def run_bakeoff(
                 f"estimator {name!r}, got {min_horizon}"
             )
 
-    ctx = ensure_context(metrics)
+    ctx = current_context()
     path_cells = [
         (backend, h, horizon)
         for backend in backends

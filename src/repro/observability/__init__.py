@@ -7,19 +7,22 @@ counters, gauges, timers, summaries and histograms in a thread-safe
 parallel workers; and sinks for in-memory snapshots, JSON-lines export,
 and Prometheus-style text rendering.
 
-Every instrumented call site in the library takes ``metrics=None`` and
-routes it through :func:`ensure_context`, so the default is the no-op
-:data:`NULL_CONTEXT` — disabled instrumentation costs a no-op method
-call per site, holds no state, and never touches a random stream, which
-keeps un-instrumented runs bit-identical to pre-observability output.
+A run is recorded by binding a context with :func:`recording`; every
+instrumented call site reads the current one with
+:func:`current_context`.  Outside a ``recording`` block that is the
+no-op :data:`NULL_CONTEXT` — disabled instrumentation costs a no-op
+method call per site, holds no state, and never touches a random
+stream, which keeps un-instrumented runs bit-identical to
+pre-observability output.  Pool tasks record into per-task children
+that the pool engine merges in submission order.
 
 Quickstart::
 
-    from repro.observability import RunContext
+    from repro.observability import RunContext, recording
     from repro.simulation import search_twisted_mean
 
-    ctx = RunContext()
-    result = search_twisted_mean(..., metrics=ctx)
+    with recording(RunContext()) as ctx:
+        result = search_twisted_mean(...)
     for entry in ctx.snapshot():
         print(entry["name"], entry.get("value"))
 
@@ -31,7 +34,9 @@ from .context import (
     NULL_CONTEXT,
     NullRunContext,
     RunContext,
+    current_context,
     ensure_context,
+    recording,
 )
 from .metrics import (
     Counter,
@@ -64,7 +69,9 @@ __all__ = [
     "RunContext",
     "NullRunContext",
     "NULL_CONTEXT",
+    "current_context",
     "ensure_context",
+    "recording",
     "InMemorySink",
     "JsonLinesSink",
     "PrometheusTextSink",

@@ -8,21 +8,26 @@ through it, and it nests:
 - :meth:`scoped` adds labels while sharing the parent's registry —
   used for step blocks inside one leg (run → leg → step block);
 - :meth:`child` adds labels *and* gives the child its own registry —
-  used for parallel workers, whose registries the parent folds back in
+  used for pool tasks, whose registries the pool engine folds back in
   with :meth:`merge_children` in submission order, so the merged result
   is bit-for-bit independent of worker scheduling.
 
-Every ``metrics=`` argument in the library defaults to ``None``, which
-:func:`ensure_context` maps to the shared :data:`NULL_CONTEXT` — a
+The current context is ambient: :func:`recording` binds one for a
+block (in a :class:`contextvars.ContextVar`, so each thread and each
+copied context sees its own binding), and library code reads it once
+per call with :func:`current_context`.  Outside every ``recording``
+block the current context is the shared :data:`NULL_CONTEXT` — a
 :class:`NullRunContext` whose recording methods are empty one-liners
 and whose ``scoped``/``child`` return itself.  Disabled instrumentation
-therefore costs one attribute lookup and a no-op call per site, keeps
-no state, and never touches a random stream.
+therefore costs one context-variable read and a no-op call per site,
+keeps no state, and never touches a random stream.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from ..exceptions import ValidationError
 from .metrics import (
@@ -37,7 +42,9 @@ __all__ = [
     "RunContext",
     "NullRunContext",
     "NULL_CONTEXT",
+    "current_context",
     "ensure_context",
+    "recording",
 ]
 
 
@@ -96,8 +103,8 @@ class RunContext:
     def child(self, **labels) -> "RunContext":
         """An isolated child context with its own registry.
 
-        Hand one to each parallel worker, then fold the results back
-        with :meth:`merge_children` once every worker has finished.
+        The pool engine binds one per task and folds it back with
+        :meth:`merge_children` in submission order.
         """
         return RunContext(MetricsRegistry(), scope=self._merged(labels))
 
@@ -267,24 +274,59 @@ class NullRunContext(RunContext):
         return "NullRunContext()"
 
 
-#: The process-wide disabled context used whenever ``metrics=None``.
+#: The process-wide disabled context: the current context outside every
+#: :func:`recording` block.
 NULL_CONTEXT = NullRunContext()
 
+_CURRENT: ContextVar[RunContext] = ContextVar(
+    "repro_run_context", default=NULL_CONTEXT
+)
 
-def ensure_context(metrics) -> RunContext:
-    """Normalize a ``metrics=`` argument to a :class:`RunContext`.
+
+def ensure_context(ctx) -> RunContext:
+    """Normalize a context argument to a :class:`RunContext`.
 
     ``None`` maps to the shared :data:`NULL_CONTEXT`; a
     :class:`RunContext` passes through; a bare
     :class:`~repro.observability.metrics.MetricsRegistry` is wrapped.
     """
-    if metrics is None:
+    if ctx is None:
         return NULL_CONTEXT
-    if isinstance(metrics, RunContext):
-        return metrics
-    if isinstance(metrics, MetricsRegistry):
-        return RunContext(metrics)
+    if isinstance(ctx, RunContext):
+        return ctx
+    if isinstance(ctx, MetricsRegistry):
+        return RunContext(ctx)
     raise ValidationError(
         "metrics must be None, a RunContext, or a MetricsRegistry, got "
-        f"{type(metrics).__name__}"
+        f"{type(ctx).__name__}"
     )
+
+
+def current_context() -> RunContext:
+    """The context bound by the innermost :func:`recording` block.
+
+    :data:`NULL_CONTEXT` when none is bound.  Instrumented code reads
+    it once per call and records through the returned handle.
+    """
+    return _CURRENT.get()
+
+
+@contextmanager
+def recording(ctx) -> Iterator[RunContext]:
+    """Bind ``ctx`` as the current context for the ``with`` block.
+
+    ``ctx`` is a :class:`RunContext` or a bare
+    :class:`~repro.observability.metrics.MetricsRegistry` (wrapped in a
+    scope-less context); ``None`` binds nothing, so the enclosing
+    binding stays current.  The previous binding is restored on exit,
+    also when the block raises.  Yields the current context.
+    """
+    if ctx is None:
+        yield _CURRENT.get()
+        return
+    ctx = ensure_context(ctx)
+    token = _CURRENT.set(ctx)
+    try:
+        yield ctx
+    finally:
+        _CURRENT.reset(token)

@@ -360,21 +360,19 @@ class AcvfTableCache:
             self._evict_locked()
 
     @contextmanager
-    def metrics(self, metrics, **labels):
-        """Record the cache activity within a block into ``metrics``.
+    def metrics(self, ctx, **labels):
+        """Record the cache activity within a block into ``ctx``.
 
         Snapshots the statistics on entry and exit and records the
         deltas as ``<prefix>.hits`` / ``.misses`` / ``.extensions`` /
         ``.evictions`` and table-kind counters, each timer as one
         summary observation, and a ``<prefix>.tables`` gauge.
 
-        ``metrics`` is duck-typed (anything with ``inc``/``set``/
-        ``observe``, e.g. a :class:`repro.observability.RunContext`),
-        so this package never imports :mod:`repro.observability`, which
-        sits below it in the import graph.  ``None`` or a disabled
-        context makes the block free.
+        ``ctx`` is duck-typed (anything with ``inc``/``set``/
+        ``observe``, e.g. a :class:`repro.observability.RunContext`).
+        ``None`` or a disabled context makes the block free.
         """
-        if metrics is None or not getattr(metrics, "enabled", True):
+        if ctx is None or not getattr(ctx, "enabled", True):
             yield
             return
         before = self.stats()
@@ -385,9 +383,9 @@ class AcvfTableCache:
             for key in self._counters:
                 delta = after[key] - before[key]
                 if delta:
-                    metrics.inc(f"{self._prefix}.{key}", delta, **labels)
+                    ctx.inc(f"{self._prefix}.{key}", delta, **labels)
             for key in self._timers:
                 delta = after[key] - before[key]
                 if delta > 0:
-                    metrics.observe(f"{self._prefix}.{key}", delta, **labels)
-            metrics.set(f"{self._prefix}.tables", after["tables"], **labels)
+                    ctx.observe(f"{self._prefix}.{key}", delta, **labels)
+            ctx.set(f"{self._prefix}.tables", after["tables"], **labels)

@@ -29,23 +29,16 @@ Three pieces live here:
 Two stitch modes
 ----------------
 **Exact mode** (``stitch="exact"``, the default for conditional
-backends): chunk ``c`` is conditioned on its *entire* boundary history
-through the shared Durbin-Levinson machinery of
-:mod:`~repro.processes.coeff_table`.  By linearity of Hosking's
-recursion (eq. 1-6), the chunk decomposes as ``x_c = m_c + w_c`` where
-the *noise path* ``w_c`` runs the recursion with zero history (it only
-sees within-chunk lags — an independently schedulable O(L^2) job) and
-the *mean path* ``m_c`` runs it with zero innovations (one
-``(L, start)`` GEMM against the full history plus an O(L^2)
-within-chunk propagation, applied sequentially in chunk order).  The
-sum is the exact same linear function of the innovations as a direct
-Hosking run, so the joint law over the whole horizon is preserved;
-outputs are ``allclose`` (rtol <= 1e-10) to the unchunked generator
-given shared innovations, not bit-identical, because the split
-reassociates floating-point sums — the same contract as the blocked
-BLAS-3 kernel.  The mode needs the coefficient table (O(n^2) memory),
-so it is for moderate horizons; noise jobs run on threads sharing the
-table.
+backends): every chunk is conditioned on its *entire* boundary history.
+Chunk ``c`` draws its innovations from its own spawned stream, and one
+run of Hosking's recursion (eq. 1-6,
+:func:`~repro.processes.hosking.hosking_generate` with
+``innovations=``) maps the concatenated draws to the path, so the
+output is bit-identical to a direct Hosking run on those draws and the
+joint law over the whole horizon is exact.  Like ``hosking_generate``
+it reads the cached coefficient table up to the cache cap and runs the
+recursion in step above it (O(n) memory); the recursion is sequential,
+so ``processes=`` does not apply to this mode.
 
 **Bridge mode** (``stitch="bridge"``, the default for spectral
 backends and the scale path): chunk ``c``'s raw job draws
@@ -100,10 +93,11 @@ from .._validation import (
     check_positive_int,
 )
 from ..exceptions import CorrelationError, ValidationError
-from ..observability import ensure_context
+from ..observability import current_context
 from ..stats.random import RandomState, spawn_rngs
-from .coeff_table import get_coefficient_table, resolve_acvf
+from .coeff_table import resolve_acvf
 from .davies_harte import davies_harte_generate
+from .hosking import hosking_generate
 from .source import GaussianSource
 
 __all__ = [
@@ -376,35 +370,6 @@ def _bridge_chunk_job(payload) -> np.ndarray:
     )
 
 
-def _exact_noise_job(payload) -> np.ndarray:
-    """Zero-history noise path of one exact-mode chunk.
-
-    Runs Hosking's recursion over steps ``[start, stop)`` with all
-    history *outside the chunk* pinned to zero, so step ``k`` only sees
-    its within-chunk lags: ``w_i = sum_{j<=i} phi_{k,j} w_{i-j} +
-    sqrt(v_k) z_i``.  By linearity this is the innovation-driven half of
-    the chunk; the history-driven half is added by the sequential
-    stitch.  Jobs share the coefficient table (read-only), so they run
-    on threads.
-    """
-    table, start, stop, rng = payload
-    length = stop - start
-    z = rng.standard_normal(length)
-    w = np.empty(length, dtype=float)
-    sqrt_variances = table.sqrt_variances(stop)
-    for i in range(length):
-        k = start + i
-        if k == 0:
-            w[0] = sqrt_variances[0] * z[0]
-            continue
-        value = sqrt_variances[k] * z[i]
-        if i > 0:
-            row = table.phi_row(k)
-            value += row[:i] @ w[i - 1 :: -1]
-        w[i] = value
-    return w
-
-
 @dataclass(frozen=True)
 class ChunkReport:
     """Summary of one chunked generation run.
@@ -466,13 +431,14 @@ class ChunkedGenerator:
         ``"auto"`` (exact when the source exposes the exact
         conditional recursion, else bridge), ``"exact"``, or ``"bridge"``.
     processes:
-        Chunk-job thread-pool size; ``None`` defers to
+        Bridge-job thread-pool size; ``None`` defers to
         ``REPRO_WORKERS`` (default 1 = in-line).  Bridge jobs share the
-        spectral cache and exact-mode noise jobs the coefficient table;
-        FFTs and BLAS release the GIL.  Never changes output bits.
-    metrics:
-        Optional :class:`~repro.observability.RunContext`; records the
-        ``chunked.*`` series (see docs/observability.md).
+        spectral cache, and their FFTs release the GIL.  The exact
+        stitch is one sequential recursion and runs in-line.  Never
+        changes output bits.
+
+    :meth:`generate` records the ``chunked.*`` series into the current
+    run context (see docs/observability.md).
     """
 
     def __init__(
@@ -486,7 +452,6 @@ class ChunkedGenerator:
         stitch_window: int = DEFAULT_STITCH_WINDOW,
         stitch: str = "auto",
         processes: Optional[int] = None,
-        metrics=None,
     ) -> None:
         if not isinstance(source, GaussianSource):
             raise ValidationError(
@@ -524,7 +489,6 @@ class ChunkedGenerator:
         # explicit count so generate() can re-read the environment.
         _parallel().resolve_workers(processes, "processes")
         self._processes = processes
-        self._metrics = ensure_context(metrics)
         self._bridge_cache: Dict[Tuple[int, int], np.ndarray] = {}
         self.last_report: Optional[ChunkReport] = None
 
@@ -551,7 +515,7 @@ class ChunkedGenerator:
         return cached
 
     def _generate_bridge(
-        self, plan: ChunkPlan, rngs, ctx, count: int
+        self, plan: ChunkPlan, rngs, count: int
     ) -> Tuple[np.ndarray, float, int]:
         window = self.stitch_window
         max_total = max(
@@ -566,11 +530,7 @@ class ChunkedGenerator:
             total = w + chunk.length
             payloads.append((acvf[: total + 1], total, rng))
         raws = _parallel().run_tasks(
-            _bridge_chunk_job,
-            payloads,
-            workers=count,
-            metrics=ctx,
-            prefix="chunked",
+            _bridge_chunk_job, payloads, workers=count, prefix="chunked"
         )
         peak_bytes = max(raw.nbytes for raw in raws)
         x = np.empty(plan.horizon, dtype=float)
@@ -653,61 +613,18 @@ class ChunkedGenerator:
     # -- exact mode ----------------------------------------------------
 
     def _generate_exact(
-        self, plan: ChunkPlan, rngs, ctx, count: int, innovations=None
+        self, plan: ChunkPlan, rngs
     ) -> Tuple[np.ndarray, float, int]:
-        n = plan.horizon
-        table = get_coefficient_table(self.source.acvf(n), n)
-        if innovations is None:
-            payloads = [
-                (table, chunk.start, chunk.stop, rng)
-                for chunk, rng in zip(plan, rngs)
-            ]
-            noise = _parallel().run_tasks(
-                _exact_noise_job,
-                payloads,
-                workers=count,
-                metrics=ctx,
-                prefix="chunked",
-            )
-        else:
-            # Test seam: shared innovations prove the chunked output is
-            # the same linear map as the direct recursion.
-            z = np.asarray(innovations, dtype=float)
-            if z.shape != (n,):
-                raise ValidationError(
-                    f"innovations must have shape ({n},), got {z.shape}"
-                )
-            noise = [
-                _exact_noise_job(
-                    (table, chunk.start, chunk.stop, _FixedDraws(
-                        z[chunk.start : chunk.stop]
-                    ))
-                )
-                for chunk in plan
-            ]
-        peak_bytes = max(w.nbytes for w in noise)
-        x = np.empty(n, dtype=float)
+        z = np.concatenate([
+            rng.standard_normal(chunk.length)
+            for chunk, rng in zip(plan, rngs)
+        ])
+        peak_bytes = max(chunk.length for chunk in plan) * z.itemsize
         stitch_start = time.perf_counter()
-        for chunk, w in zip(plan, noise):
-            start, stop, length = chunk.start, chunk.stop, chunk.length
-            if start == 0:
-                x[:stop] = w
-                continue
-            # History half of the linear decomposition: the (L, start)
-            # coefficient block against the reversed boundary history in
-            # one GEMM, then the within-chunk propagation of the mean.
-            rev_hist = x[start - 1 :: -1][:start]
-            h_block = np.empty((length, start), dtype=float)
-            for i in range(length):
-                row = table.phi_row(start + i)
-                h_block[i] = row[i : i + start]
-            m = h_block @ rev_hist
-            for i in range(1, length):
-                row = table.phi_row(start + i)
-                m[i] += row[:i] @ m[i - 1 :: -1]
-            x[start:stop] = m + w
-        stitch_seconds = time.perf_counter() - stitch_start
-        return x, stitch_seconds, peak_bytes
+        x = hosking_generate(
+            self.source.acvf(plan.horizon), plan.horizon, innovations=z
+        )
+        return x, time.perf_counter() - stitch_start, peak_bytes
 
     # -- entry point ---------------------------------------------------
 
@@ -717,38 +634,21 @@ class ChunkedGenerator:
         *,
         mean: float = 0.0,
         random_state: RandomState = None,
-        innovations: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Generate ``n`` frames through the chunked pipeline.
-
-        ``innovations`` is a test seam for exact mode only: pre-drawn
-        standard normals of shape ``(n,)`` consumed chunk by chunk, so
-        the output can be compared ``allclose`` against a direct
-        :func:`~repro.processes.hosking.hosking_generate` run on the
-        same draws.
-        """
+        """Generate ``n`` frames through the chunked pipeline."""
         n = check_positive_int(n, "n")
-        if innovations is not None and self.stitch != "exact":
-            raise ValidationError(
-                "innovations= is only supported by the exact stitch"
-            )
         plan = self.plan(n)
-        ctx = self._metrics
-        rngs = (
-            spawn_rngs(random_state, plan.num_chunks)
-            if innovations is None
-            else [None] * plan.num_chunks
-        )
-        count = _parallel().resolve_workers(self._processes, "processes")
+        ctx = current_context()
+        rngs = spawn_rngs(random_state, plan.num_chunks)
         pipeline_start = time.perf_counter()
         if self.stitch == "bridge":
+            count = _parallel().resolve_workers(self._processes, "processes")
             x, stitch_seconds, peak_bytes = self._generate_bridge(
-                plan, rngs, ctx, count
+                plan, rngs, count
             )
         else:
-            x, stitch_seconds, peak_bytes = self._generate_exact(
-                plan, rngs, ctx, count, innovations=innovations
-            )
+            count = 1
+            x, stitch_seconds, peak_bytes = self._generate_exact(plan, rngs)
         wall = time.perf_counter() - pipeline_start
 
         pool_size = min(count, plan.num_chunks)
@@ -784,17 +684,6 @@ class ChunkedGenerator:
         return x
 
 
-class _FixedDraws:
-    """Stand-in RNG feeding pre-drawn innovations to a noise job."""
-
-    def __init__(self, values: np.ndarray) -> None:
-        self._values = np.asarray(values, dtype=float)
-
-    def standard_normal(self, size: int) -> np.ndarray:
-        assert size == self._values.size
-        return self._values
-
-
 def chunked_generate(
     source: GaussianSource,
     n: int,
@@ -808,7 +697,6 @@ def chunked_generate(
     processes: Optional[int] = None,
     mean: float = 0.0,
     random_state: RandomState = None,
-    metrics=None,
 ) -> np.ndarray:
     """One-shot convenience wrapper around :class:`ChunkedGenerator`."""
     return ChunkedGenerator(
@@ -820,7 +708,6 @@ def chunked_generate(
         stitch_window=stitch_window,
         stitch=stitch,
         processes=processes,
-        metrics=metrics,
     ).generate(n, mean=mean, random_state=random_state)
 
 

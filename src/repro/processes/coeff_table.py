@@ -371,8 +371,8 @@ def coefficient_cache_info() -> CacheInfo:
     )
 
 
-def cache_metrics(metrics, **labels):
-    """Record coeff-table cache activity within a block into ``metrics``.
+def cache_metrics(ctx, **labels):
+    """Record coeff-table cache activity within a block into ``ctx``.
 
     The deltas land as ``coeff_table.hits`` / ``.misses`` /
     ``.extensions`` / ``.evictions`` counters plus a
@@ -380,7 +380,7 @@ def cache_metrics(metrics, **labels):
     the block free (see :meth:`AcvfTableCache.metrics
     <repro.processes.acvf_cache.AcvfTableCache.metrics>`).
     """
-    return _CACHE.metrics(metrics, **labels)
+    return _CACHE.metrics(ctx, **labels)
 
 
 def set_coefficient_cache_limits(

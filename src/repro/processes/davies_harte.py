@@ -155,7 +155,6 @@ def davies_harte_generate(
     random_state: RandomState = None,
     on_negative_eigenvalues: str = "clip",
     spectral_table: SpectralTableArg = None,
-    metrics=None,
 ) -> np.ndarray:
     """Generate Gaussian sample paths via circulant embedding.
 
@@ -187,11 +186,10 @@ def davies_harte_generate(
         cache (:func:`~repro.processes.spectral_cache.get_spectral_table`),
         ``False`` recomputes it for this call, an explicit
         :class:`~repro.processes.spectral_cache.SpectralTable` is used
-        directly.  All three produce bit-identical output.
-    metrics:
-        Optional duck-typed metrics context (e.g. a
-        :class:`repro.observability.RunContext`); receives the
-        ``spectral.clipped_eigenvalues`` counter when clipping occurs.
+        directly.  All three produce bit-identical output.  Clipping
+        is counted in the current run context's
+        ``spectral.clipped_eigenvalues`` counter (see
+        :func:`repro.observability.recording`).
 
     Returns
     -------
@@ -226,10 +224,7 @@ def davies_harte_generate(
         ]
     entry = _resolve_entry(correlation, n, spectral_table)
     eigenvalues = apply_eigenvalue_policy(
-        entry,
-        on_negative_eigenvalues,
-        metrics=metrics,
-        stacklevel=3,
+        entry, on_negative_eigenvalues, stacklevel=3
     )
 
     m = 2 * n

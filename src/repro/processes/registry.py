@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Tuple, Union
 
 from ..exceptions import ValidationError
-from ..observability import ensure_context
+from ..observability import current_context
 from .source import (
     DaviesHarteSource,
     FARIMASource,
@@ -147,7 +147,6 @@ def resolve(
     correlation,
     *,
     chunked: bool = False,
-    metrics=None,
     **options,
 ) -> GaussianSource:
     """Resolve a backend argument to a constructed :class:`GaussianSource`.
@@ -168,19 +167,18 @@ def resolve(
         at construction: a backend without the capability raises
         :class:`~repro.exceptions.ValidationError` before any
         simulation work starts.
-    metrics:
-        Optional :class:`~repro.observability.RunContext` (or
-        registry); records ``registry.resolutions`` counters labelled
-        by resolved backend name and, for ``"auto"``, the
-        ``registry.auto_policy`` decision.  Consumed here — never
-        forwarded to the factory.
     options:
         Extra keyword arguments for the backend factory (e.g.
         ``block_size=`` for ``hosking``,
         ``spectral_table=`` or ``on_negative_eigenvalues=`` for
         ``davies_harte``).
+
+    The current run context (see :func:`repro.observability.recording`)
+    records ``registry.resolutions`` counters labelled by resolved
+    backend name and, for ``"auto"``, the ``registry.auto_policy``
+    decision.
     """
-    ctx = ensure_context(metrics)
+    ctx = current_context()
     if isinstance(backend, GaussianSource):
         if chunked and not backend.capabilities.chunked:
             raise ValidationError(_chunked_error(backend.name))

@@ -58,6 +58,7 @@ import numpy as np
 
 from .._validation import check_min_length, check_positive_int
 from ..exceptions import CorrelationError, ValidationError
+from ..observability import current_context
 from .acvf_cache import AcvfTable, AcvfTableCache
 from .correlation import CorrelationModel
 
@@ -221,7 +222,6 @@ def apply_eigenvalue_policy(
     entry: EigenvalueEntry,
     on_negative_eigenvalues: str,
     *,
-    metrics=None,
     stacklevel: int = 3,
 ) -> np.ndarray:
     """Enforce the negative-eigenvalue policy for one generation call.
@@ -230,7 +230,7 @@ def apply_eigenvalue_policy(
     synthesis consumes.  ``"raise"`` raises
     :class:`~repro.exceptions.CorrelationError` whenever the entry
     records clipping; ``"clip"`` counts the clipped eigenvalues (module
-    statistics plus the optional ``metrics`` context's
+    statistics plus the current run context's
     ``spectral.clipped_eigenvalues`` counter) and warns when the
     clipping is material.  Because the entry carries the raw-spectrum
     bookkeeping, the policy behaves identically whether the entry came
@@ -244,10 +244,9 @@ def apply_eigenvalue_policy(
                 "not embeddable — the 'hosking' backend draws it exactly"
             )
         _CACHE.count("clipped_eigenvalues", entry.clipped_count)
-        if metrics is not None and getattr(metrics, "enabled", True):
-            metrics.inc(
-                "spectral.clipped_eigenvalues", entry.clipped_count
-            )
+        current_context().inc(
+            "spectral.clipped_eigenvalues", entry.clipped_count
+        )
         if entry.material:
             warnings.warn(
                 "circulant embedding clipped "
@@ -449,8 +448,8 @@ def spectral_cache_info() -> SpectralCacheInfo:
     )
 
 
-def spectral_cache_metrics(metrics, **labels):
-    """Record spectral-cache activity within a block into ``metrics``.
+def spectral_cache_metrics(ctx, **labels):
+    """Record spectral-cache activity within a block into ``ctx``.
 
     The deltas land as ``spectral.hits`` / ``.misses`` /
     ``.extensions`` / ``.evictions`` / ``.eigenvalue_builds`` /
@@ -460,7 +459,7 @@ def spectral_cache_metrics(metrics, **labels):
     makes the block free (see :meth:`AcvfTableCache.metrics
     <repro.processes.acvf_cache.AcvfTableCache.metrics>`).
     """
-    return _CACHE.metrics(metrics, **labels)
+    return _CACHE.metrics(ctx, **labels)
 
 
 def set_spectral_cache_limits(

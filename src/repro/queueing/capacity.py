@@ -56,7 +56,7 @@ from ..core.aggregate import (
     as_population,
 )
 from ..exceptions import ValidationError
-from ..observability import ensure_context
+from ..observability import current_context
 from ..stats.random import RandomState, spawn_rngs
 from .multiplexer import AtmMultiplexer
 from .theory import norros_effective_bandwidth, norros_overflow_approximation
@@ -152,7 +152,6 @@ def effective_bandwidth_vs_n(
     *,
     buffer_size: float,
     epsilon: float,
-    metrics=None,
 ) -> EffectiveBandwidthCurve:
     """Norros effective bandwidth of the mixture at each source count.
 
@@ -161,7 +160,20 @@ def effective_bandwidth_vs_n(
     use :func:`bufferless_loss_gaussian` for the bufferless regime).
     ``epsilon`` is the target overflow probability.
     """
-    ctx = ensure_context(metrics)
+    curve = _effective_bandwidths(population, n_values, buffer_size, epsilon)
+    current_context().inc(
+        "capacity.effective_bandwidth_points", curve.n_values.size
+    )
+    return curve
+
+
+def _effective_bandwidths(
+    population: PopulationArg,
+    n_values: Sequence[int],
+    buffer_size: float,
+    epsilon: float,
+) -> EffectiveBandwidthCurve:
+    """:func:`effective_bandwidth_vs_n` without the metric."""
     buffer_size = check_positive_float(buffer_size, "buffer_size")
     epsilon = check_in_range(
         epsilon, "epsilon", 0.0, 1.0,
@@ -182,7 +194,6 @@ def effective_bandwidth_vs_n(
             buffer_size=buffer_size * mean_rates[i],
             epsilon=epsilon,
         )
-    ctx.inc("capacity.effective_bandwidth_points", counts.size)
     return EffectiveBandwidthCurve(
         n_values=counts,
         mean_rates=mean_rates,
@@ -200,7 +211,6 @@ def admissible_sources(
     buffer_size: float,
     epsilon: float,
     n_max: int = 1_000_000,
-    metrics=None,
 ) -> int:
     """Largest N of the mixture admissible on a link of ``capacity``.
 
@@ -210,21 +220,17 @@ def admissible_sources(
     found by integer bisection; returns 0 when even one source's
     effective bandwidth exceeds the capacity.
     """
-    ctx = ensure_context(metrics)
     capacity = check_positive_float(capacity, "capacity")
     n_max = check_positive_int(n_max, "n_max")
 
     def bandwidth(n: int) -> float:
         return float(
-            effective_bandwidth_vs_n(
-                population,
-                [n],
-                buffer_size=buffer_size,
-                epsilon=epsilon,
+            _effective_bandwidths(
+                population, [n], buffer_size, epsilon
             ).bandwidths[0]
         )
 
-    ctx.inc("capacity.admission_evals")
+    current_context().inc("capacity.admission_evals")
     if bandwidth(1) > capacity:
         return 0
     if bandwidth(n_max) <= capacity:
@@ -246,10 +252,8 @@ def admission_control_curve(
     buffer_size: float,
     epsilon: float,
     n_max: int = 1_000_000,
-    metrics=None,
 ) -> AdmissionCurve:
     """Max admissible N at each link capacity (monotone by construction)."""
-    ctx = ensure_context(metrics)
     caps = np.atleast_1d(np.asarray(capacities, dtype=float))
     if caps.size == 0 or np.any(caps <= 0):
         raise ValidationError("capacities must be positive")
@@ -262,7 +266,6 @@ def admission_control_curve(
                 buffer_size=buffer_size,
                 epsilon=epsilon,
                 n_max=n_max,
-                metrics=ctx,
             )
             for c in caps
         ],
@@ -312,7 +315,6 @@ def loss_vs_n(
     shards: int = 1,
     processes: Optional[int] = None,
     random_state: RandomState = None,
-    metrics=None,
 ) -> LossVsN:
     """Simulated loss ratio of the sharded aggregate at each N.
 
@@ -328,7 +330,7 @@ def loss_vs_n(
     (``None`` defers to ``REPRO_WORKERS``); like ``shards``, it never
     changes the simulated bits.
     """
-    ctx = ensure_context(metrics)
+    ctx = current_context()
     utilization = check_in_range(
         utilization, "utilization", 0.0, 1.0,
         inclusive_low=False, inclusive_high=False,
@@ -346,9 +348,7 @@ def loss_vs_n(
     mean_rates = np.empty(counts.size, dtype=float)
     for i, n in enumerate(counts):
         scaled = pop.scaled_to(int(n))
-        engine = ShardedAggregateModel(
-            scaled, batch_size=batch_size, metrics=ctx
-        )
+        engine = ShardedAggregateModel(scaled, batch_size=batch_size)
         mean_rate = scaled.mean_rate
         mean_rates[i] = mean_rate
         service = mean_rate / utilization
@@ -363,7 +363,7 @@ def loss_vs_n(
                     processes=processes,
                     random_state=rngs[i * replications + r],
                 )
-                result = mux.simulate(feed.arrivals, metrics=ctx)
+                result = mux.simulate(feed.arrivals)
                 lost += float(result.lost.sum())
                 offered += result.offered
         loss[i] = lost / offered if offered > 0 else 0.0

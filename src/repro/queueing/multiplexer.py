@@ -23,7 +23,7 @@ from .._validation import (
     check_nonnegative_float,
     check_positive_float,
 )
-from ..observability import ensure_context
+from ..observability import recording
 from .lindley import finite_lindley_recursion, lindley_recursion
 
 __all__ = [
@@ -146,13 +146,19 @@ class AtmMultiplexer:
         with a finite buffer, work beyond capacity is dropped and
         recorded per slot.
 
-        ``metrics`` (optional :class:`~repro.observability.RunContext`)
-        records a ``mux.queue_occupancy`` histogram over
-        :data:`OCCUPANCY_BUCKETS`, plus ``mux.loss_events`` /
-        ``mux.lost_work`` / ``mux.offered_work`` counters — binned in
-        bulk with numpy, so the queue computation is untouched.
+        The current run context (see
+        :func:`repro.observability.recording`) records a
+        ``mux.queue_occupancy`` histogram over :data:`OCCUPANCY_BUCKETS`,
+        plus ``mux.loss_events`` / ``mux.lost_work`` /
+        ``mux.offered_work`` counters — binned in bulk with numpy, so
+        the queue computation is untouched.  ``metrics`` is a seam kept
+        for ``perfbench/workloads.py:253``: a context given there is
+        bound for the call.
         """
-        ctx = ensure_context(metrics)
+        with recording(metrics) as ctx:
+            return self._simulate(arrivals, initial, ctx)
+
+    def _simulate(self, arrivals, initial, ctx) -> MuxResult:
         arr = np.asarray(arrivals, dtype=float)
         offered = float(arr.sum())
         if self.buffer_size is None:

@@ -59,7 +59,7 @@ from .._validation import (
     check_positive_int,
 )
 from ..exceptions import SimulationError, SimulationWarning, ValidationError
-from ..observability import ensure_context
+from ..observability import current_context
 from ..processes import registry
 from ..processes.coeff_table import CoefficientTable, get_coefficient_table
 from ..processes.correlation import CorrelationModel
@@ -141,7 +141,6 @@ def _check_common(
 def _path_source(
     correlation: Union[CorrelationModel, Sequence[float]],
     backend: BackendArg,
-    ctx,
 ) -> GaussianSource:
     """Resolve a leg's path generator, rejecting any inexact law.
 
@@ -172,7 +171,7 @@ def _path_source(
             "the likelihood ratio needs the model's exact Gaussian law; "
             "use backend='auto' (Davies-Harte) or 'hosking'"
         )
-    return registry.resolve(backend, correlation, metrics=ctx, **options)
+    return registry.resolve(backend, correlation, **options)
 
 
 def _leg_arrivals(
@@ -311,7 +310,6 @@ def is_overflow_probability(
     replications: int,
     random_state: RandomState = None,
     backend: BackendArg = "auto",
-    metrics=None,
 ) -> ISEstimate:
     """IS estimate of ``P(Q_k > b)`` via the workload-crossing event.
 
@@ -352,21 +350,21 @@ def is_overflow_probability(
         instance of either whose law is exact (see
         :func:`_path_source`).  Other backends raise
         :class:`~repro.exceptions.ValidationError` before any draw.
-    metrics:
-        Optional :class:`~repro.observability.RunContext`; records the
-        estimate's wall time, replication/hit/slot counters, the
-        likelihood-ratio weight summary and the effective sample size —
-        all labelled by the twist ``m*``.  Purely observational: the
-        estimate and its random stream are bit-identical with or
-        without it.
+
+    The current run context (see :func:`repro.observability.recording`)
+    records the estimate's wall time, replication/hit/slot counters,
+    the likelihood-ratio weight summary and the effective sample size —
+    all labelled by the twist ``m*``.  Purely observational: the
+    estimate and its random stream are bit-identical with or without
+    a bound context.
     """
     mu, b, k, n = _check_common(
         transform, service_rate, buffer_size, horizon, replications
     )
-    ctx = ensure_context(metrics)
+    ctx = current_context()
     twist = check_finite_float(twisted_mean, "twisted_mean")
     with ctx.time("is.leg_seconds", twist=twist):
-        source = _path_source(correlation, backend, ctx)
+        source = _path_source(correlation, backend)
         paths = source.sample(k, size=n, random_state=random_state)
         paths += twist
         estimate, hit_weights = _weigh_crossings(
@@ -409,7 +407,6 @@ def is_transient_overflow_curve(
     initial: float = 0.0,
     random_state: RandomState = None,
     backend: BackendArg = "auto",
-    metrics=None,
 ) -> np.ndarray:
     """IS estimates of the transient ``P(Q_j > b)`` for all ``j <= k``.
 
@@ -427,10 +424,10 @@ def is_transient_overflow_curve(
         transform, service_rate, buffer_size, horizon, replications
     )
     start = check_nonnegative_float(initial, "initial")
-    ctx = ensure_context(metrics)
+    ctx = current_context()
     twist = check_finite_float(twisted_mean, "twisted_mean")
     with ctx.time("is.leg_seconds", twist=twist, initial=start):
-        source = _path_source(correlation, backend, ctx)
+        source = _path_source(correlation, backend)
         paths = source.sample(k, size=n, random_state=random_state)
         paths += twist
         queue = lindley_recursion(

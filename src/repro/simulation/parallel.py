@@ -18,6 +18,17 @@ bulk normal draws and the marginal transform's ufuncs — releases the
 GIL, the shared spectral and coefficient caches stay shared, and
 results are handed over in-process, so nothing is pickled.
 
+Run context
+-----------
+The engine carries the caller's run context (see
+:func:`repro.observability.recording`) into every task.  When the
+caller's context is enabled, each task runs in a copy of the caller's
+:mod:`contextvars` context under its own ``ctx.child()`` — in-line or
+on a pool thread — and the engine merges the children into the
+caller's context in submission order, so a snapshot is the same at any
+pool size.  When no context is bound the engine copies nothing and
+creates nothing.
+
 Sizing
 ------
 ``workers=`` selects the pool size per call; ``None`` defers to the
@@ -37,11 +48,21 @@ import os
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar
+from contextvars import copy_context
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from .._validation import check_choice, check_positive_int
 from ..exceptions import ValidationError
-from ..observability import ensure_context
+from ..observability import current_context, recording
 
 __all__ = [
     "default_workers",
@@ -105,9 +126,18 @@ def shutdown_shared_pool() -> None:
     """No-op: every pool is private to one call and ends with it."""
 
 
-def _invoke(job: Callable[[], T]) -> T:
-    """Run a zero-argument leg job (the ``run_legs`` task function)."""
-    return job()
+def _run_leg(leg: Tuple[Mapping[str, object], Callable[[], T]]) -> T:
+    """Run one ``(labels, job)`` leg (the ``run_legs`` task function).
+
+    With a context bound, the job records under ``labels`` in the
+    task's child context.
+    """
+    labels, job = leg
+    ctx = current_context()
+    if not ctx.enabled:
+        return job()
+    with recording(ctx.scoped(**labels)):
+        return job()
 
 
 def _execute(
@@ -116,7 +146,6 @@ def _execute(
     deliver: Callable[[T, int], None],
     *,
     workers: Optional[int],
-    metrics,
     prefix: str,
     collect: bool,
 ) -> int:
@@ -130,35 +159,47 @@ def _execute(
     exception, tasks that have not started are cancelled and running
     ones are awaited before it propagates.  Returns the number of
     payloads run.
+
+    With an enabled current context, every task records into its own
+    child (see the module docstring), merged just before its result is
+    delivered.
     """
     payloads = list(payloads)
     count = resolve_workers(workers)
-    ctx = ensure_context(metrics)
+    ctx = current_context()
     pooled = count > 1 and len(payloads) > 1
     pool_size = min(count, len(payloads)) if pooled else 1
     ctx.set(f"{prefix}.workers", pool_size)
     ctx.inc(f"{prefix}.legs", len(payloads))
-    timed = ctx.enabled
+    enabled = ctx.enabled
     job_seconds: List[float] = []
 
-    def run(payload):
-        # Timing wraps the task and never touches a random stream.
-        if not timed:
-            return fn(payload)
+    def run_recorded(payload):
+        # Timing and the child never touch a random stream.
+        child = ctx.child()
         start = time.perf_counter()
-        result = fn(payload)
-        return result, time.perf_counter() - start
+        with recording(child):
+            result = fn(payload)
+        return result, child, time.perf_counter() - start
+
+    def launch(payload) -> tuple:
+        """``(callable, *args)`` of one task, built in the calling thread."""
+        if enabled:
+            return copy_context().run, run_recorded, payload
+        return fn, payload
 
     def hand_over(outcome, index: int) -> None:
-        if timed:
-            outcome, seconds = outcome
+        if enabled:
+            outcome, child, seconds = outcome
+            ctx.merge_children([child])
             job_seconds.append(seconds)
         deliver(outcome, index)
 
     wall_start = time.perf_counter()
     if not pooled:
         for index, payload in enumerate(payloads):
-            hand_over(run(payload), index)
+            call, *args = launch(payload)
+            hand_over(call(*args), index)
     else:
         window = len(payloads) if collect else 2 * pool_size
         pending: deque = deque()
@@ -168,14 +209,14 @@ def _execute(
                 for index in range(len(payloads)):
                     while submitted < len(payloads) and len(pending) < window:
                         pending.append(
-                            pool_exec.submit(run, payloads[submitted])
+                            pool_exec.submit(*launch(payloads[submitted]))
                         )
                         submitted += 1
                     hand_over(pending.popleft().result(), index)
             finally:
                 for future in pending:
                     future.cancel()
-    if timed:
+    if enabled:
         wall = time.perf_counter() - wall_start
         ctx.observe_many(f"{prefix}.job_seconds", job_seconds)
         if wall > 0.0:
@@ -189,7 +230,6 @@ def run_tasks(
     *,
     workers: Optional[int] = None,
     kind: str = "thread",
-    metrics=None,
     prefix: str = "parallel",
 ) -> List[T]:
     """Run ``fn(payload)`` for each payload, serially or on a thread pool.
@@ -211,17 +251,18 @@ def run_tasks(
     kind:
         ``"thread"``; ``"process"`` is accepted and also runs threads
         (perfbench/workloads.py:339 passes it).
-    metrics:
-        Optional :class:`~repro.observability.RunContext`.  Records a
-        ``<prefix>.workers`` gauge, a ``<prefix>.legs`` counter, a
-        ``<prefix>.job_seconds`` per-task wall-time summary, and a
-        ``<prefix>.occupancy`` gauge (total task seconds over pool
-        wall-clock seconds, i.e. the average number of busy workers).
-        All bookkeeping happens outside the tasks' random streams, so
-        seeded tasks remain bit-identical with metrics on or off.
     prefix:
         Metric-name prefix (``"parallel"`` for the leg runners,
         ``"chunked"`` for the chunk pipeline).
+
+    Under an enabled current context the call records a
+    ``<prefix>.workers`` gauge, a ``<prefix>.legs`` counter, a
+    ``<prefix>.job_seconds`` per-task wall-time summary, and a
+    ``<prefix>.occupancy`` gauge (total task seconds over pool
+    wall-clock seconds, i.e. the average number of busy workers), and
+    merges what the tasks recorded.  All bookkeeping happens outside
+    the tasks' random streams, so seeded tasks remain bit-identical
+    with or without a context.
     """
     check_choice(kind, "kind", ("thread", "process"))
     results: List[T] = []
@@ -230,7 +271,6 @@ def run_tasks(
         payloads,
         lambda result, _index: results.append(result),
         workers=workers,
-        metrics=metrics,
         prefix=prefix,
         collect=True,
     )
@@ -243,7 +283,6 @@ def reduce_tasks(
     reducer: Callable[[T, int], None],
     *,
     workers: Optional[int] = None,
-    metrics=None,
     prefix: str = "parallel",
 ) -> int:
     """Run ``fn(payload)`` per payload and *stream* results into ``reducer``.
@@ -265,8 +304,8 @@ def reduce_tasks(
     task propagate to the caller once the tasks already running have
     finished.
 
-    Parameters mirror :func:`run_tasks`, and ``metrics`` records the
-    same ``<prefix>.workers`` / ``.legs`` / ``.job_seconds`` /
+    Parameters mirror :func:`run_tasks`, and the call records the same
+    ``<prefix>.workers`` / ``.legs`` / ``.job_seconds`` /
     ``.occupancy`` series.  Returns the number of payloads reduced.
     """
     return _execute(
@@ -274,36 +313,26 @@ def reduce_tasks(
         payloads,
         reducer,
         workers=workers,
-        metrics=metrics,
         prefix=prefix,
         collect=False,
     )
 
 
 def run_legs(
-    jobs: Sequence[Callable[[], T]],
+    legs: Sequence[Tuple[Mapping[str, object], Callable[[], T]]],
     workers: Optional[int] = None,
-    *,
-    metrics=None,
 ) -> List[T]:
-    """Run independent zero-argument jobs, serially or on a thread pool.
+    """Run independent ``(labels, job)`` legs, serially or on a thread pool.
 
-    Results are returned in submission order.  ``workers=1`` (or an
-    empty/singleton job list) runs in-line with no pool overhead.  Any
-    job exception propagates to the caller, as it would serially.
+    Each job is a zero-argument callable; results are returned in
+    submission order.  ``workers=1`` (or an empty/singleton leg list)
+    runs in-line with no pool overhead.  Any job exception propagates
+    to the caller, as it would serially.
 
-    ``metrics`` (an optional :class:`~repro.observability.RunContext`)
-    records a ``parallel.workers`` gauge, a ``parallel.legs`` counter, a
-    ``parallel.job_seconds`` summary of per-job wall time, and a
-    ``parallel.occupancy`` gauge — total job seconds over the pool's
-    wall-clock seconds, i.e. the average number of busy workers.  All
-    bookkeeping happens outside the jobs themselves, so seeded jobs
-    remain bit-identical.
+    Under an enabled current context each job records into its own
+    child scoped by its ``labels`` (``leg``/``buffer``, ``probe``/
+    ``twist``, ...), so per-leg series stay separable after the
+    submission-order merge, and the call records the ``parallel.*``
+    pool series of :func:`run_tasks`.
     """
-    return run_tasks(
-        _invoke,
-        jobs,
-        workers=workers,
-        metrics=metrics,
-        prefix="parallel",
-    )
+    return run_tasks(_run_leg, legs, workers=workers, prefix="parallel")

@@ -25,7 +25,7 @@ import numpy as np
 
 from .._validation import check_1d_array, check_positive_int
 from ..exceptions import ValidationError
-from ..observability import RunContext, ensure_context
+from ..observability import current_context, recording
 from ..processes import registry
 from ..processes.coeff_table import cache_metrics
 from ..processes.correlation import CorrelationModel
@@ -99,7 +99,7 @@ def _check_buffers(buffer_sizes: Sequence[float]) -> np.ndarray:
     return buffers
 
 
-def _buffer_leg_jobs(
+def _buffer_legs(
     correlation: Union[CorrelationModel, Sequence[float]],
     transform: ArrivalTransform,
     *,
@@ -110,9 +110,9 @@ def _buffer_leg_jobs(
     horizon_factor: int,
     random_state: RandomState,
     backend: BackendArg = "auto",
-    metrics=None,
-) -> Tuple[List[Callable[[], ISEstimate]], List[RunContext]]:
-    """One :func:`is_overflow_probability` job per buffer size.
+    **scope,
+) -> List[Tuple[Dict[str, object], Callable[[], ISEstimate]]]:
+    """One :func:`is_overflow_probability` leg per buffer size.
 
     Child generators are spawned here, in buffer order, so each leg's
     stream — and therefore its estimate — is independent of how (or
@@ -120,35 +120,28 @@ def _buffer_leg_jobs(
     every leg; the ``spawn_rngs`` seeding is untouched, so estimates
     stay bit-for-bit identical at any worker count for a given backend.
 
-    Returns ``(jobs, children)``: each job records into its own child
-    :class:`~repro.observability.RunContext` labelled by leg index and
-    buffer size, so parallel workers never share a registry; the caller
-    folds the children back with
-    :meth:`~repro.observability.RunContext.merge_children` in
-    submission order once every leg is done.
+    Returns :func:`~repro.simulation.parallel.run_legs` legs labelled
+    by ``scope`` plus the leg index and buffer size.
     """
-    ctx = ensure_context(metrics)
     rngs = spawn_rngs(random_state, buffers.size)
-    children = [
-        ctx.child(leg=i, buffer=float(b)) for i, b in enumerate(buffers)
-    ]
-    jobs = [
-        partial(
-            is_overflow_probability,
-            correlation,
-            transform,
-            service_rate=service_rate,
-            buffer_size=float(b),
-            horizon=max(int(horizon_factor * b), 1),
-            twisted_mean=twisted_mean,
-            replications=replications,
-            random_state=rng,
-            backend=backend,
-            metrics=child,
+    return [
+        (
+            dict(scope, leg=i, buffer=float(b)),
+            partial(
+                is_overflow_probability,
+                correlation,
+                transform,
+                service_rate=service_rate,
+                buffer_size=float(b),
+                horizon=max(int(horizon_factor * b), 1),
+                twisted_mean=twisted_mean,
+                replications=replications,
+                random_state=rng,
+                backend=backend,
+            ),
         )
-        for b, rng, child in zip(buffers, rngs, children)
+        for i, (b, rng) in enumerate(zip(buffers, rngs))
     ]
-    return jobs, children
 
 
 def overflow_vs_buffer_curve(
@@ -174,19 +167,21 @@ def overflow_vs_buffer_curve(
     ``workers`` runs buffer sizes concurrently (same estimates at any
     worker count).  ``backend`` selects the path generator for every
     leg (see :func:`~repro.simulation.importance.is_overflow_probability`;
-    validated before any draw).  ``metrics``
-    (optional :class:`~repro.observability.RunContext`) collects per-leg
-    timings, ESS per twist, pool occupancy and coefficient-cache deltas;
-    the child contexts are merged in buffer order, so the snapshot is as
-    deterministic as the estimates.
+    validated before any draw).  The current run context (see
+    :func:`repro.observability.recording`) collects per-leg timings
+    labelled ``leg``/``buffer``, ESS per twist, pool occupancy and
+    coefficient-cache deltas; the legs' child contexts are merged in
+    buffer order, so the snapshot is as deterministic as the estimates.
+
+    ``metrics`` is a seam kept for ``perfbench/workloads.py:139``: a
+    context given there is bound for the call, as ``recording`` would.
     """
     check_positive_int(replications, "replications")
     check_positive_int(horizon_factor, "horizon_factor")
     buffers = _check_buffers(buffer_sizes)
-    ctx = ensure_context(metrics)
     mu = service_rate_for_utilization(1.0, utilization)
-    with cache_metrics(ctx):
-        jobs, children = _buffer_leg_jobs(
+    with recording(metrics) as ctx, cache_metrics(ctx):
+        legs = _buffer_legs(
             correlation,
             transform,
             service_rate=mu,
@@ -196,10 +191,8 @@ def overflow_vs_buffer_curve(
             horizon_factor=horizon_factor,
             random_state=random_state,
             backend=backend,
-            metrics=ctx,
         )
-        estimates = run_legs(jobs, workers, metrics=ctx)
-    ctx.merge_children(children)
+        estimates = run_legs(legs, workers)
     return OverflowCurve(
         utilization=float(utilization),
         buffer_sizes=buffers,
@@ -217,12 +210,11 @@ def _mc_buffer_leg(
     replications: int,
     random_state: RandomState,
     backend: BackendArg,
-    metrics=None,
 ) -> OverflowEstimate:
     """One plain-MC leg: batched paths, transform, Lindley indicator."""
-    ctx = ensure_context(metrics)
+    ctx = current_context()
     with ctx.time("mc.leg_seconds", buffer=float(buffer_size)):
-        source = registry.resolve(backend, correlation, metrics=ctx)
+        source = registry.resolve(backend, correlation)
         paths = source.sample(
             horizon, size=replications, random_state=random_state
         )
@@ -252,7 +244,6 @@ def mc_overflow_vs_buffer_curve(
     random_state: RandomState = None,
     workers: Optional[int] = None,
     backend: BackendArg = "auto",
-    metrics=None,
 ) -> OverflowCurve:
     """Fig. 16-style curve by plain (untwisted) Monte Carlo.
 
@@ -273,19 +264,16 @@ def mc_overflow_vs_buffer_curve(
     leg, in buffer order), so the curve is bit-for-bit identical at any
     worker count, and each leg's batched draw is bit-identical to
     generating its replications one at a time from the same child
-    generator.  ``metrics`` collects per-leg timings, replication/hit
-    counters, and spectral/coefficient cache deltas.
+    generator.  The current run context collects per-leg timings,
+    replication/hit counters, and spectral/coefficient cache deltas.
     """
     check_positive_int(replications, "replications")
     check_positive_int(horizon_factor, "horizon_factor")
     buffers = _check_buffers(buffer_sizes)
-    ctx = ensure_context(metrics)
+    ctx = current_context()
     mu = service_rate_for_utilization(1.0, utilization)
     horizons = [max(int(horizon_factor * b), 1) for b in buffers]
     rngs = spawn_rngs(random_state, buffers.size)
-    children = [
-        ctx.child(leg=i, buffer=float(b)) for i, b in enumerate(buffers)
-    ]
     with spectral_cache_metrics(ctx), cache_metrics(ctx):
         if isinstance(correlation, CorrelationModel) and _spectral_backend(
             backend
@@ -294,25 +282,26 @@ def mc_overflow_vs_buffer_curve(
             # every leg — in any order, on any worker — reads a prefix
             # instead of racing to extend it.
             get_spectral_table(correlation, max(horizons))
-        jobs = [
-            partial(
-                _mc_buffer_leg,
-                correlation,
-                transform,
-                service_rate=mu,
-                buffer_size=float(b),
-                horizon=horizon,
-                replications=replications,
-                random_state=rng,
-                backend=backend,
-                metrics=child,
+        legs = [
+            (
+                {"leg": i, "buffer": float(b)},
+                partial(
+                    _mc_buffer_leg,
+                    correlation,
+                    transform,
+                    service_rate=mu,
+                    buffer_size=float(b),
+                    horizon=horizon,
+                    replications=replications,
+                    random_state=rng,
+                    backend=backend,
+                ),
             )
-            for b, horizon, rng, child in zip(
-                buffers, horizons, rngs, children
+            for i, (b, horizon, rng) in enumerate(
+                zip(buffers, horizons, rngs)
             )
         ]
-        estimates = run_legs(jobs, workers, metrics=ctx)
-    ctx.merge_children(children)
+        estimates = run_legs(legs, workers)
     return OverflowCurve(
         utilization=float(utilization),
         buffer_sizes=buffers,
@@ -342,7 +331,6 @@ def transient_overflow_curves(
     random_state: RandomState = None,
     workers: Optional[int] = None,
     backend: BackendArg = "auto",
-    metrics=None,
 ) -> Dict[str, np.ndarray]:
     """Fig. 15: transient ``P(Q_j > b)`` for empty and full initial buffers.
 
@@ -350,38 +338,37 @@ def transient_overflow_curves(
     is the per-slot estimate curve of length ``horizon``.  The two
     initial conditions are independent legs and run concurrently when
     ``workers > 1``.  ``backend`` selects the path generator (validated
-    before any draw).  ``metrics`` collects per-leg
+    before any draw).  The current run context collects per-leg
     timings and weight diagnostics, labelled ``start="empty"/"full"``.
     """
     check_positive_int(horizon, "horizon")
     check_positive_int(replications, "replications")
-    ctx = ensure_context(metrics)
     mu = service_rate_for_utilization(1.0, utilization)
     rng_empty, rng_full = spawn_rngs(random_state, 2)
-    children = [ctx.child(start="empty"), ctx.child(start="full")]
-    with cache_metrics(ctx):
-        jobs = [
-            partial(
-                is_transient_overflow_curve,
-                correlation,
-                transform,
-                service_rate=mu,
-                buffer_size=buffer_size,
-                horizon=horizon,
-                twisted_mean=twisted_mean,
-                replications=replications,
-                initial=initial,
-                random_state=rng,
-                backend=backend,
-                metrics=child,
+    with cache_metrics(current_context()):
+        legs = [
+            (
+                {"start": start},
+                partial(
+                    is_transient_overflow_curve,
+                    correlation,
+                    transform,
+                    service_rate=mu,
+                    buffer_size=buffer_size,
+                    horizon=horizon,
+                    twisted_mean=twisted_mean,
+                    replications=replications,
+                    initial=initial,
+                    random_state=rng,
+                    backend=backend,
+                ),
             )
-            for (initial, rng), child in zip(
-                ((0.0, rng_empty), (float(buffer_size), rng_full)),
-                children,
+            for start, initial, rng in (
+                ("empty", 0.0, rng_empty),
+                ("full", float(buffer_size), rng_full),
             )
         ]
-        empty, full = run_legs(jobs, workers, metrics=ctx)
-    ctx.merge_children(children)
+        empty, full = run_legs(legs, workers)
     return {"empty": empty, "full": full}
 
 
@@ -413,7 +400,6 @@ def model_comparison_curves(
     random_state: RandomState = None,
     workers: Optional[int] = None,
     backend: BackendArg = "auto",
-    metrics=None,
 ) -> ModelComparisonResult:
     """Run :func:`overflow_vs_buffer_curve` for several background models.
 
@@ -424,7 +410,7 @@ def model_comparison_curves(
     limited by the model count; seeding follows the same two-level
     spawn (per model, then per buffer) as the serial path.  ``backend``
     selects the path generator for every leg.
-    ``metrics`` collects the same per-leg diagnostics as
+    The current run context collects the same per-leg diagnostics as
     :func:`overflow_vs_buffer_curve`, additionally labelled by model
     name.
     """
@@ -433,14 +419,13 @@ def model_comparison_curves(
     check_positive_int(replications, "replications")
     check_positive_int(horizon_factor, "horizon_factor")
     buffers = _check_buffers(buffer_sizes)
-    ctx = ensure_context(metrics)
     mu = service_rate_for_utilization(1.0, utilization)
     rngs = spawn_rngs(random_state, len(models))
-    jobs: List[Callable[[], ISEstimate]] = []
-    children: List[RunContext] = []
-    with cache_metrics(ctx):
-        for (name, correlation), rng in zip(models.items(), rngs):
-            model_jobs, model_children = _buffer_leg_jobs(
+    with cache_metrics(current_context()):
+        legs = [
+            leg
+            for (name, correlation), rng in zip(models.items(), rngs)
+            for leg in _buffer_legs(
                 correlation,
                 transform,
                 service_rate=mu,
@@ -450,12 +435,10 @@ def model_comparison_curves(
                 horizon_factor=horizon_factor,
                 random_state=rng,
                 backend=backend,
-                metrics=ctx.scoped(model=name),
+                model=name,
             )
-            jobs.extend(model_jobs)
-            children.extend(model_children)
-        estimates = run_legs(jobs, workers, metrics=ctx)
-    ctx.merge_children(children)
+        ]
+        estimates = run_legs(legs, workers)
     curves = {}
     for index, name in enumerate(models):
         chunk = estimates[index * buffers.size : (index + 1) * buffers.size]
@@ -482,7 +465,6 @@ def aggregate_overflow_curve(
     warmup: int = 0,
     processes: Optional[int] = None,
     random_state: RandomState = None,
-    metrics=None,
 ) -> OverflowCurve:
     """Steady-state ``P(Q > b)`` of a sharded heterogeneous aggregate.
 
@@ -512,11 +494,10 @@ def aggregate_overflow_curve(
     buffers = _check_buffers(buffer_sizes)
     horizon = check_positive_int(horizon, "horizon")
     replications = check_positive_int(replications, "replications")
-    ctx = ensure_context(metrics)
     service = service_rate_for_utilization(1.0, utilization)
     rngs = spawn_rngs(random_state, replications)
     probabilities = np.empty((replications, buffers.size), dtype=float)
-    with ctx.time("capacity.overflow_curve_seconds"):
+    with current_context().time("capacity.overflow_curve_seconds"):
         for r in range(replications):
             feed = engine.generate(
                 horizon,

@@ -12,8 +12,7 @@ Two evaluation strategies are offered:
 - **Independent streams** (the default): every grid point runs its own
   batch of :func:`~repro.simulation.importance.is_overflow_probability`
   — ``T`` grid points cost ``T`` path draws.
-- **Shared paths** (:func:`sweep_twists`, or
-  ``search_twisted_mean(..., shared_paths=True)``): mean twisting only
+- **Shared paths** (:func:`sweep_twists`): mean twisting only
   *shifts* the background (``X' = X + m*``), so one batch of untwisted
   paths determines every candidate's estimator exactly — each twist is
   one transform call and one closed-form likelihood-ratio pass over
@@ -39,7 +38,7 @@ from .._validation import (
     check_positive_int,
 )
 from ..exceptions import SimulationError, SimulationWarning
-from ..observability import ensure_context
+from ..observability import current_context, recording
 from ..processes.coeff_table import cache_metrics
 from ..processes.correlation import CorrelationModel
 from ..processes.registry import BackendArg
@@ -157,8 +156,6 @@ def search_twisted_mean(
     random_state: RandomState = None,
     workers: Optional[int] = None,
     backend: BackendArg = "auto",
-    shared_paths: bool = False,
-    metrics=None,
 ) -> TwistSearchResult:
     """Scan twist values and measure the estimator's normalized variance.
 
@@ -172,57 +169,41 @@ def search_twisted_mean(
     ``backend`` selects the path generator (validated before any draw;
     see :func:`~repro.simulation.importance.is_overflow_probability`).
 
-    ``shared_paths=True`` switches to :func:`sweep_twists`: one batch
-    of untwisted paths evaluates the whole grid (common random numbers
-    across grid points; estimates agree with the independent-stream
-    default within Monte-Carlo error, not bit-for-bit).  In shared
-    mode the grid has no independent legs, so ``workers`` is unused.
+    :func:`sweep_twists` evaluates the same grid from one batch of
+    untwisted paths instead (common random numbers across grid points;
+    estimates agree with this independent-stream scan within
+    Monte-Carlo error, not bit-for-bit).
 
-    ``metrics`` (optional :class:`~repro.observability.RunContext`)
+    The current run context (see :func:`repro.observability.recording`)
     records the valley trajectory — a ``twist_search.normalized_variance``
     gauge per probed ``m*`` plus the chosen ``twist_search.best_twist``
-    — alongside each grid point's leg timings and ESS.
+    — alongside each grid point's leg timings and ESS, labelled
+    ``probe``/``twist``.
     """
-    if shared_paths:
-        return sweep_twists(
-            correlation,
-            transform,
-            service_rate=service_rate,
-            buffer_size=buffer_size,
-            horizon=horizon,
-            twist_values=twist_values,
-            replications=replications,
-            random_state=random_state,
-            backend=backend,
-            metrics=metrics,
-        )
     grid = check_1d_array(twist_values, "twist_values")
     check_positive_int(replications, "replications")
-    ctx = ensure_context(metrics)
+    ctx = current_context()
     rngs = spawn_rngs(random_state, grid.size)
-    children = [
-        ctx.child(probe=i, twist=float(m_star))
-        for i, m_star in enumerate(grid)
-    ]
     with cache_metrics(ctx):
-        jobs = [
-            partial(
-                is_overflow_probability,
-                correlation,
-                transform,
-                service_rate=service_rate,
-                buffer_size=buffer_size,
-                horizon=horizon,
-                twisted_mean=float(m_star),
-                replications=replications,
-                random_state=rng,
-                backend=backend,
-                metrics=child,
+        legs = [
+            (
+                {"probe": i, "twist": float(m_star)},
+                partial(
+                    is_overflow_probability,
+                    correlation,
+                    transform,
+                    service_rate=service_rate,
+                    buffer_size=buffer_size,
+                    horizon=horizon,
+                    twisted_mean=float(m_star),
+                    replications=replications,
+                    random_state=rng,
+                    backend=backend,
+                ),
             )
-            for m_star, rng, child in zip(grid, rngs, children)
+            for i, (m_star, rng) in enumerate(zip(grid, rngs))
         ]
-        estimates = run_legs(jobs, workers, metrics=ctx)
-    ctx.merge_children(children)
+        estimates = run_legs(legs, workers)
     result = TwistSearchResult(twist_values=grid, estimates=estimates)
     _record_trajectory(ctx, result)
     return result
@@ -239,7 +220,6 @@ def sweep_twists(
     replications: int,
     random_state: RandomState = None,
     backend: BackendArg = "auto",
-    metrics=None,
 ) -> TwistSearchResult:
     """Evaluate a whole Fig. 14 twist grid from ONE background draw.
 
@@ -266,8 +246,8 @@ def sweep_twists(
     the generator of the one path batch, as in
     :func:`~repro.simulation.importance.is_overflow_probability`.
 
-    ``metrics`` records ``twist_sweep.generations`` (always 1 per
-    call), ``twist_sweep.paths``, ``twist_sweep.twists``, per-twist
+    The current run context records ``twist_sweep.generations`` (always
+    1 per call), ``twist_sweep.paths``, ``twist_sweep.twists``, per-twist
     ``twist_sweep.hits``, the ``twist_sweep.seconds`` timer, and the
     same ``twist_search.*`` valley trajectory as the independent-stream
     scan.
@@ -276,9 +256,9 @@ def sweep_twists(
     mu, b, k, n = _check_common(
         transform, service_rate, buffer_size, horizon, replications
     )
-    ctx = ensure_context(metrics)
+    ctx = current_context()
     with ctx.time("twist_sweep.seconds"), cache_metrics(ctx):
-        source = _path_source(correlation, backend, ctx)
+        source = _path_source(correlation, backend)
         paths = source.sample(k, size=n, random_state=random_state)
         ctx.inc("twist_sweep.generations")
         ctx.inc("twist_sweep.paths", n)
@@ -365,7 +345,6 @@ def refine_twisted_mean(
     iterations: int = 6,
     random_state: RandomState = None,
     backend: BackendArg = "auto",
-    metrics=None,
 ) -> TwistSearchResult:
     """Golden-section refinement of the variance valley.
 
@@ -382,8 +361,9 @@ def refine_twisted_mean(
 
     Returns a :class:`TwistSearchResult` over every probed twist (in
     probing order) whose :attr:`~TwistSearchResult.best_twist` is the
-    refined choice.  ``metrics`` records the probing trajectory exactly
-    as :func:`search_twisted_mean` does (probe index = probing order).
+    refined choice.  The current run context records the probing
+    trajectory exactly as :func:`search_twisted_mean` does (probe
+    index = probing order).
     A non-finite ``bracket`` endpoint or an ``iterations`` that is not
     a positive integer raises :class:`~repro.exceptions.ValidationError`;
     a pair that is not increasing raises
@@ -396,7 +376,7 @@ def refine_twisted_mean(
             f"bracket must be an increasing pair, got {bracket!r}"
         )
     check_positive_int(replications, "replications")
-    ctx = ensure_context(metrics)
+    ctx = current_context()
     iterations = check_positive_int(iterations, "iterations")
     rngs = spawn_rngs(random_state, 2 * iterations + 2)
     rng_iter = iter(rngs)
@@ -404,18 +384,18 @@ def refine_twisted_mean(
     estimates: List[ISEstimate] = []
 
     def objective(m_star: float) -> float:
-        estimate = is_overflow_probability(
-            correlation,
-            transform,
-            service_rate=service_rate,
-            buffer_size=buffer_size,
-            horizon=horizon,
-            twisted_mean=float(m_star),
-            replications=replications,
-            random_state=next(rng_iter),
-            backend=backend,
-            metrics=ctx.scoped(probe=len(probes), twist=float(m_star)),
-        )
+        with recording(ctx.scoped(probe=len(probes), twist=float(m_star))):
+            estimate = is_overflow_probability(
+                correlation,
+                transform,
+                service_rate=service_rate,
+                buffer_size=buffer_size,
+                horizon=horizon,
+                twisted_mean=float(m_star),
+                replications=replications,
+                random_state=next(rng_iter),
+                backend=backend,
+            )
         probes.append(float(m_star))
         estimates.append(estimate)
         value = estimate.normalized_variance

@@ -374,13 +374,11 @@ class TestShardedAggregateModel:
         assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_metrics_recorded(self, mixed_population):
-        from repro.observability import RunContext
+        from repro.observability import RunContext, recording
 
-        ctx = RunContext()
-        engine = ShardedAggregateModel(
-            mixed_population, batch_size=4, metrics=ctx
-        )
-        engine.generate(32, shards=3, random_state=2)
+        with recording(RunContext()) as ctx:
+            engine = ShardedAggregateModel(mixed_population, batch_size=4)
+            engine.generate(32, shards=3, random_state=2)
         snapshot = {
             (e["name"], tuple(sorted(e["labels"].items()))): e.get("value")
             for e in ctx.snapshot()
@@ -454,13 +452,11 @@ class TestProcessInvariance:
         np.testing.assert_array_equal(pooled.arrivals, inline.arrivals)
 
     def test_pool_metrics_recorded(self, mixed_population):
-        from repro.observability import RunContext
+        from repro.observability import RunContext, recording
 
-        ctx = RunContext()
-        engine = ShardedAggregateModel(
-            mixed_population, batch_size=4, metrics=ctx
-        )
-        engine.generate(32, processes=2, random_state=2)
+        with recording(RunContext()) as ctx:
+            engine = ShardedAggregateModel(mixed_population, batch_size=4)
+            engine.generate(32, processes=2, random_state=2)
         snapshot = {
             (e["name"], tuple(sorted(e["labels"].items()))): e.get("value")
             for e in ctx.snapshot()

@@ -11,7 +11,7 @@ from repro.estimators.bakeoff import (
     run_bakeoff,
 )
 from repro.exceptions import EstimationError, ValidationError
-from repro.observability import RunContext
+from repro.observability import RunContext, recording
 
 QUICK = dict(
     hursts=(0.8,),
@@ -75,8 +75,8 @@ class TestRunBakeoff:
         assert cell.estimates.shape == (2,)
 
     def test_metrics_recorded(self):
-        ctx = RunContext()
-        run_bakeoff(**QUICK, metrics=ctx)
+        with recording(RunContext()) as ctx:
+            run_bakeoff(**QUICK)
         names = {m["name"] for m in ctx.registry.snapshot()}
         assert {
             "bakeoff.cells",
@@ -91,7 +91,8 @@ class TestRunBakeoff:
 
     def test_metrics_do_not_perturb_estimates(self):
         plain = run_bakeoff(**QUICK)
-        instrumented = run_bakeoff(**QUICK, metrics=RunContext())
+        with recording(RunContext()):
+            instrumented = run_bakeoff(**QUICK)
         for ca, cb in zip(plain.cells, instrumented.cells):
             np.testing.assert_array_equal(ca.estimates, cb.estimates)
 
@@ -192,16 +193,15 @@ class TestFailureIsolation:
         original = dict(mod.HURST_ESTIMATORS)
         mod.HURST_ESTIMATORS["failing"] = failing
         try:
-            ctx = RunContext()
-            res = run_bakeoff(
-                hursts=(0.8,),
-                horizons=(256,),
-                backends=("davies_harte",),
-                estimators=("failing", "rs"),
-                replications=2,
-                random_state=5,
-                metrics=ctx,
-            )
+            with recording(RunContext()) as ctx:
+                res = run_bakeoff(
+                    hursts=(0.8,),
+                    horizons=(256,),
+                    backends=("davies_harte",),
+                    estimators=("failing", "rs"),
+                    replications=2,
+                    random_state=5,
+                )
         finally:
             mod.HURST_ESTIMATORS.clear()
             mod.HURST_ESTIMATORS.update(original)

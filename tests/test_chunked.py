@@ -5,10 +5,10 @@ Four contract families:
 - **Planning** (hypothesis): planned chunks cover the horizon exactly
   once, interior edges land on the alignment grid (or on the provided
   scene boundaries), and the minimum-chunk floor holds.
-- **Exact stitch**: with shared innovations, the chunked Hosking-path
-  output is the same linear map as the direct recursion — ``allclose``
-  within rtol 1e-10 at any chunk size (the blocked-kernel precedent),
-  and thread-count invariant bit for bit.
+- **Exact stitch**: the chunked Hosking-path output is bit-identical
+  to ``hosking_generate`` on the chunk-seeded innovations at any chunk
+  size, from the cached table and from the in-step recursion above the
+  cache cap, and thread-count invariant bit for bit.
 - **Bridge stitch**: the conditional-mean map equals
   ``conditional_forecast``; the stitched covariance (computed exactly)
   obeys the pinned per-(H, window) deviation bounds of DESIGN.md §5g
@@ -35,7 +35,7 @@ from repro.estimators import (
     whittle_estimate,
 )
 from repro.exceptions import ValidationError
-from repro.observability import RunContext
+from repro.observability import RunContext, recording
 from repro.processes import registry
 from repro.processes.chunked import (
     ChunkedGenerator,
@@ -50,6 +50,7 @@ from repro.processes.hosking import hosking_generate
 from repro.processes.source import DaviesHarteSource, HoskingSource
 from repro.stats.random import spawn_key, spawn_rngs
 from repro.video.gop import GopStructure
+from tests.conftest import coefficient_cache_cap
 
 FAST = settings(max_examples=40, deadline=None)
 
@@ -147,6 +148,16 @@ class TestPlanChunks:
 # ---------------------------------------------------------------------
 
 
+def chunk_seeded_innovations(gen, n, seed):
+    """The innovations the exact stitch draws: one standard-normal
+    block per chunk from that chunk's spawned stream, in chunk order."""
+    plan = gen.plan(n)
+    return np.concatenate([
+        rng.standard_normal(chunk.length)
+        for chunk, rng in zip(plan, spawn_rngs(seed, plan.num_chunks))
+    ])
+
+
 class TestExactStitch:
     @pytest.mark.parametrize("chunk_frames", [32, 100, 512, 64])
     @pytest.mark.parametrize("hurst", [0.7, 0.9])
@@ -155,19 +166,26 @@ class TestExactStitch:
     ):
         model = FGNCorrelation(hurst)
         n = 512
-        z = np.random.default_rng(11).standard_normal(n)
-        direct = hosking_generate(model, n, innovations=z)
         gen = ChunkedGenerator(
             HoskingSource(model),
             chunk_frames=chunk_frames,
             stitch="exact",
         )
-        chunked = gen.generate(n, innovations=z)
-        # Same linear map, reassociated floating point: the blocked
-        # BLAS-3 kernel's contract.
-        np.testing.assert_allclose(
-            chunked, direct, rtol=1e-10, atol=1e-12
+        z = chunk_seeded_innovations(gen, n, 11)
+        chunked = gen.generate(n, random_state=11)
+        np.testing.assert_array_equal(
+            chunked, hosking_generate(model, n, innovations=z)
         )
+
+    def test_matches_direct_hosking_above_cache_cap(self):
+        # Above the cap both run the recursion in step; same bits.
+        model = FGNCorrelation(0.8)
+        gen = ChunkedGenerator(HoskingSource(model), chunk_frames=100)
+        z = chunk_seeded_innovations(gen, 300, 4)
+        with coefficient_cache_cap(64):
+            chunked = gen.generate(300, random_state=4)
+            direct = hosking_generate(model, 300, innovations=z)
+        np.testing.assert_array_equal(chunked, direct)
 
     @pytest.mark.parametrize("processes", [1, 2, 7, 16])
     def test_thread_count_invariant_bits(self, processes):
@@ -389,15 +407,6 @@ class TestBridgeStitch:
         # sampling noise dominates the window truncation.
         assert abs(np.mean(acf_shift)) < 0.02
 
-    def test_innovations_seam_rejected_for_bridge(self):
-        gen = ChunkedGenerator(
-            DaviesHarteSource(FGNCorrelation(0.8)),
-            chunk_frames=64,
-        )
-        assert gen.stitch == "bridge"
-        with pytest.raises(ValidationError):
-            gen.generate(128, innovations=np.zeros(128))
-
 
 # ---------------------------------------------------------------------
 # Capability gating
@@ -517,12 +526,10 @@ class TestMemoryAndMetrics:
         assert large < 1.5 * small + 256 * 1024
 
     def test_chunked_metrics_emitted(self):
-        ctx = RunContext()
         src = DaviesHarteSource(FGNCorrelation(0.8))
-        gen = ChunkedGenerator(
-            src, chunk_frames=256, processes=2, metrics=ctx
-        )
-        gen.generate(1024, random_state=1)
+        gen = ChunkedGenerator(src, chunk_frames=256, processes=2)
+        with recording(RunContext()) as ctx:
+            gen.generate(1024, random_state=1)
         names = {entry["name"] for entry in ctx.snapshot()}
         for expected in (
             "chunked.chunks",
@@ -548,9 +555,10 @@ class TestMemoryAndMetrics:
         quiet = chunked_generate(
             src, 1024, chunk_frames=256, random_state=6
         )
-        loud = ChunkedGenerator(
-            src, chunk_frames=256, metrics=RunContext()
-        ).generate(1024, random_state=6)
+        with recording(RunContext()):
+            loud = ChunkedGenerator(src, chunk_frames=256).generate(
+                1024, random_state=6
+            )
         assert np.array_equal(quiet, loud)
 
     def test_env_processes_consulted(self):
@@ -561,10 +569,10 @@ class TestMemoryAndMetrics:
         old = os.environ.get("REPRO_WORKERS")
         os.environ["REPRO_WORKERS"] = "3"
         try:
-            ctx = RunContext()
-            out = ChunkedGenerator(
-                src, chunk_frames=256, metrics=ctx
-            ).generate(1024, random_state=9)
+            with recording(RunContext()) as ctx:
+                out = ChunkedGenerator(src, chunk_frames=256).generate(
+                    1024, random_state=9
+                )
         finally:
             if old is None:
                 del os.environ["REPRO_WORKERS"]

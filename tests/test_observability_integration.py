@@ -2,9 +2,10 @@
 
 Two properties matter:
 
-1. **Non-perturbation** — running with ``metrics=`` must produce
-   bit-for-bit the same numerical results as running without, because
-   instrumentation never touches a random stream.
+1. **Non-perturbation** — running under a bound context
+   (``recording``) must produce bit-for-bit the same numerical results
+   as running without, because instrumentation never touches a random
+   stream.
 2. **Coverage** — an instrumented run actually populates the documented
    metric names (``is.*``, ``coeff_table.*``, ``parallel.*``,
    ``twist_search.*``, ``mux.*``, ``model.*``, ``registry.*``).
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.unified import UnifiedVBRModel
-from repro.observability import MetricsRegistry, RunContext
+from repro.observability import MetricsRegistry, RunContext, recording
 from repro.processes import registry
 from repro.processes.correlation import (
     ExponentialCorrelation,
@@ -50,10 +51,10 @@ class TestBitIdentity:
         plain = is_overflow_probability(
             CORR, arrivals_transform, random_state=42, **IS_KWARGS
         )
-        instrumented = is_overflow_probability(
-            CORR, arrivals_transform, random_state=42,
-            metrics=RunContext(), **IS_KWARGS
-        )
+        with recording(RunContext()):
+            instrumented = is_overflow_probability(
+                CORR, arrivals_transform, random_state=42, **IS_KWARGS
+            )
         assert instrumented.probability == plain.probability
         assert instrumented.variance == plain.variance
         assert instrumented.hits == plain.hits
@@ -72,10 +73,10 @@ class TestBitIdentity:
         plain = overflow_vs_buffer_curve(
             CORR, arrivals_transform, **kwargs
         )
-        instrumented = overflow_vs_buffer_curve(
-            CORR, arrivals_transform, workers=2,
-            metrics=RunContext(), **kwargs
-        )
+        with recording(RunContext()):
+            instrumented = overflow_vs_buffer_curve(
+                CORR, arrivals_transform, workers=2, **kwargs
+            )
         for a, b in zip(plain.estimates, instrumented.estimates):
             assert a.probability == b.probability
             assert a.hits == b.hits
@@ -91,9 +92,10 @@ class TestBitIdentity:
             random_state=9,
         )
         plain = search_twisted_mean(CORR, arrivals_transform, **kwargs)
-        instrumented = search_twisted_mean(
-            CORR, arrivals_transform, metrics=RunContext(), **kwargs
-        )
+        with recording(RunContext()):
+            instrumented = search_twisted_mean(
+                CORR, arrivals_transform, **kwargs
+            )
         assert instrumented.best_twist == plain.best_twist
         for a, b in zip(plain.estimates, instrumented.estimates):
             assert a.probability == b.probability
@@ -103,16 +105,17 @@ class TestBitIdentity:
         arrivals = rng.exponential(1.0, size=500)
         mux = AtmMultiplexer(1.1, buffer_size=8.0)
         plain = mux.simulate(arrivals)
-        instrumented = mux.simulate(arrivals, metrics=RunContext())
+        with recording(RunContext()):
+            instrumented = mux.simulate(arrivals)
         np.testing.assert_array_equal(plain.queue, instrumented.queue)
         np.testing.assert_array_equal(plain.lost, instrumented.lost)
 
     def test_unified_fit_identical_with_metrics(self, intra_trace):
-        def fit(metrics):
-            return UnifiedVBRModel(
-                max_lag=50, attenuation_method="analytic",
-                metrics=metrics,
-            ).fit(intra_trace)
+        def fit(ctx):
+            with recording(ctx):
+                return UnifiedVBRModel(
+                    max_lag=50, attenuation_method="analytic",
+                ).fit(intra_trace)
 
         plain, instrumented = fit(None), fit(RunContext())
         assert instrumented.hurst == plain.hurst
@@ -121,11 +124,10 @@ class TestBitIdentity:
 
 class TestMetricCoverage:
     def test_is_leg_records_convergence_diagnostics(self):
-        ctx = RunContext()
-        estimate = is_overflow_probability(
-            CORR, arrivals_transform, random_state=42,
-            metrics=ctx, **IS_KWARGS
-        )
+        with recording(RunContext()) as ctx:
+            estimate = is_overflow_probability(
+                CORR, arrivals_transform, random_state=42, **IS_KWARGS
+            )
         assert estimate.hits > 0
         recorded = names(ctx)
         for name in (
@@ -152,18 +154,17 @@ class TestMetricCoverage:
         )
 
     def test_curve_records_legs_cache_and_pool(self):
-        ctx = RunContext()
-        overflow_vs_buffer_curve(
-            CORR, arrivals_transform,
-            utilization=0.8,
-            buffer_sizes=[1.0, 2.0],
-            replications=30,
-            twisted_mean=1.0,
-            horizon_factor=8,
-            random_state=7,
-            workers=2,
-            metrics=ctx,
-        )
+        with recording(RunContext()) as ctx:
+            overflow_vs_buffer_curve(
+                CORR, arrivals_transform,
+                utilization=0.8,
+                buffer_sizes=[1.0, 2.0],
+                replications=30,
+                twisted_mean=1.0,
+                horizon_factor=8,
+                random_state=7,
+                workers=2,
+            )
         recorded = names(ctx)
         for name in (
             "parallel.legs", "parallel.workers", "parallel.job_seconds",
@@ -179,17 +180,16 @@ class TestMetricCoverage:
         assert leg_labels == {"0", "1"}
 
     def test_search_records_variance_trajectory(self):
-        ctx = RunContext()
-        result = search_twisted_mean(
-            CORR, arrivals_transform,
-            service_rate=2.5,
-            buffer_size=2.0,
-            horizon=20,
-            twist_values=[0.5, 1.0, 1.5],
-            replications=40,
-            random_state=9,
-            metrics=ctx,
-        )
+        with recording(RunContext()) as ctx:
+            result = search_twisted_mean(
+                CORR, arrivals_transform,
+                service_rate=2.5,
+                buffer_size=2.0,
+                horizon=20,
+                twist_values=[0.5, 1.0, 1.5],
+                replications=40,
+                random_state=9,
+            )
         entries = ctx.snapshot()
         trajectory = [
             e for e in entries
@@ -205,7 +205,8 @@ class TestMetricCoverage:
 
     def test_registry_resolution_counter(self):
         reg = MetricsRegistry()
-        registry.resolve("hosking", FGNCorrelation(0.8), metrics=reg)
+        with recording(reg):
+            registry.resolve("hosking", FGNCorrelation(0.8))
         snapshot = reg.snapshot()
         entry = [
             e for e in snapshot if e["name"] == "registry.resolutions"
@@ -215,17 +216,16 @@ class TestMetricCoverage:
 
     def test_registry_auto_policy_counter(self):
         reg = MetricsRegistry()
-        registry.resolve("auto", FGNCorrelation(0.8), metrics=reg)
+        with recording(reg):
+            registry.resolve("auto", FGNCorrelation(0.8))
         recorded = {e["name"] for e in reg.snapshot()}
         assert "registry.auto_policy" in recorded
 
     def test_multiplexer_occupancy_histogram(self):
         rng = np.random.default_rng(3)
         arrivals = rng.exponential(1.0, size=500)
-        ctx = RunContext()
-        result = AtmMultiplexer(1.1, buffer_size=8.0).simulate(
-            arrivals, metrics=ctx
-        )
+        with recording(RunContext()) as ctx:
+            result = AtmMultiplexer(1.1, buffer_size=8.0).simulate(arrivals)
         entries = {e["name"]: e for e in ctx.snapshot()}
         hist = entries["mux.queue_occupancy"]
         assert hist["count"] == result.queue.size
@@ -240,10 +240,10 @@ class TestMetricCoverage:
         )
 
     def test_unified_fit_step_timers(self, intra_trace):
-        ctx = RunContext()
-        model = UnifiedVBRModel(
-            max_lag=50, attenuation_method="analytic", metrics=ctx
-        ).fit(intra_trace)
+        with recording(RunContext()) as ctx:
+            model = UnifiedVBRModel(
+                max_lag=50, attenuation_method="analytic"
+            ).fit(intra_trace)
         entries = ctx.snapshot()
         steps = {
             e["labels"]["step"]

@@ -21,7 +21,7 @@ import time
 import pytest
 
 from repro.exceptions import SimulationError, ValidationError
-from repro.observability import RunContext
+from repro.observability import RunContext, recording
 from repro.simulation.parallel import (
     WORKERS_ENV,
     default_workers,
@@ -37,7 +37,8 @@ class BoomError(RuntimeError):
 
 
 def make_jobs(results, failing_index=None, exc=None):
-    """Zero-argument jobs returning their index, one optionally raising."""
+    """``(labels, job)`` legs whose jobs return their index, one
+    optionally raising."""
 
     def job(i):
         def run():
@@ -48,7 +49,7 @@ def make_jobs(results, failing_index=None, exc=None):
 
         return run
 
-    return [job(i) for i in range(4)]
+    return [({"leg": i}, job(i)) for i in range(4)]
 
 
 class TestRunLegsFailure:
@@ -157,14 +158,8 @@ class TestRunTasks:
             run_tasks(_double, [1], kind="fork")
 
     def test_metrics_record_workers_and_occupancy(self):
-        ctx = RunContext()
-        run_tasks(
-            _double,
-            [1, 2, 3, 4],
-            workers=2,
-            metrics=ctx,
-            prefix="chunked",
-        )
+        with recording(RunContext()) as ctx:
+            run_tasks(_double, [1, 2, 3, 4], workers=2, prefix="chunked")
         snapshot = {e["name"]: e for e in ctx.snapshot()}
         assert snapshot["chunked.workers"]["value"] == 2
         assert snapshot["chunked.legs"]["value"] == 4
@@ -244,15 +239,14 @@ class TestReduceTasks:
             )
 
     def test_metrics_recorded(self):
-        ctx = RunContext()
-        reduce_tasks(
-            _double,
-            [1, 2, 3, 4],
-            lambda r, i: None,
-            workers=2,
-            metrics=ctx,
-            prefix="aggregate_pool",
-        )
+        with recording(RunContext()) as ctx:
+            reduce_tasks(
+                _double,
+                [1, 2, 3, 4],
+                lambda r, i: None,
+                workers=2,
+                prefix="aggregate_pool",
+            )
         snapshot = {e["name"]: e for e in ctx.snapshot()}
         assert snapshot["aggregate_pool.workers"]["value"] == 2
         assert snapshot["aggregate_pool.legs"]["value"] == 4

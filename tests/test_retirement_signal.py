@@ -15,7 +15,7 @@ import warnings
 import pytest
 
 from repro.exceptions import SimulationWarning
-from repro.observability import RunContext
+from repro.observability import RunContext, recording
 from repro.processes.correlation import ExponentialCorrelation
 from repro.simulation.importance import is_overflow_probability
 
@@ -25,7 +25,8 @@ CORR = ExponentialCorrelation(0.5)
 class TestEstimatorOutcomes:
     def test_zero_hit_estimate_warns_and_counts(self):
         ctx = RunContext()
-        with pytest.warns(SimulationWarning, match="0 overflow hits"):
+        with pytest.warns(SimulationWarning, match="0 overflow hits"), \
+                recording(ctx):
             estimate = is_overflow_probability(
                 CORR,
                 lambda x: x + 0.01,  # arrivals far below service
@@ -35,7 +36,6 @@ class TestEstimatorOutcomes:
                 twisted_mean=0.0,
                 replications=20,
                 random_state=1,
-                metrics=ctx,
             )
         assert estimate.hits == 0
         assert estimate.probability == 0.0
@@ -48,7 +48,7 @@ class TestEstimatorOutcomes:
         # Every replication overflows almost immediately; the estimator
         # must not misreport this success as a degeneracy.
         ctx = RunContext()
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), recording(ctx):
             warnings.simplefilter("error", SimulationWarning)
             estimate = is_overflow_probability(
                 CORR,
@@ -59,7 +59,6 @@ class TestEstimatorOutcomes:
                 twisted_mean=0.0,
                 replications=25,
                 random_state=2,
-                metrics=ctx,
             )
         assert estimate.hits == estimate.replications
         assert estimate.probability == pytest.approx(1.0)

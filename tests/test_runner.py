@@ -364,10 +364,10 @@ class TestMCOverflowVsBufferCurve:
         )
 
     def test_metrics_recorded(self):
-        from repro.observability import RunContext
+        from repro.observability import RunContext, recording
 
-        ctx = RunContext()
-        self._curve(metrics=ctx)
+        with recording(RunContext()) as ctx:
+            self._curve()
         names = {e["name"] for e in ctx.snapshot()}
         assert "mc.replications" in names
         assert "mc.leg_seconds" in names

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import CorrelationError, ValidationError
-from repro.observability import RunContext
+from repro.observability import RunContext, recording
 from repro.processes import registry
 from repro.processes.davies_harte import davies_harte_generate
 from repro.processes.correlation import (
@@ -152,10 +152,10 @@ class TestEigenvaluePolicy:
     def test_clip_counts_module_stat_and_metrics(self):
         entry = build_eigenvalue_entry(non_embeddable_acvf())
         ctx = RunContext()
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), recording(ctx):
             warnings.simplefilter("ignore")
-            apply_eigenvalue_policy(entry, "clip", metrics=ctx)
-            apply_eigenvalue_policy(entry, "clip", metrics=ctx)
+            apply_eigenvalue_policy(entry, "clip")
+            apply_eigenvalue_policy(entry, "clip")
         assert spectral_cache_info().clipped_eigenvalues == (
             2 * entry.clipped_count
         )

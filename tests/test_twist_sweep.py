@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import SimulationWarning, ValidationError
-from repro.observability import RunContext
+from repro.observability import RunContext, recording
 from repro.processes.coeff_table import (
     CoefficientTable,
     clear_coefficient_cache,
@@ -24,7 +24,6 @@ from repro.processes.hosking import hosking_generate
 from repro.simulation import (
     is_overflow_probability,
     is_transient_overflow_curve,
-    search_twisted_mean,
     sweep_twists,
 )
 from repro.stats.random import make_rng
@@ -200,12 +199,12 @@ class TestAgreesWithPerTwist:
 
 class TestSingleGeneration:
     def test_one_generation_serves_whole_grid(self):
-        ctx = RunContext()
-        sweep_twists(
-            CORR, arrivals, service_rate=HIT_MU, buffer_size=HIT_BUFFER,
-            horizon=HORIZON, twist_values=GRID, replications=600,
-            random_state=5, metrics=ctx,
-        )
+        with recording(RunContext()) as ctx:
+            sweep_twists(
+                CORR, arrivals, service_rate=HIT_MU, buffer_size=HIT_BUFFER,
+                horizon=HORIZON, twist_values=GRID, replications=600,
+                random_state=5,
+            )
         flat = {}
         for entry in ctx.snapshot():
             # Timer entries expose "total" instead of "value".
@@ -219,12 +218,12 @@ class TestSingleGeneration:
         assert flat["twist_sweep.seconds"] > 0
 
     def test_per_twist_hit_counters(self, sweep_result):
-        ctx = RunContext()
-        sweep_twists(
-            CORR, arrivals, service_rate=HIT_MU, buffer_size=HIT_BUFFER,
-            horizon=HORIZON, twist_values=GRID[:3], replications=400,
-            random_state=5, metrics=ctx,
-        )
+        with recording(RunContext()) as ctx:
+            sweep_twists(
+                CORR, arrivals, service_rate=HIT_MU, buffer_size=HIT_BUFFER,
+                horizon=HORIZON, twist_values=GRID[:3], replications=400,
+                random_state=5,
+            )
         hit_entries = [
             e for e in ctx.snapshot() if e["name"] == "twist_sweep.hits"
         ]
@@ -235,45 +234,24 @@ class TestSingleGeneration:
 
 
 class TestSharedPathsDelegate:
-    def test_search_delegates_to_sweep(self):
-        kwargs = dict(
-            service_rate=HIT_MU,
-            buffer_size=HIT_BUFFER,
-            horizon=HORIZON,
-            twist_values=GRID[:5],
-            replications=500,
-            random_state=11,
-        )
-        direct = sweep_twists(CORR, arrivals, **kwargs)
-        via_search = search_twisted_mean(
-            CORR, arrivals, shared_paths=True, **kwargs
-        )
-        np.testing.assert_array_equal(
-            via_search.normalized_variances, direct.normalized_variances
-        )
-        np.testing.assert_array_equal(
-            [e.probability for e in via_search.estimates],
-            [e.probability for e in direct.estimates],
-        )
-
     @pytest.mark.parametrize(
         "backend", ["auto", "hosking", "Hosking", "davies_harte"]
     )
     def test_accepted_backends(self, backend):
-        result = search_twisted_mean(
+        result = sweep_twists(
             CORR, arrivals, service_rate=MU, buffer_size=BUFFER,
             horizon=40, twist_values=[1.0], replications=100,
-            random_state=2, shared_paths=True, backend=backend,
+            random_state=2, backend=backend,
         )
         assert len(result.estimates) == 1
 
     @pytest.mark.parametrize("backend", ["fgn", "rmd"])
     def test_rejected_backends(self, backend):
         with pytest.raises(ValidationError, match="backend"):
-            search_twisted_mean(
+            sweep_twists(
                 CORR, arrivals, service_rate=MU, buffer_size=BUFFER,
                 horizon=40, twist_values=[1.0], replications=100,
-                shared_paths=True, backend=backend,
+                backend=backend,
             )
 
 
