@@ -112,7 +112,8 @@ bench-aggregate-scale:
 # pool size, >= 3x over the in-line pipeline when >= 4 cores are
 # available (the assertion is core-gated; the ratio is always
 # recorded), in-line chunking within 2x of single-pass generation, and
-# the O(chunk x window) tracemalloc budget at two horizons.
+# a tracemalloc budget of half a (chunk x window) matrix at two horizons
+# (the stitch never forms that matrix).
 bench-chunked:
 	REPRO_BENCH_JSON=BENCH_hosking.json \
 	$(PYTHON) -m pytest benchmarks/test_ablation_chunked.py -q

@@ -86,6 +86,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import cho_factor, cho_solve
 
 from .._validation import (
@@ -128,9 +129,15 @@ def _parallel():
 #: Default boundary-history window of the bridge stitch, in frames.
 #: Large enough that the window carries essentially all of the
 #: dependence an LRD background has on its recent past (see the §5g
-#: contract table); small enough that the per-chunk stitch GEMM and the
-#: one-off ``(w, w)`` Cholesky stay negligible next to the chunk FFT.
+#: contract table); small enough that the stitch's row-block GEMMs and
+#: the one-off ``(w, w)`` Cholesky stay negligible next to the chunk FFTs.
 DEFAULT_STITCH_WINDOW = 256
+
+#: Bytes of the chunk-window cross covariance the bridge stitch copies
+#: out of the ACVF at a time (2,048 rows at the default window).  The
+#: stitch never forms the ``(chunk, window)`` matrix; 2,048-row blocks
+#: multiply as fast as 8,192-row ones.
+_STITCH_BLOCK_BYTES = 4 * 2**20
 
 
 # ---------------------------------------------------------------------
@@ -302,6 +309,16 @@ def _toeplitz(acvf: np.ndarray, n: int) -> np.ndarray:
     return acvf[lags]
 
 
+def _window_factor(acvf: np.ndarray, window: int):
+    """Cholesky factor of the ``(window, window)`` history covariance."""
+    try:
+        return cho_factor(_toeplitz(acvf, window))
+    except np.linalg.LinAlgError as exc:
+        raise CorrelationError(
+            "stitch-window covariance is not positive definite"
+        ) from exc
+
+
 def bridge_matrix(
     acvf: Union[np.ndarray, Sequence[float]],
     window: int,
@@ -314,6 +331,9 @@ def bridge_matrix(
     partitioned-Gaussian formula as
     :func:`~repro.processes.forecast.conditional_forecast` (for any
     history ``h``, ``A @ h`` equals that function's forecast mean).
+    This is the dense reference for :func:`stitched_covariance` and
+    the tests; :class:`ChunkedGenerator` applies the same map without
+    forming it.
 
     Parameters
     ----------
@@ -343,18 +363,42 @@ def bridge_matrix(
     # Row i of Sigma_12 is acvf[window - i : window - i + length], a
     # sliding window over the ACVF, so a strided view stands in for the
     # (window, length) block without materializing it.
-    sigma_11 = _toeplitz(acvf, window)
-    windows = np.lib.stride_tricks.sliding_window_view(
-        acvf[:total], length
-    )
+    windows = sliding_window_view(acvf[:total], length)
     sigma_12 = windows[1 : window + 1][::-1]
-    try:
-        factor = cho_factor(sigma_11)
-    except np.linalg.LinAlgError as exc:
-        raise CorrelationError(
-            "stitch-window covariance is not positive definite"
-        ) from exc
-    return cho_solve(factor, sigma_12).T
+    return cho_solve(_window_factor(acvf, window), sigma_12).T
+
+
+def _add_corrections(
+    x: np.ndarray,
+    acvf: np.ndarray,
+    window: int,
+    chunks: Sequence[Chunk],
+    raws: Sequence[np.ndarray],
+    solved: np.ndarray,
+) -> None:
+    """Write ``x_c = y_c[w:] + Sigma_21 e_c`` for each chunk ``c``.
+
+    ``solved`` holds ``e_c = Sigma_11^{-1} d_c`` as columns, one per
+    chunk, so ``Sigma_21 e_c = A d_c`` is the bridge correction.  Row
+    ``i`` of ``Sigma_21`` is ``r(i + w), ..., r(i + 1)``: the ACVF's
+    ``(i + 1)``-th sliding window reversed.  Blocks of those windows
+    are copied ``_STITCH_BLOCK_BYTES`` at a time and multiplied by the
+    row-reversed solves, one GEMM per block for all chunks.
+    """
+    windows = sliding_window_view(acvf, window)
+    reversed_solved = np.ascontiguousarray(solved[::-1])
+    rows = max(_STITCH_BLOCK_BYTES // (window * acvf.itemsize), 1)
+    longest = max(chunk.length for chunk in chunks)
+    for first in range(0, longest, rows):
+        last = min(first + rows, longest)
+        block = np.array(windows[first + 1 : last + 1]) @ reversed_solved
+        for j, (chunk, raw) in enumerate(zip(chunks, raws)):
+            stop = min(last, chunk.length)
+            if stop > first:
+                x[chunk.start + first : chunk.start + stop] = (
+                    raw[window + first : window + stop]
+                    + block[: stop - first, j]
+                )
 
 
 def _bridge_chunk_job(payload) -> np.ndarray:
@@ -489,7 +533,6 @@ class ChunkedGenerator:
         # explicit count so generate() can re-read the environment.
         _parallel().resolve_workers(processes, "processes")
         self._processes = processes
-        self._bridge_cache: Dict[Tuple[int, int], np.ndarray] = {}
         self.last_report: Optional[ChunkReport] = None
 
     def plan(self, n: int) -> ChunkPlan:
@@ -503,16 +546,6 @@ class ChunkedGenerator:
         )
 
     # -- bridge mode ---------------------------------------------------
-
-    def _bridge_matrix_for(
-        self, acvf: np.ndarray, window: int, length: int
-    ) -> np.ndarray:
-        key = (window, length)
-        cached = self._bridge_cache.get(key)
-        if cached is None:
-            cached = bridge_matrix(acvf, window, length)
-            self._bridge_cache[key] = cached
-        return cached
 
     def _generate_bridge(
         self, plan: ChunkPlan, rngs, count: int
@@ -560,18 +593,19 @@ class ChunkedGenerator:
     def _stitch_sequential(
         self, plan: ChunkPlan, raws, acvf: np.ndarray, x: np.ndarray
     ) -> None:
-        """Reference stitch: one conditional-mean GEMV per chunk."""
+        """Reference stitch: one conditional-mean correction per chunk."""
         window = self.stitch_window
+        factors: Dict[int, Tuple] = {}
         for chunk, raw in zip(plan, raws):
             w = min(window, chunk.start)
             if w == 0:
                 x[chunk.start : chunk.stop] = raw
                 continue
-            a = self._bridge_matrix_for(acvf, w, chunk.length)
+            if w not in factors:
+                factors[w] = _window_factor(acvf, w)
             history = x[chunk.start - w : chunk.start]
-            x[chunk.start : chunk.stop] = raw[w:] + a @ (
-                history - raw[:w]
-            )
+            solved = cho_solve(factors[w], history - raw[:w])
+            _add_corrections(x, acvf, w, [chunk], [raw], solved[:, None])
 
     def _stitch_uniform(
         self, plan: ChunkPlan, raws, acvf: np.ndarray, x: np.ndarray
@@ -586,29 +620,33 @@ class ChunkedGenerator:
             ``d_{c+1} = (y_c[-w:] - y_{c+1}[:w]) + A[L_c-w:L_c] d_c``.
 
         Row ``i`` of ``A`` depends only on ``(w, i)`` (it maps the
-        window to the conditional mean at offset ``i``), so one matrix
-        for the longest chunk serves every chunk, the recurrence costs
-        O(w^2) per chunk, and all full-length corrections collapse into
-        the single BLAS-3 product ``A @ [d_1 .. d_k]``.  Serial stitch
-        time stops scaling with ``horizon x window``, which is what
-        keeps the pooled pipeline out of Amdahl territory.
+        window to the conditional mean at offset ``i``), so the
+        recurrence needs one ``(w, w)`` tail of ``A`` per distinct
+        chunk length, each from one small solve.  All corrections are
+        then ``Sigma_21 Sigma_11^{-1} [d_1 .. d_k]``: one solve for every
+        discrepancy at once and blocked GEMMs against the ACVF's
+        sliding windows (:func:`_add_corrections`), so neither ``A``
+        nor the full correction matrix is ever formed and the serial
+        stitch stays a small fraction of the pooled chunk jobs.
         """
         w = self.stitch_window
         chunks = plan.chunks[1:]
-        lengths = [chunk.length for chunk in chunks]
-        a = self._bridge_matrix_for(acvf, w, max(lengths))
+        factor = _window_factor(acvf, w)
+        windows = sliding_window_view(acvf, w)
+        tails: Dict[int, np.ndarray] = {}
         d = np.empty((w, len(chunks)), dtype=float)
         d[:, 0] = raws[0][-w:] - raws[1][:w]
         for j in range(1, len(chunks)):
-            tail = a[lengths[j - 1] - w : lengths[j - 1], :]
-            d[:, j] = (raws[j][-w:] - raws[j + 1][:w]) + tail @ d[:, j - 1]
-        corrections = a @ d
-        first = plan.chunks[0]
-        x[: first.stop] = raws[0]
-        for j, chunk in enumerate(chunks):
-            x[chunk.start : chunk.stop] = (
-                raws[j + 1][w:] + corrections[: chunk.length, j]
+            length = chunks[j - 1].length
+            if length not in tails:
+                # Rows L - w .. L - 1 of Sigma_21, then of A.
+                cross = windows[length - w + 1 : length + 1, ::-1]
+                tails[length] = cho_solve(factor, cross.T).T
+            d[:, j] = (
+                (raws[j][-w:] - raws[j + 1][:w]) + tails[length] @ d[:, j - 1]
             )
+        x[: plan.chunks[0].stop] = raws[0]
+        _add_corrections(x, acvf, w, chunks, raws[1:], cho_solve(factor, d))
 
     # -- exact mode ----------------------------------------------------
 

@@ -27,9 +27,14 @@ from .._validation import check_1d_array, check_positive_int
 from ..exceptions import ValidationError
 from ..observability import current_context, recording
 from ..processes import registry
-from ..processes.coeff_table import cache_metrics
+from ..processes.coeff_table import (
+    cache_metrics,
+    coefficient_cache_info,
+    get_coefficient_table,
+)
 from ..processes.correlation import CorrelationModel
 from ..processes.registry import BackendArg
+from ..processes.source import GaussianSource
 from ..processes.spectral_cache import (
     get_spectral_table,
     spectral_cache_metrics,
@@ -124,6 +129,20 @@ def _buffer_legs(
     by ``scope`` plus the leg index and buffer size.
     """
     rngs = spawn_rngs(random_state, buffers.size)
+    horizons = [max(int(horizon_factor * b), 1) for b in buffers]
+    longest = max(horizons)
+    cap = coefficient_cache_info().max_cached_horizon
+    if twisted_mean != 0 and longest <= cap:
+        # Twisted legs weigh their hits with the coefficient table of
+        # their path law.  Resolving it once at the longest horizon lets
+        # every leg, in any order and on any worker, read a prefix
+        # instead of racing to extend it, so the coeff_table.* counters
+        # do not depend on thread scheduling (as the spectral prewarm of
+        # mc_overflow_vs_buffer_curve does for its table).
+        if isinstance(backend, GaussianSource):
+            get_coefficient_table(backend.acvf(longest), longest)
+        else:
+            get_coefficient_table(correlation, longest)
     return [
         (
             dict(scope, leg=i, buffer=float(b)),
@@ -133,14 +152,14 @@ def _buffer_legs(
                 transform,
                 service_rate=service_rate,
                 buffer_size=float(b),
-                horizon=max(int(horizon_factor * b), 1),
+                horizon=horizon,
                 twisted_mean=twisted_mean,
                 replications=replications,
                 random_state=rng,
                 backend=backend,
             ),
         )
-        for i, (b, rng) in enumerate(zip(buffers, rngs))
+        for i, (b, horizon, rng) in enumerate(zip(buffers, horizons, rngs))
     ]
 
 

@@ -10,14 +10,17 @@ Four contract families:
   size, from the cached table and from the in-step recursion above the
   cache cap, and thread-count invariant bit for bit.
 - **Bridge stitch**: the conditional-mean map equals
-  ``conditional_forecast``; the stitched covariance (computed exactly)
+  ``conditional_forecast``, and so does the generator's matrix-free
+  stitch, chunk by chunk on the same raw draws; the stitched
+  covariance (computed exactly)
   obeys the pinned per-(H, window) deviation bounds of DESIGN.md §5g
   and improves monotonically with the window; paired Hurst/ACF
   estimates on chunked vs single-pass paths are statistically
   indistinguishable; output is bit-identical at any pool size.
 - **Hygiene**: chunk RNGs carry globally distinct spawn keys across
   legs and chunks (the collision canary), peak extra memory is
-  O(chunk), and the ``chunked.*`` metrics are emitted.
+  O(chunk) and below one ``(chunk, window)`` matrix, and the
+  ``chunked.*`` metrics are emitted.
 """
 
 import os
@@ -36,7 +39,7 @@ from repro.estimators import (
 )
 from repro.exceptions import ValidationError
 from repro.observability import RunContext, recording
-from repro.processes import registry
+from repro.processes import chunked, registry
 from repro.processes.chunked import (
     ChunkedGenerator,
     bridge_matrix,
@@ -45,6 +48,7 @@ from repro.processes.chunked import (
     stitched_covariance,
 )
 from repro.processes.correlation import FGNCorrelation
+from repro.processes.davies_harte import davies_harte_generate
 from repro.processes.forecast import conditional_forecast
 from repro.processes.hosking import hosking_generate
 from repro.processes.source import DaviesHarteSource, HoskingSource
@@ -224,7 +228,71 @@ class TestExactStitch:
 # ---------------------------------------------------------------------
 
 
+def forecast_stitched(gen, n, seed):
+    """The bridge stitch rebuilt from its definition, chunk by chunk.
+
+    Each chunk's raw ``w + L`` samples are redrawn from its spawned
+    stream as the generator's chunk job draws them; the window is then
+    replaced through ``conditional_forecast``, which shares no code
+    with the stitch: ``x_c = y[w:] + E[next L | h - y[:w]]``.
+    """
+    plan = gen.plan(n)
+    window = gen.stitch_window
+    acvf = gen.source.acvf(
+        max(min(window, c.start) + c.length for c in plan) + 1
+    )
+    x = np.empty(n)
+    for chunk, rng in zip(plan, spawn_rngs(seed, plan.num_chunks)):
+        w = min(window, chunk.start)
+        total = w + chunk.length
+        raw = davies_harte_generate(
+            acvf[: total + 1],
+            total,
+            random_state=rng,
+            on_negative_eigenvalues="clip",
+        )
+        if w == 0:
+            x[chunk.start : chunk.stop] = raw
+            continue
+        history = x[chunk.start - w : chunk.start]
+        forecast = conditional_forecast(acvf, history - raw[:w], chunk.length)
+        x[chunk.start : chunk.stop] = raw[w:] + forecast.mean
+    return x
+
+
 class TestBridgeStitch:
+    # (horizon, chunk_frames, window, block rows or None for the
+    # default, uniform path expected)
+    REFERENCE_CASES = {
+        "uniform": (4096, 512, 128, None, True),
+        "chunk_shorter_than_window": (1024, 64, 128, None, False),
+        "window_1": (2048, 256, 1, None, True),
+        "ragged_row_blocks": (1700, 500, 64, 48, True),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_matches_forecast_reference(self, case, monkeypatch):
+        n, chunk_frames, window, rows, uniform = self.REFERENCE_CASES[case]
+        if rows is not None:
+            # Chunks of 500 and 200 frames over 48-row blocks: every
+            # chunk ends inside a partial block.
+            monkeypatch.setattr(
+                chunked, "_STITCH_BLOCK_BYTES", rows * window * 8
+            )
+        gen = ChunkedGenerator(
+            DaviesHarteSource(FGNCorrelation(0.85)),
+            chunk_frames=chunk_frames,
+            stitch_window=window,
+            processes=1,
+        )
+        assert gen._uniform_stitch_ok(gen.plan(n)) is uniform
+        np.testing.assert_allclose(
+            gen.generate(n, random_state=31),
+            forecast_stitched(gen, n, 31),
+            rtol=1e-10,
+            atol=1e-12,
+        )
+
     def test_bridge_matrix_equals_conditional_forecast_mean(self):
         model = FGNCorrelation(0.8)
         w, length = 40, 64
@@ -524,6 +592,28 @@ class TestMemoryAndMetrics:
         small = self._peak_extra(2**15, chunk)
         large = self._peak_extra(2**16, chunk)
         assert large < 1.5 * small + 256 * 1024
+
+    def test_stitch_never_forms_the_bridge_matrix(self):
+        # The stitch applies A = Sigma_21 Sigma_11^{-1} in row blocks;
+        # forming the (chunk, window) matrix, as a dense stitch would,
+        # puts the peak a whole matrix above the horizon-linear arrays
+        # (output, raw chunks, and one more for slack).
+        chunk, window = 2**14, 256
+        n = 8 * chunk
+        src = DaviesHarteSource(FGNCorrelation(0.8))
+        # A throwaway run warms the spectral cache and lazy imports.
+        ChunkedGenerator(
+            src, chunk_frames=chunk, stitch_window=window, processes=1
+        ).generate(n, random_state=0)
+        gen = ChunkedGenerator(
+            src, chunk_frames=chunk, stitch_window=window, processes=1
+        )
+        tracemalloc.start()
+        out = gen.generate(n, random_state=1)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        matrix_bytes = chunk * window * 8
+        assert peak - 3 * out.nbytes < matrix_bytes / 2
 
     def test_chunked_metrics_emitted(self):
         src = DaviesHarteSource(FGNCorrelation(0.8))

@@ -27,10 +27,7 @@ from repro.observability import (
     recording,
 )
 from repro.processes.chunked import ChunkedGenerator
-from repro.processes.coeff_table import (
-    clear_coefficient_cache,
-    get_coefficient_table,
-)
+from repro.processes.coeff_table import clear_coefficient_cache
 from repro.processes.correlation import (
     ExponentialCorrelation,
     FGNCorrelation,
@@ -222,11 +219,6 @@ def _curve_series(workers):
     correlation = ExponentialCorrelation(0.5)
     clear_coefficient_cache()
     clear_spectral_cache()
-    # Prewarmed at the longest leg horizon, as the benchmark's set-up
-    # does: on a cold cache the coeff_table.* deltas count hits and
-    # extensions in the order the legs first reach the shared table,
-    # which depends on thread scheduling.
-    get_coefficient_table(correlation, 24)
     with recording(RunContext()) as ctx:
         overflow_vs_buffer_curve(
             correlation,
@@ -258,7 +250,11 @@ class TestPoolSizeInvariance:
         assert serial[("chunked.legs", ())] == 8
 
     def test_is_buffer_sweep(self):
+        # Cold caches: the runner resolves the legs' shared coefficient
+        # table once, so no leg's first touch depends on scheduling.
         serial, pooled = _curve_series(1), _curve_series(2)
         assert pooled == serial
+        assert serial[("coeff_table.misses", ())] == 1
+        assert serial.get(("coeff_table.extensions", ()), 0) == 0
         assert serial[("is.hits", (("buffer", "1"), ("leg", "0"),
                                    ("twist", "1")))] > 0
