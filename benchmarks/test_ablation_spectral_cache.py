@@ -8,8 +8,9 @@ prefix of one spectrum.  This bench replays a Fig. 16-style plain-MC
 overflow sweep two ways:
 
 - **seed**: the original per-replication loop — one
-  :func:`davies_harte_generate` call per replication with
-  ``spectral_table=False`` (fresh acvf + eigenvalue FFT every call);
+  :func:`davies_harte_generate` call per replication on a cold cache
+  (:func:`clear_spectral_cache` before each draw, so every call pays a
+  fresh acvf + eigenvalue FFT);
 - **cached**: :func:`mc_overflow_vs_buffer_curve` — one shared
   :class:`SpectralTable` prewarmed at the largest horizon, every leg
   slicing its prefix, and each leg drawing all replications as a single
@@ -19,11 +20,10 @@ The two must agree bit for bit (the cache is RNG-neutral and batched
 generation consumes the stream in the same order) while the cached path
 must be at least 3x faster.
 
-A second bound pins the *bypass* path: generation with
-``spectral_table=False`` now routes through
-:func:`build_eigenvalue_entry` / :func:`apply_eigenvalue_policy`
-instead of the seed's inline FFT, and that bookkeeping must stay under
-2% of a per-call generation.  The bound is computed from a
+A second bound pins the *bypass* path: a cold-cache (or over-cap)
+generation routes through :func:`build_eigenvalue_entry` /
+:func:`apply_eigenvalue_policy` instead of the seed's inline FFT, and
+that bookkeeping must stay under 2% of a per-call generation.  The bound is computed from a
 microbenchmark of the bookkeeping delta (entry construction + policy
 check minus the raw FFT both variants share) — comparing whole-sweep
 wall times would drown a sub-millisecond effect in noise.
@@ -88,8 +88,9 @@ def _seed_style_sweep(model):
         horizon = int(HORIZON_FACTOR * b)
         rows = np.empty((REPLICATIONS, horizon))
         for i in range(REPLICATIONS):
+            clear_spectral_cache()
             rows[i] = davies_harte_generate(
-                model, horizon, random_state=rng, spectral_table=False
+                model, horizon, random_state=rng
             )
         estimates.append(
             transient_overflow_mc(_transform(rows), mu, b)

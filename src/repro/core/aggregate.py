@@ -16,7 +16,7 @@ phases — without ever materializing an ``(N, horizon)`` matrix:
 - :class:`ShardedAggregateModel` generates the population's aggregate
   feed in vectorized ``(batch_size, horizon)`` passes through the
   backend registry — reusing the shared spectral cache (Davies-Harte)
-  or the blocked Hosking kernel — and reduces the batches into one
+  or one batched Hosking pass — and reduces the batches into one
   ``(horizon,)`` multiplexer feed, so peak memory is
   O(batch_size x horizon) regardless of N.
 
@@ -106,7 +106,8 @@ class SourceClass:
         Generation backend (registry name, ``"auto"``, or a built
         :class:`~repro.processes.source.GaussianSource`).
     backend_options:
-        Extra factory options (e.g. ``block_size=`` for ``hosking``).
+        Extra factory options (e.g. ``on_negative_eigenvalues=`` for
+        ``davies_harte``).
     """
 
     def __init__(

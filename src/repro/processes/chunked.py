@@ -28,10 +28,13 @@ Three pieces live here:
 
 Two stitch modes
 ----------------
-**Exact mode** (``stitch="exact"``, the default for conditional
-backends): every chunk is conditioned on its *entire* boundary history.
-Chunk ``c`` draws its innovations from its own spawned stream, and one
-run of Hosking's recursion (eq. 1-6,
+The source's capabilities pick the mode: a conditional source
+(Hosking) gets the exact stitch, every other chunkable source the
+bridge stitch.
+
+**Exact mode** (conditional sources): every chunk is conditioned on its
+*entire* boundary history.  Chunk ``c`` draws its innovations from its
+own spawned stream, and one run of Hosking's recursion (eq. 1-6,
 :func:`~repro.processes.hosking.hosking_generate` with
 ``innovations=``) maps the concatenated draws to the path, so the
 output is bit-identical to a direct Hosking run on those draws and the
@@ -40,11 +43,10 @@ it reads the cached coefficient table up to the cache cap and runs the
 recursion in step above it (O(n) memory); the recursion is sequential,
 so ``processes=`` does not apply to this mode.
 
-**Bridge mode** (``stitch="bridge"``, the default for spectral
-backends and the scale path): chunk ``c``'s raw job draws
-``w + L`` samples of the target law via circulant embedding (O(L log L),
-O(L) memory, reusing the shared spectral cache), where ``w`` is
-the *stitch window*.  The stitch then replaces the raw window with the
+**Bridge mode** (spectral sources, the scale path): chunk ``c``'s raw
+job draws ``w + L`` samples of the target law via circulant embedding
+(O(L log L), O(L) memory, reusing the shared spectral cache), where
+``w`` is the *stitch window*.  The stitch then replaces the raw window with the
 actual boundary history through the exact conditional-Gaussian bridge
 
 .. math::
@@ -89,10 +91,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import cho_factor, cho_solve
 
-from .._validation import (
-    check_choice,
-    check_positive_int,
-)
+from .._validation import check_finite_float, check_positive_int
 from ..exceptions import CorrelationError, ValidationError
 from ..observability import current_context
 from ..stats.random import RandomState, spawn_rngs
@@ -460,8 +459,8 @@ class ChunkedGenerator:
     source:
         A :class:`~repro.processes.source.GaussianSource` whose
         capabilities advertise ``chunked`` (an exact Gaussian law fully
-        described by its ACVF).  Conditional sources (Hosking) default
-        to the exact stitch; the rest to the bridge stitch.
+        described by its ACVF).  Conditional sources (Hosking) get the
+        exact stitch; the rest the bridge stitch.
     chunk_frames:
         Nominal chunk length (part of the law; see the module
         docstring's seeding contract).
@@ -471,9 +470,6 @@ class ChunkedGenerator:
     stitch_window:
         Boundary-history window of the bridge stitch (ignored in exact
         mode).
-    stitch:
-        ``"auto"`` (exact when the source exposes the exact
-        conditional recursion, else bridge), ``"exact"``, or ``"bridge"``.
     processes:
         Bridge-job thread-pool size; ``None`` defers to
         ``REPRO_WORKERS`` (default 1 = in-line).  Bridge jobs share the
@@ -494,7 +490,6 @@ class ChunkedGenerator:
         boundaries: Optional[Sequence[int]] = None,
         min_chunk: Optional[int] = None,
         stitch_window: int = DEFAULT_STITCH_WINDOW,
-        stitch: str = "auto",
         processes: Optional[int] = None,
     ) -> None:
         if not isinstance(source, GaussianSource):
@@ -509,16 +504,6 @@ class ChunkedGenerator:
                 "law described by its ACVF); choose a backend whose "
                 "capabilities include 'chunked'"
             )
-        check_choice(stitch, "stitch", ("auto", "exact", "bridge"))
-        if stitch == "auto":
-            stitch = (
-                "exact" if source.capabilities.conditional else "bridge"
-            )
-        if stitch == "exact" and not source.capabilities.conditional:
-            raise ValidationError(
-                f"backend {source.name!r} cannot drive the exact stitch "
-                "(no exact conditional recursion); use stitch='bridge'"
-            )
         self.source = source
         self.chunk_frames = check_positive_int(chunk_frames, "chunk_frames")
         self.alignment = check_positive_int(alignment, "alignment")
@@ -527,7 +512,9 @@ class ChunkedGenerator:
         self.stitch_window = check_positive_int(
             stitch_window, "stitch_window"
         )
-        self.stitch = stitch
+        self.stitch = (
+            "exact" if source.capabilities.conditional else "bridge"
+        )
         # Validate eagerly (registry contract: bad options fail before
         # any simulation work), but remember whether the caller gave an
         # explicit count so generate() can re-read the environment.
@@ -675,6 +662,7 @@ class ChunkedGenerator:
     ) -> np.ndarray:
         """Generate ``n`` frames through the chunked pipeline."""
         n = check_positive_int(n, "n")
+        mean = check_finite_float(mean, "mean")
         plan = self.plan(n)
         ctx = current_context()
         rngs = spawn_rngs(random_state, plan.num_chunks)
@@ -731,7 +719,6 @@ def chunked_generate(
     boundaries: Optional[Sequence[int]] = None,
     min_chunk: Optional[int] = None,
     stitch_window: int = DEFAULT_STITCH_WINDOW,
-    stitch: str = "auto",
     processes: Optional[int] = None,
     mean: float = 0.0,
     random_state: RandomState = None,
@@ -744,7 +731,6 @@ def chunked_generate(
         boundaries=boundaries,
         min_chunk=min_chunk,
         stitch_window=stitch_window,
-        stitch=stitch,
         processes=processes,
     ).generate(n, mean=mean, random_state=random_state)
 

@@ -14,12 +14,10 @@ substitute feasible; the ablation bench compares it against Hosking.
 The spectral decomposition (model ACVF plus circulant eigenvalues) is
 shared across calls through :mod:`repro.processes.spectral_cache` —
 the unconditional-path counterpart of the Hosking path's coefficient
-tables.  ``spectral_table=`` selects the source: ``None``/``True`` use
-the shared fingerprint cache, ``False`` recomputes from scratch (the
-seed behaviour), and an explicit
-:class:`~repro.processes.spectral_cache.SpectralTable` is used as-is.
-Caching is RNG-neutral: every variant draws the same samples in the
-same order.
+tables.  It is the only spectrum source: a path longer than the cache's
+length cap gets an uncached table built for that call.  Caching is
+RNG-neutral: a warm, cold or uncached spectrum draws the same samples
+in the same order.
 """
 
 from __future__ import annotations
@@ -29,16 +27,16 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .._validation import check_choice, check_min_length, check_positive_int
-from ..exceptions import ValidationError
+from .._validation import (
+    check_choice,
+    check_finite_float,
+    check_min_length,
+    check_positive_int,
+)
 from ..stats.random import RandomState, make_rng
-from .acvf_cache import resolve_acvf
 from .correlation import CorrelationModel
 from .spectral_cache import (
-    EigenvalueEntry,
-    SpectralTable,
     apply_eigenvalue_policy,
-    build_eigenvalue_entry,
     circulant_eigenvalues,
     get_spectral_table,
 )
@@ -46,17 +44,9 @@ from .spectral_cache import (
 __all__ = [
     "davies_harte_generate",
     "circulant_eigenvalues",
-    "check_davies_harte_options",
-    "SpectralTableArg",
     "workspace_stats",
     "reset_workspace_stats",
 ]
-
-#: Type of the ``spectral_table`` argument: ``None`` (or ``True``) uses
-#: the shared fingerprint cache, an explicit :class:`SpectralTable` is
-#: used as-is (the caller vouches that it was built from the same
-#: autocovariance), and ``False`` recomputes the spectrum per call.
-SpectralTableArg = Union[None, bool, SpectralTable]
 
 # ---------------------------------------------------------------------
 # Per-worker noise workspace
@@ -105,47 +95,6 @@ def reset_workspace_stats() -> None:
         _workspace_stats["builds"] = 0
 
 
-def check_davies_harte_options(
-    on_negative_eigenvalues: str, spectral_table: SpectralTableArg
-) -> None:
-    """Validate the generator's options before any draw.
-
-    Raises :class:`~repro.exceptions.ValidationError` naming the bad
-    argument; :class:`~repro.processes.source.DaviesHarteSource` calls
-    this at construction, so its options fail before any simulation
-    work starts.
-    """
-    check_choice(
-        on_negative_eigenvalues, "on_negative_eigenvalues", ("clip", "raise")
-    )
-    if spectral_table is None or isinstance(
-        spectral_table, (bool, SpectralTable)
-    ):
-        return
-    raise ValidationError(
-        "spectral_table must be a SpectralTable, None (shared cache) or "
-        f"False (recompute per call), got {spectral_table!r}"
-    )
-
-
-def _resolve_entry(
-    correlation: Union[CorrelationModel, np.ndarray],
-    n: int,
-    spectral_table: SpectralTableArg,
-) -> EigenvalueEntry:
-    """The eigenvalue entry driving an ``n``-sample generation."""
-    if spectral_table is None or spectral_table is True:
-        return get_spectral_table(correlation, n).eigenvalues(n)
-    if spectral_table is False:
-        return build_eigenvalue_entry(resolve_acvf(correlation, n + 1))
-    if spectral_table.max_length < n:
-        raise ValidationError(
-            f"spectral_table of horizon {spectral_table.horizon} lags "
-            f"cannot generate {n} samples"
-        )
-    return spectral_table.eigenvalues(n)
-
-
 def davies_harte_generate(
     correlation: Union[CorrelationModel, Sequence[float]],
     n: int,
@@ -154,7 +103,6 @@ def davies_harte_generate(
     mean: float = 0.0,
     random_state: RandomState = None,
     on_negative_eigenvalues: str = "clip",
-    spectral_table: SpectralTableArg = None,
 ) -> np.ndarray:
     """Generate Gaussian sample paths via circulant embedding.
 
@@ -180,15 +128,8 @@ def davies_harte_generate(
         ``"raise"`` raises :class:`~repro.exceptions.CorrelationError`.
         FGN embeddings are provably non-negative; fitted composite
         models occasionally produce tiny negative values from
-        discretisation.
-    spectral_table:
-        ``None``/``True`` resolve the spectrum through the shared
-        cache (:func:`~repro.processes.spectral_cache.get_spectral_table`),
-        ``False`` recomputes it for this call, an explicit
-        :class:`~repro.processes.spectral_cache.SpectralTable` is used
-        directly.  All three produce bit-identical output.  Clipping
-        is counted in the current run context's
-        ``spectral.clipped_eigenvalues`` counter (see
+        discretisation.  Clipping is counted in the current run
+        context's ``spectral.clipped_eigenvalues`` counter (see
         :func:`repro.observability.recording`).
 
     Returns
@@ -214,15 +155,18 @@ def davies_harte_generate(
     agreement at rtol 1e-10) at half the FFT flops and scratch memory.
     """
     n = check_positive_int(n, "n")
-    check_davies_harte_options(on_negative_eigenvalues, spectral_table)
+    check_choice(
+        on_negative_eigenvalues, "on_negative_eigenvalues", ("clip", "raise")
+    )
     flat = size is None
     batch = 1 if flat else check_positive_int(size, "size")
+    mean = check_finite_float(mean, "mean")
 
     if not isinstance(correlation, CorrelationModel):
         correlation = check_min_length(correlation, "correlation", n + 1)[
             : n + 1
         ]
-    entry = _resolve_entry(correlation, n, spectral_table)
+    entry = get_spectral_table(correlation, n).eigenvalues(n)
     eigenvalues = apply_eigenvalue_policy(
         entry, on_negative_eigenvalues, stacklevel=3
     )

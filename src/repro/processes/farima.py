@@ -33,7 +33,7 @@ from .._validation import (
 )
 from ..stats.random import RandomState
 from .correlation import FARIMACorrelation
-from .davies_harte import SpectralTableArg, davies_harte_generate
+from .davies_harte import davies_harte_generate
 
 __all__ = [
     "fractional_diff_weights",
@@ -85,7 +85,6 @@ def farima_generate(
     size: Optional[int] = None,
     burn_in: Optional[int] = None,
     random_state: RandomState = None,
-    spectral_table: SpectralTableArg = None,
 ) -> np.ndarray:
     """Generate a FARIMA(p, d, q) sample path.
 
@@ -108,10 +107,6 @@ def farima_generate(
         otherwise.
     random_state:
         Seed or generator.
-    spectral_table:
-        Spectral-cache control for the Davies-Harte core (``None``
-        shared cache, ``False`` recompute, or an explicit
-        :class:`~repro.processes.spectral_cache.SpectralTable`).
 
     Notes
     -----
@@ -132,7 +127,6 @@ def farima_generate(
         n + burn_in,
         size=size or 1,
         random_state=random_state,
-        spectral_table=spectral_table,
     )
 
     if has_arma:

@@ -15,7 +15,7 @@ import numpy as np
 from .._validation import check_1d_array, check_hurst, check_positive_int
 from ..stats.random import RandomState
 from .correlation import FGNCorrelation
-from .davies_harte import SpectralTableArg, davies_harte_generate
+from .davies_harte import davies_harte_generate
 
 __all__ = ["fgn_acvf", "fgn_generate", "fbm_from_fgn"]
 
@@ -34,15 +34,12 @@ def fgn_generate(
     size: Optional[int] = None,
     mean: float = 0.0,
     random_state: RandomState = None,
-    spectral_table: SpectralTableArg = None,
 ) -> np.ndarray:
     """Generate fractional Gaussian noise with Hurst parameter ``hurst``.
 
-    Draws through Davies-Harte, exact for FGN and O(n log n);
-    ``spectral_table`` controls its spectral cache (``None`` shared,
-    ``False`` recompute, or an explicit table).  The same law drawn by
-    Hosking's O(n^2) recursion (eq. 1-6 of the paper) is
-    ``hosking_generate(FGNCorrelation(hurst), n)``.
+    Draws through Davies-Harte, exact for FGN and O(n log n).  The
+    same law drawn by Hosking's O(n^2) recursion (eq. 1-6 of the
+    paper) is ``hosking_generate(FGNCorrelation(hurst), n)``.
     """
     return davies_harte_generate(
         FGNCorrelation(hurst),
@@ -51,7 +48,6 @@ def fgn_generate(
         mean=mean,
         random_state=random_state,
         on_negative_eigenvalues="raise",
-        spectral_table=spectral_table,
     )
 
 

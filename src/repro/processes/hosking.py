@@ -35,24 +35,13 @@ an unshared table of ``~n^2 / 2`` doubles (258 MiB at ``n = 8192``).
 Both sources yield the same bits, because the table stores exactly the
 recursion's outputs.
 
-``block_size=B`` routes generation through the blocked BLAS-3 kernel of
-:mod:`~repro.processes.hosking_blocked`, which computes each block's
-old-history contribution to all ``B`` conditional means with a single
-GEMM.  ``block_size=1`` (the default) is the documented exact bypass:
-it runs the untouched per-step loop below and reproduces historical
-outputs bit for bit.  Blocked outputs (``B > 1``) match to floating-
-point reordering only — ``allclose`` at ``rtol <= 1e-10`` — because
-splitting a conditional mean into an old-history partial sum and a
-within-block partial sum changes the accumulation order.  A note on
-why the bypass must keep the *exact* legacy formulation: numpy
-evaluates ``x[:, k-1::-1][:, :k] @ phi`` (a negative-strided view)
-with its internal pairwise-summation loop rather than BLAS, and every
+The conditional means run on a *negative-strided* reversed view of
+the history, ``x[:, k-1::-1][:, :k] @ phi``, which numpy reduces with
+its internal pairwise-summation loop rather than BLAS.  Every
 alternative layout we measured — a contiguous copy, a positive-strided
 slice of a reversed buffer, ``einsum`` — changes the reduction order
-and therefore the bits.  So the per-step loop below intentionally
-re-materializes the reversed view each step; the contiguously
-maintained reversed buffer lives in the blocked kernel where the
-contract is ``allclose``, not bit-identity.
+and therefore the bits, so the loop below re-materializes the reversed
+view each step and its seeded outputs stay pinned bit for bit.
 """
 
 from __future__ import annotations
@@ -61,20 +50,12 @@ from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .._validation import check_positive_int
+from .._validation import check_finite_float, check_positive_int
 from ..exceptions import GenerationError, ValidationError
 from ..stats.random import RandomState, make_rng
 from .acvf_cache import resolve_acvf
 from .coeff_table import coefficient_cache_info, get_coefficient_table
 from .correlation import CorrelationModel
-from .hosking_blocked import (
-    BlockRows,
-    BlockSizeArg,
-    generate_blocked,
-    incremental_block_rows,
-    resolve_block_size,
-    table_block_rows,
-)
 from .partial_corr import DurbinLevinson
 
 __all__ = ["hosking_generate"]
@@ -85,8 +66,8 @@ class _Coefficients:
 
     Reads the shared cached table when the coefficient cache keeps a
     horizon of ``n``, and otherwise advances a private recursion as the
-    kernel asks for rows (see the module docstring).  Rows are
-    read-only views, valid until the next row or block is requested.
+    loop asks for rows (see the module docstring).  Rows are read-only
+    views, valid until the next row is requested.
     """
 
     def __init__(
@@ -116,12 +97,6 @@ class _Coefficients:
             yield packed[offset : offset + k], sqrt_variances[k]
             offset += k
 
-    def block(self, k0: int, width: int) -> BlockRows:
-        """The coefficients of steps ``k0 .. k0+width-1`` as one block."""
-        if self._table is None:
-            return incremental_block_rows(self._state, k0, width)
-        return table_block_rows(self._table, k0, width)
-
 
 def hosking_generate(
     correlation: Union[CorrelationModel, Sequence[float]],
@@ -131,7 +106,6 @@ def hosking_generate(
     mean: float = 0.0,
     random_state: RandomState = None,
     innovations: Optional[np.ndarray] = None,
-    block_size: BlockSizeArg = None,
 ) -> np.ndarray:
     """Generate exact Gaussian sample paths with correlation ``r(k)``.
 
@@ -160,15 +134,8 @@ def hosking_generate(
         ``(size, n)`` — or exactly ``(n,)`` when ``size is None`` —
         useful for common-random-number experiments and tests.  The
         declared shape is validated strictly; arrays that merely have
-        the right number of elements are rejected.
-    block_size:
-        ``None`` or ``1`` (default) runs the exact per-step loop —
-        bit-identical to historical outputs.  ``B > 1`` routes through
-        the blocked BLAS-3 kernel
-        (:func:`~repro.processes.hosking_blocked.generate_blocked`):
-        same conditional law, outputs ``allclose`` at
-        ``rtol <= 1e-10`` to the per-step loop but not bit-identical
-        (different floating-point accumulation order).
+        the right number of elements are rejected, and so are
+        non-finite values.
 
     Returns
     -------
@@ -178,7 +145,7 @@ def hosking_generate(
     n = check_positive_int(n, "n")
     flat = size is None
     batch = 1 if flat else check_positive_int(size, "size")
-    resolved_block = resolve_block_size(block_size)
+    mean = check_finite_float(mean, "mean")
 
     if innovations is None:
         rng = make_rng(random_state)
@@ -190,21 +157,17 @@ def hosking_generate(
             raise ValidationError(
                 f"innovations must have shape {expected}, got {z.shape}"
             )
+        if not np.all(np.isfinite(z)):
+            raise ValidationError(
+                "innovations must contain only finite values"
+            )
         if flat:
             z = z.reshape(1, n)
 
     coefficients = _Coefficients(correlation, n)
-    if resolved_block > 1:
-        x = generate_blocked(
-            z, n, resolved_block, coefficients.block, coefficients.variance0
-        )
-        x += mean
-        return x[0] if flat else x
-
-    # block_size == 1: the exact bypass.  This loop is kept
-    # byte-for-byte as the historical implementation (including the
-    # per-step reversed-view re-materialization) — see the module
-    # docstring for why any layout change here would alter the bits.
+    # Kept byte-for-byte as the historical loop (including the per-step
+    # reversed-view re-materialization) — see the module docstring for
+    # why any layout change here would alter the bits.
     x = np.empty((batch, n), dtype=float)
     x[:, 0] = np.sqrt(coefficients.variance0) * z[:, 0]
     for k, (phi, sqrt_variance) in enumerate(coefficients.rows(), start=1):

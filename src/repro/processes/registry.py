@@ -169,9 +169,7 @@ def resolve(
         simulation work starts.
     options:
         Extra keyword arguments for the backend factory (e.g.
-        ``block_size=`` for ``hosking``,
-        ``spectral_table=`` or ``on_negative_eigenvalues=`` for
-        ``davies_harte``).
+        ``on_negative_eigenvalues=`` for ``davies_harte``).
 
     The current run context (see :func:`repro.observability.recording`)
     records ``registry.resolutions`` counters labelled by resolved
@@ -218,9 +216,7 @@ register(BackendSpec(
     capabilities=HoskingSource.capabilities,
     summary=(
         "exact O(n^2) conditional-Gaussian recursion (paper eq. 1-6); "
-        "the exact fallback for a non-embeddable correlation; "
-        "block_size= routes through the blocked BLAS-3 kernel "
-        "(block_size=1 = exact bypass)"
+        "the exact fallback for a non-embeddable correlation"
     ),
 ))
 register(BackendSpec(

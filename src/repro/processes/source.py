@@ -37,19 +37,14 @@ from typing import ClassVar, Dict, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .._validation import check_hurst
+from .._validation import check_choice, check_finite_float, check_hurst
 from ..exceptions import ValidationError
 from ..stats.random import RandomState, make_rng, spawn_rngs
 from .acvf_cache import resolve_acvf
 from .correlation import CorrelationModel, FGNCorrelation, FARIMACorrelation
-from .davies_harte import (
-    SpectralTableArg,
-    check_davies_harte_options,
-    davies_harte_generate,
-)
+from .davies_harte import davies_harte_generate
 from .farima import farima_generate
 from .hosking import hosking_generate
-from .hosking_blocked import BlockSizeArg, resolve_block_size
 from .mg_infinity import MGInfinityConfig, mg_infinity_generate
 from .rmd import rmd_generate
 
@@ -200,12 +195,6 @@ class HoskingSource(GaussianSource):
     Exact for any positive-definite autocovariance and O(n^2) per path:
     the exact fallback when a correlation's circulant embedding has a
     negative eigenvalue and Davies-Harte cannot draw it exactly.
-
-    ``block_size=B`` (default 1, the exact bypass) routes :meth:`sample`
-    through the blocked BLAS-3 kernel of
-    :mod:`~repro.processes.hosking_blocked`; see
-    :func:`~repro.processes.hosking.hosking_generate` for the
-    exactness contract.
     """
 
     name = "hosking"
@@ -213,16 +202,8 @@ class HoskingSource(GaussianSource):
         exact=True, conditional=True, batch=True, chunked=True
     )
 
-    def __init__(
-        self,
-        correlation: CorrelationLike,
-        *,
-        block_size: BlockSizeArg = None,
-    ) -> None:
+    def __init__(self, correlation: CorrelationLike) -> None:
         self._correlation = correlation
-        # Validate at construction (registry contract: bad options fail
-        # before any simulation work starts).
-        self._block_size = resolve_block_size(block_size)
 
     def sample(self, n, *, size=None, mean=0.0, random_state=None):
         return hosking_generate(
@@ -231,17 +212,13 @@ class HoskingSource(GaussianSource):
             size=size,
             mean=mean,
             random_state=random_state,
-            block_size=self._block_size,
         )
 
     def acvf(self, n: int) -> np.ndarray:
         return resolve_acvf(self._correlation, n)
 
     def _params(self) -> Dict[str, object]:
-        return {
-            "correlation": self._correlation,
-            "block_size": self._block_size,
-        }
+        return {"correlation": self._correlation}
 
 
 class DaviesHarteSource(GaussianSource):
@@ -262,14 +239,16 @@ class DaviesHarteSource(GaussianSource):
         correlation: CorrelationLike,
         *,
         on_negative_eigenvalues: str = "clip",
-        spectral_table: SpectralTableArg = None,
     ) -> None:
         # Validate at construction (registry contract: bad options fail
         # before any simulation work starts).
-        check_davies_harte_options(on_negative_eigenvalues, spectral_table)
+        check_choice(
+            on_negative_eigenvalues,
+            "on_negative_eigenvalues",
+            ("clip", "raise"),
+        )
         self._correlation = correlation
         self._on_negative = on_negative_eigenvalues
-        self._spectral_table = spectral_table
 
     def sample(self, n, *, size=None, mean=0.0, random_state=None):
         return davies_harte_generate(
@@ -279,7 +258,6 @@ class DaviesHarteSource(GaussianSource):
             mean=mean,
             random_state=random_state,
             on_negative_eigenvalues=self._on_negative,
-            spectral_table=self._spectral_table,
         )
 
     def acvf(self, n: int) -> np.ndarray:
@@ -344,6 +322,7 @@ class FARIMASource(GaussianSource):
         return self._model.d
 
     def sample(self, n, *, size=None, mean=0.0, random_state=None):
+        mean = check_finite_float(mean, "mean")
         out = farima_generate(
             n,
             self._model.d,
@@ -378,6 +357,7 @@ class RMDSource(GaussianSource):
         self._model = FGNCorrelation(self._hurst)
 
     def sample(self, n, *, size=None, mean=0.0, random_state=None):
+        mean = check_finite_float(mean, "mean")
         out = rmd_generate(
             self._hurst, n, size=size, random_state=random_state
         )
@@ -434,6 +414,7 @@ class MGInfinitySource(GaussianSource):
         return self._config
 
     def sample(self, n, *, size=None, mean=0.0, random_state=None):
+        mean = check_finite_float(mean, "mean")
         scale = np.sqrt(self._config.mean_active)
         if size is None:
             counts = mg_infinity_generate(

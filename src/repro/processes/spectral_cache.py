@@ -187,9 +187,9 @@ def build_eigenvalue_entry(acvf: Sequence[float]) -> EigenvalueEntry:
     """
     raw = circulant_eigenvalues(acvf)
     # Fast path first: embeddable correlations (the common case) need
-    # only the min/max scan, not the mask allocations below — the
-    # bypass path pays this on every generate() call, so it is bounded
-    # to a small fraction of a generation in the ablation bench.
+    # only the min/max scan, not the mask allocations below — a path
+    # above the length cap pays this on every generate() call, so it is
+    # bounded to a small fraction of a generation in the ablation bench.
     minimum = float(raw.min())
     if minimum >= 0.0:
         count = 0

@@ -17,6 +17,11 @@ from repro.processes.coeff_table import (
     coefficient_cache_info,
     set_coefficient_cache_limits,
 )
+from repro.processes.spectral_cache import (
+    clear_spectral_cache,
+    set_spectral_cache_limits,
+    spectral_cache_info,
+)
 from repro.video import SyntheticCodecConfig, SyntheticMPEGCodec
 
 
@@ -114,3 +119,23 @@ def coefficient_cache_cap(horizon: int):
     finally:
         set_coefficient_cache_limits(max_cached_horizon=previous)
         clear_coefficient_cache()
+
+
+@contextmanager
+def spectral_cache_cap(length: int):
+    """Lower the spectral cache's path-length cap inside the block.
+
+    ``davies_harte_generate`` reads its spectrum from the shared cache
+    for a path up to the cap and from an uncached table built for the
+    call above it, so a lowered cap lets a short path drive the
+    uncached source.  The cache is emptied on entry and exit, and the
+    previous cap is restored.
+    """
+    previous = spectral_cache_info().max_cached_length
+    clear_spectral_cache()
+    set_spectral_cache_limits(max_cached_length=length)
+    try:
+        yield
+    finally:
+        set_spectral_cache_limits(max_cached_length=previous)
+        clear_spectral_cache()

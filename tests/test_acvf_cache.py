@@ -21,6 +21,7 @@ from repro.processes.spectral_cache import (
     set_spectral_cache_limits,
     spectral_cache_info,
 )
+from tests.conftest import spectral_cache_cap
 
 
 class TableKind(NamedTuple):
@@ -109,6 +110,12 @@ NON_POSITIVE_VARIANCE = {
 }
 
 
+def _davies_harte_uncached(acvf):
+    """A draw above the length cap, from an uncached table."""
+    with spectral_cache_cap(3):
+        return davies_harte_generate(acvf, 4, random_state=1)
+
+
 @pytest.mark.parametrize("acvf", NON_POSITIVE_VARIANCE.values(),
                          ids=list(NON_POSITIVE_VARIANCE))
 class TestNonPositiveVarianceRejected:
@@ -116,9 +123,7 @@ class TestNonPositiveVarianceRejected:
 
     @pytest.mark.parametrize("generate", [
         lambda acvf: davies_harte_generate(acvf, 4, random_state=1),
-        lambda acvf: davies_harte_generate(
-            acvf, 4, random_state=1, spectral_table=False
-        ),
+        _davies_harte_uncached,
         lambda acvf: hosking_generate(acvf, 4, random_state=1),
     ], ids=["davies_harte", "davies_harte_uncached", "hosking"])
     def test_generators(self, acvf, generate):

@@ -13,6 +13,7 @@ import pytest
 
 from repro.processes.davies_harte import davies_harte_generate
 from repro.processes.hosking import hosking_generate
+from tests.conftest import spectral_cache_cap
 from repro.video.gop import FrameType
 
 N = 600
@@ -103,14 +104,13 @@ class TestSpectralCacheBitIdentity:
         cached = fitted_unified.generate(
             N, backend="davies-harte", random_state=SEED
         )
+        # Above the lowered cap the spectrum comes from an uncached table.
+        with spectral_cache_cap(N - 1):
+            background = davies_harte_generate(
+                fitted_unified.background_, N, random_state=SEED
+            )
         bypass = np.asarray(
-            fitted_unified.transform_(
-                davies_harte_generate(
-                    fitted_unified.background_, N,
-                    random_state=SEED, spectral_table=False,
-                )
-            ),
-            dtype=float,
+            fitted_unified.transform_(background), dtype=float
         )
         np.testing.assert_array_equal(cached, bypass)
 
@@ -121,10 +121,10 @@ class TestSpectralCacheBitIdentity:
         cached = fitted_composite.generate_background(
             N, backend="davies-harte", random_state=SEED
         )
-        bypass = davies_harte_generate(
-            fitted_composite.background_, N,
-            random_state=SEED, spectral_table=False,
-        )
+        with spectral_cache_cap(N - 1):
+            bypass = davies_harte_generate(
+                fitted_composite.background_, N, random_state=SEED
+            )
         np.testing.assert_array_equal(cached, bypass)
 
     def test_repeated_generation_hits_cache(self, fitted_unified):

@@ -171,9 +171,7 @@ class TestExactStitch:
         model = FGNCorrelation(hurst)
         n = 512
         gen = ChunkedGenerator(
-            HoskingSource(model),
-            chunk_frames=chunk_frames,
-            stitch="exact",
+            HoskingSource(model), chunk_frames=chunk_frames
         )
         z = chunk_seeded_innovations(gen, n, 11)
         chunked = gen.generate(n, random_state=11)
@@ -506,11 +504,6 @@ class TestChunkedCapability:
         rmd = registry.create("rmd", 0.8)
         with pytest.raises(ValidationError, match="chunked"):
             ChunkedGenerator(rmd, chunk_frames=64)
-
-    def test_exact_stitch_requires_conditional(self):
-        src = DaviesHarteSource(FGNCorrelation(0.8))
-        with pytest.raises(ValidationError, match="exact"):
-            ChunkedGenerator(src, chunk_frames=64, stitch="exact")
 
     def test_describe_reports_chunked(self):
         assert DaviesHarteSource(FGNCorrelation(0.8)).describe()[

@@ -16,6 +16,7 @@ from repro.processes.davies_harte import (
     circulant_eigenvalues,
     davies_harte_generate,
 )
+from tests.conftest import spectral_cache_cap
 
 
 class TestCirculantEigenvalues:
@@ -135,61 +136,27 @@ class TestEdgeCases:
         assert x.shape == (512,)
 
 
-class TestSpectralTableArgument:
-    """The spectral_table= knob: shared cache, explicit table or bypass."""
+class TestSpectrumSource:
+    """The shared cache is the only spectrum source; a path above its
+    length cap gets an uncached table with the same bits."""
 
     def setup_method(self):
         from repro.processes.spectral_cache import clear_spectral_cache
 
         clear_spectral_cache()
 
-    def test_false_bypasses_cache_bitwise(self):
+    def test_uncached_table_bitwise(self):
         from repro.processes.spectral_cache import spectral_cache_info
 
         corr = FGNCorrelation(0.85)
         cached = davies_harte_generate(corr, 256, random_state=21)
-        bypass = davies_harte_generate(
-            corr, 256, random_state=21, spectral_table=False
-        )
-        np.testing.assert_array_equal(cached, bypass)
-        # The bypass call left no trace in the shared cache.
         assert spectral_cache_info().misses == 1
-
-    def test_explicit_table_bitwise(self):
-        from repro.processes.spectral_cache import SpectralTable
-
-        corr = FGNCorrelation(0.85)
-        table = SpectralTable(corr.acvf(257))
-        via_table = davies_harte_generate(
-            corr, 256, random_state=22, spectral_table=table
-        )
-        plain = davies_harte_generate(
-            corr, 256, random_state=22, spectral_table=False
-        )
-        np.testing.assert_array_equal(via_table, plain)
-
-    def test_explicit_table_too_short(self):
-        from repro.processes.spectral_cache import SpectralTable
-
-        table = SpectralTable(FGNCorrelation(0.85).acvf(65))
-        with pytest.raises(ValidationError, match="cannot generate"):
-            davies_harte_generate(
-                FGNCorrelation(0.85), 256, spectral_table=table
-            )
-
-    def test_invalid_spectral_table_rejected(self):
-        with pytest.raises(ValidationError, match="spectral_table"):
-            davies_harte_generate(
-                FGNCorrelation(0.85), 64, spectral_table="yes"
-            )
-
-    def test_true_means_shared_cache(self):
-        corr = FGNCorrelation(0.85)
-        a = davies_harte_generate(corr, 128, random_state=23)
-        b = davies_harte_generate(
-            corr, 128, random_state=23, spectral_table=True
-        )
-        np.testing.assert_array_equal(a, b)
+        with spectral_cache_cap(255):
+            uncached = davies_harte_generate(corr, 256, random_state=21)
+            # The over-cap call left no trace in the shared cache.
+            assert spectral_cache_info().misses == 0
+            assert spectral_cache_info().tables == 0
+        np.testing.assert_array_equal(cached, uncached)
 
     def test_explicit_acvf_with_extra_lags_unchanged(self):
         """Passing more lags than needed still slices to n + 1."""

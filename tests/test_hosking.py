@@ -5,7 +5,11 @@ import pytest
 
 from repro.exceptions import ValidationError
 from repro.processes import hosking
-from repro.processes.coeff_table import coefficient_cache_info
+from repro.processes.coeff_table import (
+    CoefficientTable,
+    coefficient_cache_info,
+    resolve_acvf,
+)
 from repro.processes.correlation import (
     CompositeCorrelation,
     ExponentialCorrelation,
@@ -13,6 +17,7 @@ from repro.processes.correlation import (
     WhiteNoiseCorrelation,
 )
 from repro.processes.hosking import hosking_generate
+from repro.processes.partial_corr import DurbinLevinson
 from tests.conftest import coefficient_cache_cap
 
 
@@ -121,6 +126,12 @@ class TestInnovationsValidation:
         )
         assert xb.shape == (3, 4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_innovations_rejected(self, bad):
+        z = np.array([0.0, bad, 0.0, 0.0])
+        with pytest.raises(ValidationError, match="innovations"):
+            hosking_generate(FGNCorrelation(0.8), 4, innovations=z)
+
 
 class TestCoefficientTableParity:
     """The horizon picks the coefficient source.
@@ -128,17 +139,17 @@ class TestCoefficientTableParity:
     Up to the coefficient cache's cap a run reads the shared table;
     above it the Durbin-Levinson recursion runs in step with generation.
     The table stores exactly the recursion's outputs, so both sources
-    give the same bits in both kernels.
+    give the same bits.
     """
 
     CAP = 32
 
     @staticmethod
-    def _generate(model, z, block_size, cap):
+    def _generate(model, z, cap):
         """Paths and the number of cached tables under a given cap."""
         with coefficient_cache_cap(cap):
             x = hosking_generate(model, z.shape[1], size=z.shape[0],
-                                 innovations=z, block_size=block_size)
+                                 innovations=z)
             return x, coefficient_cache_info().tables
 
     def test_generate_table_matches_incremental(self):
@@ -150,18 +161,15 @@ class TestCoefficientTableParity:
         for model in models:
             for n in (self.CAP, self.CAP + 1, 3 * self.CAP):
                 z = rng.standard_normal((4, n))
-                for block_size in (1, 8):
-                    cached, cached_tables = self._generate(
-                        model, z, block_size, cap=n
-                    )
-                    lowered, lowered_tables = self._generate(
-                        model, z, block_size, cap=self.CAP
-                    )
-                    assert cached_tables == 1
-                    # At the cap the table still serves; above it the
-                    # recursion runs in step and caches nothing.
-                    assert lowered_tables == int(n <= self.CAP)
-                    np.testing.assert_array_equal(lowered, cached)
+                cached, cached_tables = self._generate(model, z, cap=n)
+                lowered, lowered_tables = self._generate(
+                    model, z, cap=self.CAP
+                )
+                assert cached_tables == 1
+                # At the cap the table still serves; above it the
+                # recursion runs in step and caches nothing.
+                assert lowered_tables == int(n <= self.CAP)
+                np.testing.assert_array_equal(lowered, cached)
 
     def test_no_table_requested_above_cap(self, monkeypatch):
         requested = []
@@ -174,8 +182,60 @@ class TestCoefficientTableParity:
         monkeypatch.setattr(hosking, "get_coefficient_table", spy)
         model = FGNCorrelation(0.8)
         with coefficient_cache_cap(self.CAP):
-            for block_size in (1, 8):
-                for n in (self.CAP, self.CAP + 1):
-                    hosking_generate(model, n, size=2, random_state=1,
-                                     block_size=block_size)
-        assert requested == [self.CAP, self.CAP]
+            for n in (self.CAP, self.CAP + 1):
+                hosking_generate(model, n, size=2, random_state=1)
+        assert requested == [self.CAP]
+
+
+def _shared_innovations(seed, size, n):
+    return np.random.default_rng(seed).standard_normal((size, n))
+
+
+class TestLoopBitIdentity:
+    """The per-step loop must reproduce historical bits.
+
+    The conditional-mean products run on a *negative-strided* reversed
+    view, which numpy reduces with pairwise summation rather than BLAS;
+    any re-layout (contiguous copy, positive strides) changes the
+    accumulation order and hence the low-order bits.  These tests pin
+    the loop against inline restatements of the historical one.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_table_path_bitwise_vs_legacy_reference(self, seed):
+        corr = FGNCorrelation(0.8)
+        n, size = 60, 5
+        z = _shared_innovations(seed, size, n)
+        table = CoefficientTable(np.asarray([corr(k) for k in range(n)]))
+        table.ensure(n - 1)
+
+        x = np.empty((size, n))
+        x[:, 0] = np.sqrt(table.variance(0)) * z[:, 0]
+        for k in range(1, n):
+            phi = table.phi_row(k)
+            mean_k = x[:, k - 1 :: -1][:, :k] @ phi
+            x[:, k] = mean_k + table.sqrt_variance(k) * z[:, k]
+
+        got = hosking_generate(corr, n, size=size, innovations=z)
+        np.testing.assert_array_equal(got, x)
+
+    @pytest.mark.parametrize("seed", [1, 42])
+    def test_incremental_path_bitwise_vs_legacy_reference(self, seed):
+        # Above the cache cap the recursion runs in step under the SAME
+        # reversed-view formulation as the table path; pin its bits.
+        corr = ExponentialCorrelation(0.85)
+        n, size = 45, 4
+        z = _shared_innovations(seed, size, n)
+        acvf = resolve_acvf(corr, n)
+
+        state = DurbinLevinson(acvf)
+        x = np.empty((size, n))
+        x[:, 0] = np.sqrt(acvf[0]) * z[:, 0]
+        for k in range(1, n):
+            phi, variance = state.advance()
+            mean_k = x[:, k - 1 :: -1][:, :k] @ phi
+            x[:, k] = mean_k + np.sqrt(variance) * z[:, k]
+
+        with coefficient_cache_cap(n - 1):
+            got = hosking_generate(corr, n, size=size, innovations=z)
+        np.testing.assert_array_equal(got, x)

@@ -313,7 +313,7 @@ class TestMCOverflowVsBufferCurve:
             rows = np.empty((reps, horizon))
             for i in range(reps):
                 rows[i] = davies_harte_generate(
-                    corr, horizon, random_state=rng, spectral_table=False
+                    corr, horizon, random_state=rng
                 )
             reference = transient_overflow_mc(arrivals(rows), mu, b)
             assert estimate.probability == reference.probability

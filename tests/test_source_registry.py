@@ -14,7 +14,10 @@ import pytest
 
 from repro.exceptions import ValidationError
 from repro.processes import registry
+from repro.processes.chunked import chunked_generate
 from repro.processes.correlation import FGNCorrelation
+from repro.processes.davies_harte import davies_harte_generate
+from repro.processes.hosking import hosking_generate
 from repro.processes.source import (
     DaviesHarteSource,
     GaussianSource,
@@ -84,9 +87,10 @@ class TestAutoPolicy:
 
     def test_options_forwarded_to_factory(self):
         source = registry.resolve(
-            "hosking", FGNCorrelation(HURST), block_size=4
+            "davies_harte", FGNCorrelation(HURST),
+            on_negative_eigenvalues="raise",
         )
-        assert source.describe()["block_size"] == 4
+        assert source.describe()["on_negative_eigenvalues"] == "raise"
         x = source.sample(16, random_state=0)
         assert x.shape == (16,)
 
@@ -96,8 +100,6 @@ class TestOptionsValidatedAtConstruction:
 
     @pytest.mark.parametrize("backend,option,value", [
         ("davies_harte", "on_negative_eigenvalues", "bogus"),
-        ("davies_harte", "spectral_table", "yes"),
-        ("hosking", "block_size", "yes"),
     ])
     def test_bad_option_raises_naming_it(self, backend, option, value):
         with pytest.raises(ValidationError, match=option):
@@ -171,3 +173,41 @@ class TestHurstExtraction:
     def test_explicit_acvf_rejected_by_parameter_backends(self):
         with pytest.raises(ValidationError, match="hosking"):
             registry.create("fgn", [1.0, 0.5, 0.25])
+
+
+BAD_MEANS = {
+    "string": "a",
+    "none": None,
+    "nan": float("nan"),
+    "inf": float("inf"),
+}
+
+
+def _sample_with(name):
+    return lambda mean: make_source(name).sample(
+        8, mean=mean, random_state=0
+    )
+
+
+#: Every entry point that takes a process mean: each backend's
+#: ``sample``, the two exact generators and the chunked pipeline.
+MEAN_TAKERS = {
+    **{name: _sample_with(name) for name in ALL_BACKENDS},
+    "hosking_generate": lambda mean: hosking_generate(
+        FGNCorrelation(HURST), 8, mean=mean, random_state=0
+    ),
+    "davies_harte_generate": lambda mean: davies_harte_generate(
+        FGNCorrelation(HURST), 8, mean=mean, random_state=0
+    ),
+    "chunked_generate": lambda mean: chunked_generate(
+        make_source("davies_harte"), 64, chunk_frames=16, mean=mean,
+        random_state=0,
+    ),
+}
+
+
+@pytest.mark.parametrize("mean", BAD_MEANS.values(), ids=list(BAD_MEANS))
+@pytest.mark.parametrize("take", MEAN_TAKERS.values(), ids=list(MEAN_TAKERS))
+def test_bad_mean_rejected_naming_it(take, mean):
+    with pytest.raises(ValidationError, match="mean"):
+        take(mean)

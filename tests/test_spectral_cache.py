@@ -29,6 +29,7 @@ from repro.processes.spectral_cache import (
     spectral_cache_info,
     spectral_cache_metrics,
 )
+from tests.conftest import spectral_cache_cap
 
 # Keep examples small so the suite stays fast.
 FAST = settings(max_examples=25, deadline=None)
@@ -460,12 +461,11 @@ class TestConcurrency:
     def test_concurrent_generation_matches_serial(self):
         model = CompositeCorrelation.paper_fit()
         lengths = [50, 100, 150, 200]
-        serial = {
-            n: davies_harte_generate(
-                model, n, random_state=n, spectral_table=False
-            )
-            for n in lengths
-        }
+        serial = {}
+        for n in lengths:
+            # Cold cache: each reference builds its own table.
+            clear_spectral_cache()
+            serial[n] = davies_harte_generate(model, n, random_state=n)
         clear_spectral_cache()
         out = {}
         barrier = threading.Barrier(len(lengths))
@@ -555,10 +555,10 @@ class TestBitIdentityAcrossBackends:
         model = CompositeCorrelation.paper_fit()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            uncached = davies_harte_generate(
-                model, 300, size=4, random_state=11, spectral_table=False
-            )
-            clear_spectral_cache()
+            with spectral_cache_cap(299):
+                uncached = davies_harte_generate(
+                    model, 300, size=4, random_state=11
+                )
             cached = davies_harte_generate(
                 model, 300, size=4, random_state=11
             )
