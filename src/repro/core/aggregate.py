@@ -425,11 +425,17 @@ def _block_partial(
     """
     x = source.sample(horizon, size=rows, random_state=rng)
     y = np.asarray(klass.transform(x), dtype=float)
+    del x
     if klass.gop_pattern is not None:
+        # Row p of ``gains`` is the gain sequence of a source at phase
+        # p; row j of the block (phase (offset + j) mod period) takes
+        # it in place, so no block-sized gain array is formed.
         period = klass.gop_pattern.size
-        phases = (offset + np.arange(rows)) % period
-        indices = (phases[:, None] + np.arange(horizon)[None, :]) % period
-        y = y * klass.gop_pattern[indices]
+        gains = klass.gop_pattern[
+            (np.arange(period)[:, None] + np.arange(horizon)) % period
+        ]
+        for phase in range(period):
+            y[(phase - offset) % period::period] *= gains[phase]
     return y.sum(axis=0)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .._validation import check_in_range, check_min_length, check_positive_int
-from ..exceptions import EstimationError
+from ..exceptions import EstimationError, ValidationError
 from ..processes.correlation import FGNCorrelation
 
 __all__ = [
@@ -119,6 +119,14 @@ def whittle_estimate(
     bounds:
         Search interval for H; the default covers antipersistent
         through strongly persistent series.
+
+    Raises
+    ------
+    ValidationError
+        If the periodogram or the objective is not finite: the series'
+        magnitude overflows or underflows the periodogram, or the
+        series is constant.  A bounded search on such an objective
+        would return a search bound as if it were an estimate.
     """
     arr = check_min_length(values, "values", MIN_LENGTH)
     fraction = check_in_range(
@@ -126,9 +134,15 @@ def whittle_estimate(
         inclusive_low=False,
     )
     n = arr.size
-    centered = arr - arr.mean()
-    spectrum = np.fft.rfft(centered)
-    power = (np.abs(spectrum[1:]) ** 2) / (2.0 * np.pi * n)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        centered = arr - arr.mean()
+        spectrum = np.fft.rfft(centered)
+        power = (np.abs(spectrum[1:]) ** 2) / (2.0 * np.pi * n)
+    if not np.all(np.isfinite(power)):
+        raise ValidationError(
+            "values overflow the periodogram (it is not finite); "
+            "rescale the series"
+        )
     freqs = 2.0 * np.pi * np.arange(1, power.size + 1) / n
     keep = max(8, int(power.size * fraction))
     power = power[:keep]
@@ -138,8 +152,16 @@ def whittle_estimate(
     # objective is log(mean(I/f)) + mean(log f), invariant to scaling.
     def objective(hurst: float) -> float:
         density = fgn_spectral_density(hurst, freqs)
-        ratio = power / density
-        return float(np.log(np.mean(ratio)) + np.mean(np.log(density)))
+        with np.errstate(over="ignore", divide="ignore"):
+            ratio = power / density
+            value = float(np.log(np.mean(ratio)) + np.mean(np.log(density)))
+        if not np.isfinite(value):
+            raise ValidationError(
+                f"values give a non-finite Whittle objective at "
+                f"H = {hurst:.4g}: the periodogram overflows or "
+                "underflows, or the series is constant"
+            )
+        return value
 
     result = minimize_scalar(
         objective, bounds=bounds, method="bounded",

@@ -25,6 +25,7 @@ chunk-stitched generation from a backend that cannot provide it raises
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple, Union
 
@@ -93,7 +94,22 @@ class BackendSpec:
         return self.capabilities.chunked
 
     def create(self, correlation, **options) -> GaussianSource:
-        """Construct a source for ``correlation`` (model, acvf, or Hurst)."""
+        """Construct a source for ``correlation`` (model, acvf, or Hurst).
+
+        ``options`` are checked against the factory's signature first,
+        so an option the backend does not take raises a
+        :class:`~repro.exceptions.ValidationError` naming the backend
+        and the options it does take.
+        """
+        signature = inspect.signature(self.factory)
+        try:
+            signature.bind(correlation, **options)
+        except TypeError as exc:
+            accepted = ", ".join(list(signature.parameters)[1:])
+            raise ValidationError(
+                f"backend {self.name!r}: {exc}; it accepts "
+                f"{accepted or 'no options'}"
+            ) from None
         return self.factory(correlation, **options)
 
 

@@ -105,6 +105,32 @@ class TestOptionsValidatedAtConstruction:
         with pytest.raises(ValidationError, match=option):
             registry.create(backend, FGNCorrelation(HURST), **{option: value})
 
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    def test_unknown_option_names_backend_and_its_options(self, name):
+        accepted = {
+            "davies_harte": "on_negative_eigenvalues",
+            "mg_infinity": "session_rate",
+        }.get(name, "no options")
+        for build in (registry.create, registry.resolve):
+            with pytest.raises(ValidationError) as excinfo:
+                build(name, FGNCorrelation(HURST), bogus=1)
+            message = str(excinfo.value)
+            assert f"backend {name!r}" in message
+            assert "'bogus'" in message
+            assert message.endswith(f"it accepts {accepted}")
+
+    def test_unknown_option_of_an_aggregate_class(self):
+        from repro.core.aggregate import ShardedAggregateModel, SourceClass
+        from repro.marginals.parametric import GammaDistribution
+
+        klass = SourceClass(
+            "news", correlation=HURST,
+            marginal=GammaDistribution(6.0, 1.0), count=2,
+            backend_options={"bogus": 1},
+        )
+        with pytest.raises(ValidationError, match="backend 'davies_harte'"):
+            ShardedAggregateModel([klass])
+
 
 @pytest.mark.parametrize("name", ALL_BACKENDS)
 class TestSourceConformance:

@@ -1,5 +1,7 @@
 """Tests for the Whittle Hurst estimator."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -89,3 +91,19 @@ class TestWhittleEstimate:
     def test_rejects_short_series(self):
         with pytest.raises(ValidationError):
             whittle_estimate(np.ones(32))
+
+    @pytest.mark.parametrize("factor", [1e300, 1e-300])
+    def test_refuses_non_finite_objective(self, factor):
+        # The periodogram overflows at 1e300 and underflows to zero at
+        # 1e-300; a bounded search would then return its 0.99 bound.
+        # The refusal comes before any numpy RuntimeWarning.
+        x = np.random.default_rng(43).gamma(6.0, 1.0, 4096)
+        assert np.isfinite(whittle_estimate(x).objective)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="values"):
+                whittle_estimate(x * factor)
+
+    def test_refuses_constant_series(self):
+        with pytest.raises(ValidationError, match="values"):
+            whittle_estimate(np.full(256, 3.0))
