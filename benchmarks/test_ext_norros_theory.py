@@ -13,7 +13,10 @@ likelihood ratios independently of the video modeling.
 import numpy as np
 
 from repro.processes.correlation import FGNCorrelation
-from repro.queueing.theory import norros_overflow_approximation
+from repro.queueing.theory import (
+    norros_decay_exponent,
+    norros_overflow_approximation,
+)
 from repro.simulation.importance import is_overflow_probability
 
 from .conftest import format_series, scaled
@@ -77,7 +80,7 @@ def test_ext_norros_theory(benchmark, emit):
     sim_logs = np.array([e.log10_probability for e in estimates])
     theory_logs = np.log10(theory)
     # Same Weibull shape: regress both on b^{2-2H} and compare slopes.
-    x = np.asarray(BUFFER_SIZES) ** (2 - 2 * HURST)
+    x = np.asarray(BUFFER_SIZES) ** norros_decay_exponent(HURST)
     sim_slope = np.polyfit(x, sim_logs, 1)[0]
     theory_slope = np.polyfit(x, theory_logs, 1)[0]
     assert sim_slope < 0 and theory_slope < 0

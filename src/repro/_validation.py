@@ -22,7 +22,6 @@ __all__ = [
     "check_positive_float",
     "check_nonnegative_float",
     "check_in_range",
-    "check_probability",
     "check_hurst",
     "check_1d_array",
     "check_min_length",
@@ -96,11 +95,6 @@ def check_in_range(
             f"{name} must be in {lo_br}{low}, {high}{hi_br}, got {value}"
         )
     return value
-
-
-def check_probability(value: Number, name: str) -> float:
-    """Return ``value`` as ``float`` if it is a probability in [0, 1]."""
-    return check_in_range(value, name, 0.0, 1.0)
 
 
 def check_hurst(value: Number, name: str = "hurst") -> float:

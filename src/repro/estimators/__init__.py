@@ -26,15 +26,9 @@ from .bakeoff import (
     HURST_ESTIMATORS,
     run_bakeoff,
 )
-from .bootstrap import BootstrapResult, block_bootstrap_hurst
 from .dfa import DfaEstimate, dfa_estimate
 from .farima_fit import FarimaFit, farima_acvf_numeric, fit_farima
-from .mavar import (
-    MavarEstimate,
-    fgn_expected_mavar,
-    mavar_estimate,
-    modified_allan_variance,
-)
+from .mavar import MavarEstimate, fgn_expected_mavar, mavar_estimate
 from .periodogram import PeriodogramEstimate, periodogram_estimate
 from .regression import (
     LineFit,
@@ -72,7 +66,6 @@ __all__ = [
     "fgn_spectral_density",
     "MavarEstimate",
     "mavar_estimate",
-    "modified_allan_variance",
     "fgn_expected_mavar",
     "EstimatorSpec",
     "HURST_ESTIMATORS",
@@ -82,6 +75,4 @@ __all__ = [
     "FarimaFit",
     "fit_farima",
     "farima_acvf_numeric",
-    "BootstrapResult",
-    "block_bootstrap_hurst",
 ]

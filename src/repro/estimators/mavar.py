@@ -62,7 +62,6 @@ from .regression import LineFit, fit_weighted_loglog_line
 __all__ = [
     "MIN_LENGTH",
     "MavarEstimate",
-    "modified_allan_variance",
     "mavar_estimate",
     "fgn_expected_mavar",
 ]
@@ -122,20 +121,6 @@ class MavarEstimate:
     def asymptotic_hurst(self) -> float:
         """``(slope + 2) / 2`` read off the weighted log-log line."""
         return (self.fit.slope + 2.0) / 2.0
-
-
-def modified_allan_variance(values: Sequence[float], tau: int) -> float:
-    """Return ``Mod sigma^2(tau)`` of a series at one observation interval.
-
-    ``tau`` is in sample units (``tau0 = 1``); the series must contain
-    at least ``3 tau + 1`` samples so one averaged second difference
-    exists.  For an i.i.d. series ``modified_allan_variance(y, 1)``
-    equals the mean square successive half-difference, an unbiased
-    estimate of the variance.
-    """
-    tau = check_positive_int(tau, "tau")
-    arr = check_min_length(values, "values", 3 * tau + 1)
-    return float(_mavar_profile(arr, (tau,))[0])
 
 
 def _octave_taus(

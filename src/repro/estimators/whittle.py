@@ -41,6 +41,11 @@ __all__ = [
 #: least 8 ordinates).
 MIN_LENGTH = 64
 
+#: Largest binary exponent (either sign) of the centred series' peak
+#: magnitude that the periodogram squares without overflow or
+#: underflow.  A series outside is rescaled by an exact power of two.
+_SAFE_EXPONENT = 256
+
 
 def fgn_spectral_density(
     hurst: float,
@@ -91,7 +96,8 @@ class WhittleEstimate:
     objective:
         The minimised Whittle objective value.
     frequencies, periodogram:
-        The Fourier frequencies and periodogram ordinates used.
+        The Fourier frequencies and periodogram ordinates used (of the
+        rescaled series, when :func:`whittle_estimate` rescaled it).
     """
 
     hurst: float
@@ -120,13 +126,21 @@ def whittle_estimate(
         Search interval for H; the default covers antipersistent
         through strongly persistent series.
 
+    Notes
+    -----
+    The estimate does not depend on the series' scale.  When the
+    centred series' largest magnitude lies outside ``2^±256``, it is
+    multiplied by an exact power of two that brings that magnitude into
+    ``[0.5, 1)``, so its periodogram neither overflows nor underflows.
+    Series inside that range keep their bits.
+
     Raises
     ------
     ValidationError
         If the periodogram or the objective is not finite: the series'
-        magnitude overflows or underflows the periodogram, or the
-        series is constant.  A bounded search on such an objective
-        would return a search bound as if it were an estimate.
+        mean overflows, or the series is constant.  A bounded search on
+        such an objective would return a search bound as if it were an
+        estimate.
     """
     arr = check_min_length(values, "values", MIN_LENGTH)
     fraction = check_in_range(
@@ -136,6 +150,10 @@ def whittle_estimate(
     n = arr.size
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         centered = arr - arr.mean()
+        # frexp reads exponent 0 for a zero or non-finite peak.
+        _, exponent = np.frexp(np.max(np.abs(centered)))
+        if abs(int(exponent)) > _SAFE_EXPONENT:
+            centered = np.ldexp(centered, -exponent)
         spectrum = np.fft.rfft(centered)
         power = (np.abs(spectrum[1:]) ** 2) / (2.0 * np.pi * n)
     if not np.all(np.isfinite(power)):

@@ -44,9 +44,7 @@ _U_CEIL = float(np.nextafter(1.0, 0.0))
 
 # The Gamma table's x-grid.  The nodes ``-5.5 + i * 11 / 2^16`` are
 # exact doubles, and ``(x + 5.5) / step`` maps each one exactly onto
-# its index, so a node reads the exact formula's bits.  The edge is
-# where the exact formula stops being accurate to 1e-10 (shapes
-# 0.1-50): past x ~ 5.5, ``1 - Phi(x)`` cancels in the uniform.
+# its index, so a node reads the exact formula's bits.
 _GRID_EDGE = 5.5
 _GRID_NODES = (1 << 16) + 1
 _GRID_STEP = 2.0 * _GRID_EDGE / (_GRID_NODES - 1)
@@ -90,12 +88,13 @@ class MarginalTransform:
     foreground ones and is used in tests of the Appendix A theorem.
 
     A Gamma target's ``h`` is tabulated on first use (see the module
-    docstring) from the exact formula ``gammaincinv(shape,
-    clip(Phi(x))) * scale``.  The table keeps ``h`` monotone in
-    floating point, and it meets the exact formula at every node, at
-    ``|x| > 5.5``, at ``±inf`` and at NaN.  Between nodes,
-    ``|h_table(x) - h(x)| <= 1e-7 * max(h(x), E[Y])`` for shape >= 0.05
-    and ``<= 1e-8 * max(h(x), E[Y])`` for shape >= 1.
+    docstring) from the exact formula: ``gammaincinv(shape,
+    clip(Phi(x))) * scale`` below 0 and its upper-tail form
+    ``gammainccinv(shape, Phi(-x)) * scale`` from 0 up.  The table
+    keeps ``h`` monotone in floating point, and it meets the exact
+    formula at every node, at ``|x| > 5.5``, at ``±inf`` and at NaN.
+    Between nodes, ``|h_table(x) - h(x)| <= 1e-7 * max(h(x), E[Y])``
+    for shape >= 0.05 and ``<= 1e-8 * max(h(x), E[Y])`` for shape >= 1.
     """
 
     def __init__(self, target: MarginalDistribution) -> None:
@@ -136,10 +135,24 @@ class MarginalTransform:
 
         On the clipped uniforms, all inside (0, 1), the target's ppf
         (and scipy.stats.gamma's) reduces to ``gammaincinv(shape, u)``
-        times the scale.
+        times the scale.  For ``x >= 0`` that uniform is
+        ``1 - Phi(-x)``, which cancels as ``x`` grows, so the upper half
+        inverts the upper tail ``Phi(-x)`` instead: ``gammainccinv(shape,
+        Phi(-x))``, floored at ``_U_FLOOR`` so that ``+inf`` maps to a
+        finite value.  The split takes ``x = ±0`` into the upper half,
+        so the node at 0 and the points that read it (the positive
+        subnormals) carry the same bits.
         """
-        u = np.clip(special.ndtr(x), _U_FLOOR, _U_CEIL)
-        return special.gammaincinv(self.target.shape, u)
+        shape = self.target.shape
+        out = np.empty(x.shape)
+        upper = x >= 0
+        out[~upper] = special.gammaincinv(
+            shape, np.clip(special.ndtr(x[~upper]), _U_FLOOR, _U_CEIL)
+        )
+        out[upper] = special.gammainccinv(
+            shape, np.maximum(special.ndtr(-x[upper]), _U_FLOOR)
+        )
+        return out
 
     def _gamma_table(self) -> Tuple[np.ndarray, np.ndarray]:
         """The unit-scale node values and cell slopes, built once.

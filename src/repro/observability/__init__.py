@@ -4,8 +4,8 @@ A lightweight, standard-library-only metrics subsystem: labelled
 counters, gauges, timers, summaries and histograms in a thread-safe
 :class:`MetricsRegistry`; a :class:`RunContext` that nests scopes
 (run → leg → step block) and deterministically merges the registries of
-parallel workers; and sinks for in-memory snapshots, JSON-lines export,
-and Prometheus-style text rendering.
+parallel workers; and JSON-lines and Prometheus-style text renderings
+of a snapshot.
 
 A run is recorded by binding a context with :func:`recording`; every
 instrumented call site reads the current one with
@@ -48,14 +48,7 @@ from .metrics import (
     Timer,
     canonical_labels,
 )
-from .sinks import (
-    InMemorySink,
-    JsonLinesSink,
-    NullSink,
-    PrometheusTextSink,
-    render_prometheus,
-    to_json_lines,
-)
+from .sinks import render_prometheus, to_json_lines
 
 __all__ = [
     "Counter",
@@ -72,10 +65,6 @@ __all__ = [
     "current_context",
     "ensure_context",
     "recording",
-    "InMemorySink",
-    "JsonLinesSink",
-    "PrometheusTextSink",
-    "NullSink",
     "to_json_lines",
     "render_prometheus",
 ]

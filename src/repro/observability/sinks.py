@@ -1,22 +1,17 @@
-"""Export sinks for metric snapshots.
+"""Text renderings of metric snapshots.
 
 A *snapshot* is the plain-dict form produced by
 :meth:`~repro.observability.metrics.MetricsRegistry.snapshot` — one
-entry per ``(metric name, label set)``, sorted, JSON-friendly.  Sinks
-turn snapshots into artifacts:
+entry per ``(metric name, label set)``, sorted, JSON-friendly.  Two
+pure functions render it:
 
-- :class:`InMemorySink` — keeps snapshots in a list (tests, notebooks);
-- :class:`JsonLinesSink` — appends one JSON object per metric entry to
-  a file, preceded by a ``{"record": "header", ...}`` line per export
-  (the ``repro ... --metrics-out`` format);
-- :class:`PrometheusTextSink` — rewrites a file with the
-  Prometheus-style text rendering of the latest snapshot;
-- :class:`NullSink` — discards everything.
+- :func:`to_json_lines` — one JSON object per metric entry, optionally
+  preceded by a ``{"record": "header", ...}`` line (the
+  ``repro ... --metrics-out`` format);
+- :func:`render_prometheus` — the Prometheus-style text exposition.
 
-The two text formats are also exposed as pure functions
-(:func:`to_json_lines`, :func:`render_prometheus`) so callers can embed
-them — e.g. the bench harness stores raw snapshots inside its
-``REPRO_BENCH_JSON`` records without touching the filesystem twice.
+Callers write the text where they need it; the CLI writes the JSON
+lines to its ``--metrics-out`` file.
 """
 
 from __future__ import annotations
@@ -30,10 +25,6 @@ __all__ = [
     "to_json_lines",
     "render_prometheus",
     "sanitize_value",
-    "InMemorySink",
-    "JsonLinesSink",
-    "PrometheusTextSink",
-    "NullSink",
 ]
 
 Snapshot = List[Dict[str, object]]
@@ -173,53 +164,3 @@ def render_prometheus(snapshot: Snapshot) -> str:
             )
     return "\n".join(lines) + ("\n" if lines else "")
 
-
-class InMemorySink:
-    """Collects exported snapshots in memory (newest last)."""
-
-    def __init__(self) -> None:
-        self.snapshots: List[Snapshot] = []
-
-    def export(
-        self, snapshot: Snapshot, *, header: Optional[Dict] = None
-    ) -> None:
-        self.snapshots.append(list(snapshot))
-
-    @property
-    def latest(self) -> Optional[Snapshot]:
-        return self.snapshots[-1] if self.snapshots else None
-
-
-class JsonLinesSink:
-    """Appends snapshots to a JSON-lines file."""
-
-    def __init__(self, path) -> None:
-        self.path = path
-
-    def export(
-        self, snapshot: Snapshot, *, header: Optional[Dict] = None
-    ) -> None:
-        with open(self.path, "a") as fh:
-            fh.write(to_json_lines(snapshot, header=header))
-
-
-class PrometheusTextSink:
-    """Rewrites a file with the Prometheus rendering of each snapshot."""
-
-    def __init__(self, path) -> None:
-        self.path = path
-
-    def export(
-        self, snapshot: Snapshot, *, header: Optional[Dict] = None
-    ) -> None:
-        with open(self.path, "w") as fh:
-            fh.write(render_prometheus(snapshot))
-
-
-class NullSink:
-    """Discards every export (the default when metrics are disabled)."""
-
-    def export(
-        self, snapshot: Snapshot, *, header: Optional[Dict] = None
-    ) -> None:
-        pass

@@ -33,10 +33,8 @@ from .correlation import (
     ExponentialMixtureCorrelation,
     FARIMACorrelation,
     FGNCorrelation,
-    MixtureCorrelation,
     PowerLawCorrelation,
     RescaledCorrelation,
-    TabulatedCorrelation,
     WhiteNoiseCorrelation,
 )
 from .coeff_table import (
@@ -44,22 +42,16 @@ from .coeff_table import (
     clear_coefficient_cache,
     coefficient_cache_info,
     get_coefficient_table,
-    set_coefficient_cache_limits,
 )
 from .davies_harte import circulant_eigenvalues, davies_harte_generate
 from .spectral_cache import (
     SpectralTable,
     clear_spectral_cache,
     get_spectral_table,
-    set_spectral_cache_limits,
     spectral_cache_info,
 )
-from .farima import (
-    farima_generate,
-    fractional_diff_weights,
-    fractional_integrate,
-)
-from .fgn import fbm_from_fgn, fgn_acvf, fgn_generate
+from .farima import farima_generate, fractional_diff_weights
+from .fgn import fgn_generate
 from .forecast import GaussianForecast, conditional_forecast
 from .hosking import hosking_generate
 from .mg_infinity import MGInfinityConfig, mg_infinity_generate
@@ -72,7 +64,6 @@ from .chunked import (
     ChunkReport,
     ChunkedGenerator,
     bridge_matrix,
-    chunked_generate,
     plan_chunks,
     stitched_covariance,
 )
@@ -97,8 +88,6 @@ __all__ = [
     "CompositeCorrelation",
     "FARIMACorrelation",
     "RescaledCorrelation",
-    "MixtureCorrelation",
-    "TabulatedCorrelation",
     "WhiteNoiseCorrelation",
     "DurbinLevinson",
     "partial_autocorrelations",
@@ -106,7 +95,6 @@ __all__ = [
     "get_coefficient_table",
     "clear_coefficient_cache",
     "coefficient_cache_info",
-    "set_coefficient_cache_limits",
     "hosking_generate",
     "davies_harte_generate",
     "circulant_eigenvalues",
@@ -114,13 +102,9 @@ __all__ = [
     "get_spectral_table",
     "clear_spectral_cache",
     "spectral_cache_info",
-    "set_spectral_cache_limits",
     "farima_generate",
     "fractional_diff_weights",
-    "fractional_integrate",
-    "fgn_acvf",
     "fgn_generate",
-    "fbm_from_fgn",
     "GaussianForecast",
     "conditional_forecast",
     "rmd_generate",
@@ -142,7 +126,6 @@ __all__ = [
     "ChunkedGenerator",
     "DEFAULT_STITCH_WINDOW",
     "bridge_matrix",
-    "chunked_generate",
     "plan_chunks",
     "stitched_covariance",
 ]

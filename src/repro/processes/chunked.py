@@ -107,7 +107,6 @@ __all__ = [
     "plan_chunks",
     "bridge_matrix",
     "ChunkedGenerator",
-    "chunked_generate",
     "stitched_covariance",
     "DEFAULT_STITCH_WINDOW",
 ]
@@ -708,31 +707,6 @@ class ChunkedGenerator:
         if mean:
             x += mean
         return x
-
-
-def chunked_generate(
-    source: GaussianSource,
-    n: int,
-    *,
-    chunk_frames: int,
-    alignment: int = 1,
-    boundaries: Optional[Sequence[int]] = None,
-    min_chunk: Optional[int] = None,
-    stitch_window: int = DEFAULT_STITCH_WINDOW,
-    processes: Optional[int] = None,
-    mean: float = 0.0,
-    random_state: RandomState = None,
-) -> np.ndarray:
-    """One-shot convenience wrapper around :class:`ChunkedGenerator`."""
-    return ChunkedGenerator(
-        source,
-        chunk_frames=chunk_frames,
-        alignment=alignment,
-        boundaries=boundaries,
-        min_chunk=min_chunk,
-        stitch_window=stitch_window,
-        processes=processes,
-    ).generate(n, mean=mean, random_state=random_state)
 
 
 # ---------------------------------------------------------------------

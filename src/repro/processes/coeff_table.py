@@ -57,7 +57,6 @@ __all__ = [
     "get_coefficient_table",
     "clear_coefficient_cache",
     "coefficient_cache_info",
-    "set_coefficient_cache_limits",
     "cache_metrics",
     "resolve_acvf",
 ]
@@ -346,8 +345,8 @@ def get_coefficient_table(
     either way the Durbin-Levinson recursion never runs twice over the
     same lags.  See :meth:`AcvfTableCache.get
     <repro.processes.acvf_cache.AcvfTableCache.get>` for the lookup
-    order; requests beyond the horizon cap (see
-    :func:`set_coefficient_cache_limits`) return an uncached table.
+    order; requests beyond the horizon cap (4096, reported by
+    :func:`coefficient_cache_info`) return an uncached table.
     """
     return _CACHE.get(correlation, n)
 
@@ -383,16 +382,17 @@ def cache_metrics(ctx, **labels):
     return _CACHE.metrics(ctx, **labels)
 
 
-def set_coefficient_cache_limits(
+def _set_coefficient_cache_limits(
     *,
     max_tables: Optional[int] = None,
     max_cached_horizon: Optional[int] = None,
 ) -> None:
     """Adjust the cache budget (tables kept / largest cached horizon).
 
-    ``max_tables`` bounds the number of live tables (LRU eviction);
-    ``max_cached_horizon`` bounds the horizon served from the cache — a
-    table costs ``~horizon^2 / 2`` doubles, so the cap keeps very long
-    one-off generations from pinning large buffers.
+    A test seam: the library runs at the limits ``_CACHE`` is built
+    with.  ``max_tables`` bounds the number of live tables (LRU
+    eviction); ``max_cached_horizon`` bounds the horizon served from
+    the cache — a table costs ``~horizon^2 / 2`` doubles, so the cap
+    keeps very long one-off generations from pinning large buffers.
     """
     _CACHE.set_limits(max_tables=max_tables, max_request=max_cached_horizon)

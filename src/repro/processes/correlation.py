@@ -45,8 +45,6 @@ __all__ = [
     "CompositeCorrelation",
     "FARIMACorrelation",
     "RescaledCorrelation",
-    "MixtureCorrelation",
-    "TabulatedCorrelation",
 ]
 
 LagsLike = Union[int, float, Sequence[float], np.ndarray]
@@ -98,22 +96,6 @@ class CorrelationModel(abc.ABC):
         """
         n = check_positive_int(n, "n")
         return np.asarray(self(np.arange(n)), dtype=float)
-
-    def validate_acvf(self, n: int, *, tolerance: float = 1e-10) -> None:
-        """Raise :class:`CorrelationError` if ``r(0..n-1)`` is clearly invalid.
-
-        Checks that all values lie in ``[-1, 1]`` and ``r(0) = 1``.  Full
-        positive-definiteness is verified lazily by the generators (the
-        Durbin-Levinson recursion detects it exactly).
-        """
-        values = self.acvf(n)
-        if abs(values[0] - 1.0) > tolerance:
-            raise CorrelationError(f"r(0) must equal 1, got {values[0]}")
-        if np.any(np.abs(values) > 1.0 + tolerance):
-            bad = int(np.argmax(np.abs(values) > 1.0 + tolerance))
-            raise CorrelationError(
-                f"|r({bad})| = {abs(values[bad]):.6f} exceeds 1"
-            )
 
 
 class WhiteNoiseCorrelation(CorrelationModel):
@@ -555,93 +537,3 @@ class RescaledCorrelation(CorrelationModel):
     def __repr__(self) -> str:
         return f"RescaledCorrelation(base={self.base!r}, scale={self.scale})"
 
-
-class MixtureCorrelation(CorrelationModel):
-    """Variance-weighted mixture of correlation models.
-
-    If independent zero-mean processes ``X_i`` with variances ``v_i``
-    and correlations ``r_i(k)`` are superposed, the sum's correlation is
-
-    .. math:: r(k) = \\frac{\\sum_i v_i\\, r_i(k)}{\\sum_i v_i}.
-
-    This is the correlation calculus behind heterogeneous multiplexing
-    (e.g. an intraframe source plus interframe sources sharing a link)
-    and behind decomposing a fitted model into interpretable parts.
-    The mixture of positive-definite components is positive definite.
-    """
-
-    def __init__(
-        self,
-        components: Sequence[CorrelationModel],
-        weights: Sequence[float],
-    ) -> None:
-        if not components:
-            raise ValidationError("components must not be empty")
-        for component in components:
-            if not isinstance(component, CorrelationModel):
-                raise ValidationError(
-                    "components must be CorrelationModel instances, got "
-                    f"{type(component).__name__}"
-                )
-        w = check_1d_array(weights, "weights")
-        if w.size != len(components):
-            raise ValidationError(
-                f"{len(components)} components but {w.size} weights"
-            )
-        if np.any(w <= 0):
-            raise ValidationError("weights must be positive variances")
-        self.components = tuple(components)
-        self.weights = w / w.sum()
-
-    @property
-    def hurst(self) -> Optional[float]:
-        """The largest component Hurst parameter (the tail's owner)."""
-        values = [c.hurst for c in self.components if c.hurst is not None]
-        return max(values) if values else None
-
-    def _evaluate(self, lags: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(lags)
-        for weight, component in zip(self.weights, self.components):
-            out += weight * np.asarray(component(lags), dtype=float)
-        return out
-
-    def __repr__(self) -> str:
-        parts = ", ".join(
-            f"{w:.3f}*{c!r}"
-            for w, c in zip(self.weights, self.components)
-        )
-        return f"MixtureCorrelation({parts})"
-
-
-class TabulatedCorrelation(CorrelationModel):
-    """Correlation interpolated from tabulated values ``r(0..n-1)``.
-
-    Useful for driving Hosking's generator directly with an *empirical*
-    autocorrelation estimate.  Values beyond the table extend with the
-    last tabulated value decayed geometrically toward zero, keeping the
-    sequence bounded.
-    """
-
-    def __init__(self, values: Sequence[float], *, tail_decay: float = 0.999):
-        arr = check_1d_array(values, "values")
-        if abs(arr[0] - 1.0) > 1e-9:
-            raise ValidationError(f"values[0] must be 1, got {arr[0]}")
-        if np.any(np.abs(arr) > 1.0 + 1e-9):
-            raise ValidationError("tabulated correlations must lie in [-1, 1]")
-        self.values = arr
-        self.tail_decay = check_in_range(
-            tail_decay, "tail_decay", 0.0, 1.0, inclusive_low=False
-        )
-
-    def _evaluate(self, lags: np.ndarray) -> np.ndarray:
-        n = self.values.size
-        grid = np.arange(n, dtype=float)
-        out = np.interp(lags, grid, self.values)
-        beyond = lags > n - 1
-        if np.any(beyond):
-            last = self.values[-1]
-            out[beyond] = last * self.tail_decay ** (lags[beyond] - (n - 1))
-        return out
-
-    def __repr__(self) -> str:
-        return f"TabulatedCorrelation(n={self.values.size})"

@@ -45,7 +45,6 @@ __all__ = [
     "davies_harte_generate",
     "circulant_eigenvalues",
     "workspace_stats",
-    "reset_workspace_stats",
 ]
 
 # ---------------------------------------------------------------------
@@ -86,13 +85,6 @@ def workspace_stats() -> Dict[str, int]:
     """
     with _workspace_lock:
         return dict(_workspace_stats)
-
-
-def reset_workspace_stats() -> None:
-    """Zero the workspace counters (tests and benches)."""
-    with _workspace_lock:
-        _workspace_stats["hits"] = 0
-        _workspace_stats["builds"] = 0
 
 
 def davies_harte_generate(

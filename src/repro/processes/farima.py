@@ -37,7 +37,6 @@ from .davies_harte import davies_harte_generate
 
 __all__ = [
     "fractional_diff_weights",
-    "fractional_integrate",
     "farima_generate",
 ]
 
@@ -58,22 +57,6 @@ def fractional_diff_weights(d: float, count: int) -> np.ndarray:
     for j in range(1, count):
         weights[j] = weights[j - 1] * (j - 1 - d) / j
     return weights
-
-
-def fractional_integrate(
-    innovations: Sequence[float], d: float
-) -> np.ndarray:
-    """Apply ``(1 - B)^{-d}`` to ``innovations`` (truncated expansion).
-
-    This is the direct (O(n^2) via FFT convolution) construction of a
-    FARIMA(0, d, 0) path from white noise.  Because the expansion is
-    truncated at the series length, the output is only asymptotically
-    stationary; prefer :func:`farima_generate` (exact ACVF) unless the
-    innovations themselves matter.
-    """
-    x = check_1d_array(innovations, "innovations")
-    psi = fractional_diff_weights(-d, x.size)
-    return np.convolve(x, psi)[: x.size]
 
 
 def farima_generate(

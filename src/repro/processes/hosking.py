@@ -25,8 +25,8 @@ paths by Appendix B's likelihood ratios (eq. 42-48), summed in closed
 form from the same coefficients (:mod:`repro.simulation.importance`).
 
 The horizon picks the coefficient source.  A horizon the coefficient
-cache keeps (``n`` at most its ``max_cached_horizon``, 4096 by default;
-see :func:`~repro.processes.coeff_table.set_coefficient_cache_limits`)
+cache keeps (``n`` at most its ``max_cached_horizon``, 4096; see
+:func:`~repro.processes.coeff_table.coefficient_cache_info`)
 reads the shared :class:`~repro.processes.coeff_table.CoefficientTable`,
 so repeated runs over the same background model — the buffer sweeps
 and twist scans of Figs. 14-17 — pay for the recursion once.  A longer

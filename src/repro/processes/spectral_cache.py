@@ -71,7 +71,6 @@ __all__ = [
     "get_spectral_table",
     "clear_spectral_cache",
     "spectral_cache_info",
-    "set_spectral_cache_limits",
     "spectral_cache_metrics",
 ]
 
@@ -305,18 +304,6 @@ class SpectralTable(AcvfTable):
         """Number of cached eigenvalue entries."""
         return len(self._entries)
 
-    def acvf_prefix(self, length: int) -> np.ndarray:
-        """Read-only view of ``r(0) .. r(length - 1)``."""
-        length = check_positive_int(length, "length")
-        acvf = self._acvf
-        if length > acvf.size:
-            raise ValidationError(
-                f"table holds {acvf.size} lags, requested {length}"
-            )
-        view = acvf[:length]
-        view.flags.writeable = False
-        return view
-
     def nbytes(self) -> int:
         """Approximate memory footprint of the cached spectra."""
         with self._lock:
@@ -417,8 +404,8 @@ def get_spectral_table(
     served from the per-model memo without evaluating its acvf; see
     :meth:`AcvfTableCache.get
     <repro.processes.acvf_cache.AcvfTableCache.get>` for the full
-    lookup order.  Requests beyond the length cap (see
-    :func:`set_spectral_cache_limits`) return an uncached table.
+    lookup order.  Requests beyond the length cap (2^20, reported by
+    :func:`spectral_cache_info`) return an uncached table.
     """
     return _CACHE.get(correlation, n)
 
@@ -462,7 +449,7 @@ def spectral_cache_metrics(ctx, **labels):
     return _CACHE.metrics(ctx, **labels)
 
 
-def set_spectral_cache_limits(
+def _set_spectral_cache_limits(
     *,
     max_tables: Optional[int] = None,
     max_cached_length: Optional[int] = None,
@@ -470,7 +457,9 @@ def set_spectral_cache_limits(
 ) -> None:
     """Adjust the cache budget.
 
-    ``max_tables`` bounds the number of live tables (LRU eviction);
+    A test seam: the library runs at the limits ``_CACHE`` and
+    :attr:`SpectralTable.max_entries` are built with.  ``max_tables``
+    bounds the number of live tables (LRU eviction);
     ``max_cached_length`` bounds the path length served from the cache
     (a cached entry costs ``n + 1`` doubles — linear, so the default
     cap is far above the coefficient-table one);

@@ -17,17 +17,14 @@ overflow estimators (the importance-sampling estimators live in
 """
 
 from .capacity import (
-    AdmissionCurve,
     EffectiveBandwidthCurve,
     LossVsN,
     admissible_sources,
-    admission_control_curve,
     bufferless_loss_gaussian,
     effective_bandwidth_vs_n,
     loss_vs_n,
 )
 from .lindley import (
-    first_passage_times,
     lindley_recursion,
     workload_paths,
     workload_supremum,
@@ -35,7 +32,6 @@ from .lindley import (
 from .multiplexer import AtmMultiplexer, service_rate_for_utilization
 from .overflow import (
     OverflowEstimate,
-    batch_means_overflow,
     cell_loss_ratio_from_trace,
     steady_state_overflow_from_trace,
     transient_overflow_mc,
@@ -53,23 +49,19 @@ __all__ = [
     "lindley_recursion",
     "workload_paths",
     "workload_supremum",
-    "first_passage_times",
     "AtmMultiplexer",
     "service_rate_for_utilization",
     "OverflowEstimate",
     "transient_overflow_mc",
     "steady_state_overflow_from_trace",
-    "batch_means_overflow",
     "cell_loss_ratio_from_trace",
     "norros_overflow_approximation",
     "norros_decay_exponent",
     "norros_effective_bandwidth",
     "EffectiveBandwidthCurve",
-    "AdmissionCurve",
     "LossVsN",
     "effective_bandwidth_vs_n",
     "admissible_sources",
-    "admission_control_curve",
     "bufferless_loss_gaussian",
     "loss_vs_n",
 ]

@@ -6,8 +6,7 @@ The service-scale questions the effective-bandwidth theory answers:
   need so that overflow of a buffer ``b`` stays below ``epsilon``?
   (:func:`effective_bandwidth_vs_n`);
 - **admission control** — given a link of capacity ``c``, how many
-  sources of the mixture can be admitted?  (:func:`admissible_sources`
-  and :func:`admission_control_curve`);
+  sources of the mixture can be admitted?  (:func:`admissible_sources`);
 - **multiplexing gain** — how fast does the realized loss ratio fall
   as N grows at fixed per-source provisioning?  (:func:`loss_vs_n`,
   which *simulates* the sharded aggregate through
@@ -63,11 +62,9 @@ from .theory import norros_effective_bandwidth, norros_overflow_approximation
 
 __all__ = [
     "EffectiveBandwidthCurve",
-    "AdmissionCurve",
     "LossVsN",
     "effective_bandwidth_vs_n",
     "admissible_sources",
-    "admission_control_curve",
     "bufferless_loss_gaussian",
     "loss_vs_n",
 ]
@@ -101,17 +98,6 @@ class EffectiveBandwidthCurve:
     def utilizations(self) -> np.ndarray:
         """Achievable utilization when provisioned at the bandwidth."""
         return self.mean_rates / self.bandwidths
-
-
-@dataclass(frozen=True)
-class AdmissionCurve:
-    """Maximum admissible source count per link capacity."""
-
-    capacities: np.ndarray
-    max_sources: np.ndarray
-    buffer_size: float
-    epsilon: float
-    hurst: float
 
 
 @dataclass(frozen=True)
@@ -245,44 +231,6 @@ def admissible_sources(
     return lo
 
 
-def admission_control_curve(
-    population: PopulationArg,
-    capacities: Sequence[float],
-    *,
-    buffer_size: float,
-    epsilon: float,
-    n_max: int = 1_000_000,
-) -> AdmissionCurve:
-    """Max admissible N at each link capacity (monotone by construction)."""
-    caps = np.atleast_1d(np.asarray(capacities, dtype=float))
-    if caps.size == 0 or np.any(caps <= 0):
-        raise ValidationError("capacities must be positive")
-    pop = as_population(population)
-    max_sources = np.array(
-        [
-            admissible_sources(
-                pop,
-                capacity=c,
-                buffer_size=buffer_size,
-                epsilon=epsilon,
-                n_max=n_max,
-            )
-            for c in caps
-        ],
-        dtype=int,
-    )
-    return AdmissionCurve(
-        capacities=caps,
-        max_sources=max_sources,
-        buffer_size=check_positive_float(buffer_size, "buffer_size"),
-        epsilon=check_in_range(
-            epsilon, "epsilon", 0.0, 1.0,
-            inclusive_low=False, inclusive_high=False,
-        ),
-        hurst=pop.hurst,
-    )
-
-
 def bufferless_loss_gaussian(
     *, mean_rate: float, std: float, capacity: float
 ) -> float:
@@ -292,7 +240,7 @@ def bufferless_loss_gaussian(
     the expected lost work per slot is ``E[(A - c)^+] = S (phi(z) -
     z Phibar(z))`` with ``z = (c - M) / S``, and the loss ratio divides
     by the offered work ``M``.  The CLT makes this sharp for large N —
-    the bufferless anchor of the admission curves.
+    the bufferless anchor of the admission rule.
     """
     mean_rate = check_positive_float(mean_rate, "mean_rate")
     std = check_positive_float(std, "std")

@@ -23,7 +23,6 @@ __all__ = [
     "finite_lindley_recursion",
     "workload_paths",
     "workload_supremum",
-    "first_passage_times",
 ]
 
 #: Slots per block of the closed-form Lindley kernel.  A fixed block
@@ -174,20 +173,3 @@ def workload_supremum(
     """
     w = workload_paths(arrivals, service_rate)
     return np.maximum(np.maximum.accumulate(w, axis=-1), 0.0)
-
-
-def first_passage_times(
-    arrivals: np.ndarray, service_rate: float, threshold: float
-) -> np.ndarray:
-    """First slot index at which the workload exceeds ``threshold``.
-
-    Returns, per path, the 0-based slot of the first ``W_j > b``, or
-    ``-1`` if the workload never crosses within the horizon.
-    """
-    if threshold < 0:
-        raise ValidationError("threshold must be non-negative")
-    w = workload_paths(arrivals, service_rate)
-    crossed = w > threshold
-    any_crossed = crossed.any(axis=-1)
-    first = crossed.argmax(axis=-1)
-    return np.where(any_crossed, first, -1)

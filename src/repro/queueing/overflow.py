@@ -23,7 +23,6 @@ __all__ = [
     "OverflowEstimate",
     "transient_overflow_mc",
     "steady_state_overflow_from_trace",
-    "batch_means_overflow",
     "cell_loss_ratio_from_trace",
 ]
 
@@ -162,52 +161,6 @@ def steady_state_overflow_from_trace(
             )
         )
     return estimates
-
-
-def batch_means_overflow(
-    arrivals: Sequence[float],
-    service_rate: float,
-    buffer_size: float,
-    *,
-    num_batches: int = 20,
-    warmup: int = 0,
-) -> OverflowEstimate:
-    """Batch-means estimate of ``P(Q > b)`` from one long run.
-
-    Splits the post-warmup queue path into ``num_batches`` contiguous
-    batches and treats the batch-wise exceedance fractions as pseudo-
-    replications.  **Caveat the paper itself raises:** for self-similar
-    input, batches of any practical length remain correlated ("we
-    would expect significant correlations between batches due to the
-    self similar nature of the traffic"), so the reported variance is
-    an *optimistic lower bound* — useful for flagging obviously
-    unresolved estimates, not as a calibrated confidence interval.
-    """
-    arr = check_1d_array(arrivals, "arrivals")
-    check_positive_float(buffer_size, "buffer_size")
-    num_batches = int(num_batches)
-    if num_batches < 2:
-        raise ValidationError("num_batches must be at least 2")
-    if warmup < 0 or warmup >= arr.size:
-        raise ValidationError(
-            f"warmup must be in [0, {arr.size - 1}], got {warmup}"
-        )
-    queue = lindley_recursion(arr, service_rate)[warmup:]
-    batch_length = queue.size // num_batches
-    if batch_length < 1:
-        raise ValidationError(
-            "series too short for the requested number of batches"
-        )
-    trimmed = queue[: batch_length * num_batches]
-    batches = trimmed.reshape(num_batches, batch_length)
-    fractions = (batches > buffer_size).mean(axis=1)
-    probability = float(fractions.mean())
-    variance = float(fractions.var(ddof=1)) / num_batches
-    return OverflowEstimate(
-        probability=probability,
-        variance=variance,
-        replications=num_batches,
-    )
 
 
 def cell_loss_ratio_from_trace(

@@ -14,7 +14,6 @@ from .importance import is_overflow_probability, is_transient_overflow_curve
 from .runner import (
     ModelComparisonResult,
     OverflowCurve,
-    aggregate_overflow_curve,
     mc_overflow_vs_buffer_curve,
     model_comparison_curves,
     overflow_vs_buffer_curve,
@@ -22,7 +21,6 @@ from .runner import (
 )
 from .twist_search import (
     TwistSearchResult,
-    refine_twisted_mean,
     search_twisted_mean,
     sweep_twists,
 )
@@ -35,12 +33,10 @@ __all__ = [
     "TwistSearchResult",
     "search_twisted_mean",
     "sweep_twists",
-    "refine_twisted_mean",
     "OverflowCurve",
     "ModelComparisonResult",
     "overflow_vs_buffer_curve",
     "mc_overflow_vs_buffer_curve",
     "transient_overflow_curves",
     "model_comparison_curves",
-    "aggregate_overflow_curve",
 ]

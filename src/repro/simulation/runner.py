@@ -39,13 +39,8 @@ from ..processes.spectral_cache import (
     get_spectral_table,
     spectral_cache_metrics,
 )
-from ..core.aggregate import ShardedAggregateModel
 from ..queueing.multiplexer import service_rate_for_utilization
-from ..queueing.overflow import (
-    OverflowEstimate,
-    steady_state_overflow_from_trace,
-    transient_overflow_mc,
-)
+from ..queueing.overflow import OverflowEstimate, transient_overflow_mc
 from ..stats.random import RandomState, spawn_rngs
 from .estimators import ISEstimate
 from .importance import (
@@ -63,7 +58,6 @@ __all__ = [
     "mc_overflow_vs_buffer_curve",
     "transient_overflow_curves",
     "model_comparison_curves",
-    "aggregate_overflow_curve",
 ]
 
 
@@ -472,81 +466,3 @@ def model_comparison_curves(
         curves=curves,
     )
 
-
-def aggregate_overflow_curve(
-    engine: ShardedAggregateModel,
-    buffer_sizes: Sequence[float],
-    *,
-    utilization: float,
-    horizon: int,
-    replications: int = 1,
-    shards: int = 1,
-    warmup: int = 0,
-    processes: Optional[int] = None,
-    random_state: RandomState = None,
-) -> OverflowCurve:
-    """Steady-state ``P(Q > b)`` of a sharded heterogeneous aggregate.
-
-    Generates ``replications`` independent aggregate feeds from a
-    :class:`~repro.core.aggregate.ShardedAggregateModel`, normalizes
-    each by the population's aggregate mean rate (so ``buffer_sizes``
-    follow the paper's normalized-buffer convention and the service
-    rate is ``1 / utilization``), and pools the per-path time-average
-    overflow fractions.  Peak memory is O(batch_size x horizon) during
-    generation and O(horizon) during queueing — N never enters.
-
-    Replications run in order, each pre-seeded from
-    :func:`spawn_rngs`.  ``processes`` is forwarded to the engine's
-    block-level thread pool (``None`` defers to ``REPRO_WORKERS``); it
-    never changes the curve's bits.
-
-    Variance across replications is the sample variance of the
-    per-path estimates over ``replications`` (NaN for a single path,
-    matching
-    :func:`~repro.queueing.overflow.steady_state_overflow_from_trace`).
-    """
-    if not isinstance(engine, ShardedAggregateModel):
-        raise ValidationError(
-            "engine must be a ShardedAggregateModel, got "
-            f"{type(engine).__name__}"
-        )
-    buffers = _check_buffers(buffer_sizes)
-    horizon = check_positive_int(horizon, "horizon")
-    replications = check_positive_int(replications, "replications")
-    service = service_rate_for_utilization(1.0, utilization)
-    rngs = spawn_rngs(random_state, replications)
-    probabilities = np.empty((replications, buffers.size), dtype=float)
-    with current_context().time("capacity.overflow_curve_seconds"):
-        for r in range(replications):
-            feed = engine.generate(
-                horizon,
-                shards=shards,
-                processes=processes,
-                random_state=rngs[r],
-            )
-            per_path = steady_state_overflow_from_trace(
-                feed.normalized, service, buffers, warmup=warmup
-            )
-            probabilities[r] = np.fromiter(
-                (e.probability for e in per_path),
-                dtype=float,
-                count=buffers.size,
-            )
-    pooled = probabilities.mean(axis=0)
-    if replications > 1:
-        variances = probabilities.var(axis=0, ddof=1) / replications
-    else:
-        variances = np.full(buffers.size, float("nan"))
-    estimates = [
-        OverflowEstimate(
-            probability=float(p),
-            variance=float(v),
-            replications=replications,
-        )
-        for p, v in zip(pooled, variances)
-    ]
-    return OverflowCurve(
-        utilization=float(utilization),
-        buffer_sizes=buffers,
-        estimates=estimates,
-    )

@@ -32,13 +32,9 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from .._validation import (
-    check_1d_array,
-    check_finite_float,
-    check_positive_int,
-)
+from .._validation import check_1d_array, check_positive_int
 from ..exceptions import SimulationError, SimulationWarning
-from ..observability import current_context, recording
+from ..observability import current_context
 from ..processes.coeff_table import cache_metrics
 from ..processes.correlation import CorrelationModel
 from ..processes.registry import BackendArg
@@ -59,7 +55,6 @@ __all__ = [
     "TwistSearchResult",
     "search_twisted_mean",
     "sweep_twists",
-    "refine_twisted_mean",
 ]
 
 
@@ -332,92 +327,3 @@ def _record_trajectory(ctx, result: TwistSearchResult) -> None:
         # counters/warnings from the estimator already flag the cause.
         pass
 
-
-def refine_twisted_mean(
-    correlation: Union[CorrelationModel, Sequence[float]],
-    transform: ArrivalTransform,
-    *,
-    service_rate: float,
-    buffer_size: float,
-    horizon: int,
-    bracket: tuple,
-    replications: int,
-    iterations: int = 6,
-    random_state: RandomState = None,
-    backend: BackendArg = "auto",
-) -> TwistSearchResult:
-    """Golden-section refinement of the variance valley.
-
-    After a coarse grid scan locates the valley's neighbourhood, this
-    narrows the bracket by golden-section steps on the (noisy)
-    normalized-variance objective.  Each probe is an independent IS
-    batch; with the per-probe sampling noise, a handful of iterations
-    is the useful maximum — the goal is "favorable", not "optimal",
-    exactly as the paper frames it.  Probes are inherently sequential
-    (each bracket update depends on the previous objective value), so
-    this runner has no ``workers`` knob; it still benefits from the
-    shared coefficient table, since every probe reuses the same
-    background model and horizon.
-
-    Returns a :class:`TwistSearchResult` over every probed twist (in
-    probing order) whose :attr:`~TwistSearchResult.best_twist` is the
-    refined choice.  The current run context records the probing
-    trajectory exactly as :func:`search_twisted_mean` does (probe
-    index = probing order).
-    A non-finite ``bracket`` endpoint or an ``iterations`` that is not
-    a positive integer raises :class:`~repro.exceptions.ValidationError`;
-    a pair that is not increasing raises
-    :class:`~repro.exceptions.SimulationError`.
-    """
-    for endpoint in bracket:
-        check_finite_float(endpoint, "bracket")
-    if len(bracket) != 2 or not bracket[0] < bracket[1]:
-        raise SimulationError(
-            f"bracket must be an increasing pair, got {bracket!r}"
-        )
-    check_positive_int(replications, "replications")
-    ctx = current_context()
-    iterations = check_positive_int(iterations, "iterations")
-    rngs = spawn_rngs(random_state, 2 * iterations + 2)
-    rng_iter = iter(rngs)
-    probes: List[float] = []
-    estimates: List[ISEstimate] = []
-
-    def objective(m_star: float) -> float:
-        with recording(ctx.scoped(probe=len(probes), twist=float(m_star))):
-            estimate = is_overflow_probability(
-                correlation,
-                transform,
-                service_rate=service_rate,
-                buffer_size=buffer_size,
-                horizon=horizon,
-                twisted_mean=float(m_star),
-                replications=replications,
-                random_state=next(rng_iter),
-                backend=backend,
-            )
-        probes.append(float(m_star))
-        estimates.append(estimate)
-        value = estimate.normalized_variance
-        return value if np.isfinite(value) else np.inf
-
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    low, high = float(bracket[0]), float(bracket[1])
-    with cache_metrics(ctx):
-        x1 = high - inv_phi * (high - low)
-        x2 = low + inv_phi * (high - low)
-        f1, f2 = objective(x1), objective(x2)
-        for _ in range(iterations - 1):
-            if f1 <= f2:
-                high, x2, f2 = x2, x1, f1
-                x1 = high - inv_phi * (high - low)
-                f1 = objective(x1)
-            else:
-                low, x1, f1 = x1, x2, f2
-                x2 = low + inv_phi * (high - low)
-                f2 = objective(x2)
-    result = TwistSearchResult(
-        twist_values=np.asarray(probes), estimates=estimates
-    )
-    _record_trajectory(ctx, result)
-    return result

@@ -6,7 +6,7 @@ computations (Fig. 13), series aggregation (variance-time analysis), and
 seeded random-generator helpers.
 """
 
-from .aggregate import aggregate_series, aggregation_levels
+from .aggregate import aggregation_levels
 from .asciiplot import ascii_plot
 from .histogram import Histogram, frequency_histogram
 from .qq import qq_points, quantiles
@@ -19,7 +19,6 @@ __all__ = [
     "frequency_histogram",
     "qq_points",
     "quantiles",
-    "aggregate_series",
     "aggregation_levels",
     "make_rng",
     "spawn_rngs",

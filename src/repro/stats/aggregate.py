@@ -13,43 +13,22 @@ basis of the variance-time plot (Fig. 3 of the paper).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
-from .._validation import check_1d_array, check_positive_int
+from .._validation import check_positive_int
 from ..exceptions import ValidationError
 
-__all__ = ["aggregate_series", "aggregation_levels"]
-
-
-def aggregate_series(values: Sequence[float], m: int) -> np.ndarray:
-    """Return the m-aggregated (block-mean) series of ``values``.
-
-    Trailing samples that do not fill a complete block are discarded,
-    matching the standard variance-time methodology.
-
-    Parameters
-    ----------
-    values:
-        The raw series ``X_1 .. X_n``.
-    m:
-        Block size; ``m = 1`` returns a copy of the input.
-    """
-    arr = check_1d_array(values, "values")
-    m = check_positive_int(m, "m")
-    if m > arr.size:
-        raise ValidationError(
-            f"block size m={m} exceeds series length {arr.size}"
-        )
-    return _block_means(arr, m)
+__all__ = ["aggregation_levels"]
 
 
 def _block_means(arr: np.ndarray, m: int) -> np.ndarray:
     """Means of the complete length-``m`` blocks of a validated ``arr``.
 
-    The shared core of :func:`aggregate_series` and the variance-time
-    estimator, which validates its series once for every level.
+    This is ``X^(m)``; trailing samples that do not fill a block are
+    discarded, matching the standard variance-time methodology.  The
+    variance-time estimator validates its series once for every level.
     """
     blocks = arr.size // m
     return arr[: blocks * m].reshape(blocks, m).mean(axis=1)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .._validation import check_1d_array, check_positive_int
 
-__all__ = ["quantiles", "qq_points", "qq_max_deviation"]
+__all__ = ["quantiles", "qq_points"]
 
 
 def quantiles(values: Sequence[float], probs: Sequence[float]) -> np.ndarray:
@@ -39,23 +39,3 @@ def qq_points(
     probs = (np.arange(count) + 0.5) / count
     return quantiles(sample_a, probs), quantiles(sample_b, probs)
 
-
-def qq_max_deviation(
-    sample_a: Sequence[float],
-    sample_b: Sequence[float],
-    *,
-    count: int = 100,
-) -> float:
-    """Return the maximum relative deviation of Q-Q points from ``y = x``.
-
-    Deviation is measured relative to the inter-quantile scale of the
-    first sample, making the metric unit-free.  A value near 0 indicates
-    closely matching marginals.
-    """
-    qa, qb = qq_points(sample_a, sample_b, count=count)
-    scale = float(np.quantile(np.asarray(sample_a, dtype=float), 0.95)) - float(
-        np.quantile(np.asarray(sample_a, dtype=float), 0.05)
-    )
-    if scale <= 0:
-        scale = max(abs(qa).max(), 1.0)
-    return float(np.max(np.abs(qa - qb)) / scale)

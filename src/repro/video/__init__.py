@@ -12,7 +12,7 @@ statistics, so the substitution preserves the behaviour under study.
 
 from .gop import FrameType, GopStructure
 from .io import infer_gop_pattern, load_trace, save_trace
-from .scenes import SceneStatistics, detect_scene_changes, scene_statistics
+from .scenes import detect_scene_changes
 from .synthetic import SyntheticCodecConfig, SyntheticMPEGCodec
 from .table1 import TraceParameters, paper_table1, trace_parameters
 from .trace import VideoTrace
@@ -30,6 +30,4 @@ __all__ = [
     "save_trace",
     "infer_gop_pattern",
     "detect_scene_changes",
-    "scene_statistics",
-    "SceneStatistics",
 ]

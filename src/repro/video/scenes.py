@@ -4,15 +4,13 @@ The autocorrelation "knee" the paper fits (eq. 10-13) has a physical
 origin: scene changes.  Within a scene, frame sizes are highly
 correlated; across a cut they decorrelate, so the SRD decay rate
 reflects the scene-length scale.  This module detects cuts from the
-frame-size series (a large relative jump against a local baseline) and
-summarizes the scene-length distribution — analysis that lets a user
-check whether a fitted knee is consistent with the editing rhythm of
-their material.
+frame-size series (a large relative jump against a local baseline) —
+analysis that lets a user check whether a fitted knee is consistent
+with the editing rhythm of their material.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -22,9 +20,8 @@ from .._validation import (
     check_positive_float,
     check_positive_int,
 )
-from ..exceptions import EstimationError
 
-__all__ = ["SceneStatistics", "detect_scene_changes", "scene_statistics"]
+__all__ = ["detect_scene_changes"]
 
 
 def detect_scene_changes(
@@ -105,57 +102,3 @@ def detect_scene_changes(
             run_start = i
     return np.asarray(cuts, dtype=int)
 
-
-@dataclass(frozen=True)
-class SceneStatistics:
-    """Summary of detected scene structure.
-
-    Attributes
-    ----------
-    num_scenes:
-        Number of scenes (cuts + 1).
-    mean_length, median_length, max_length:
-        Scene lengths in frames.
-    cut_indices:
-        The detected cut positions.
-    """
-
-    num_scenes: int
-    mean_length: float
-    median_length: float
-    max_length: float
-    cut_indices: np.ndarray
-
-    def mean_length_seconds(self, frame_rate: float = 30.0) -> float:
-        """Mean scene length in seconds."""
-        check_positive_float(frame_rate, "frame_rate")
-        return self.mean_length / frame_rate
-
-
-def scene_statistics(
-    sizes,
-    *,
-    threshold: float = 0.6,
-    window: int = 12,
-    min_gap: Optional[int] = None,
-) -> SceneStatistics:
-    """Detect cuts and summarize the scene-length distribution."""
-    arr = check_min_length(sizes, "sizes", 4)
-    cuts = detect_scene_changes(
-        arr,
-        threshold=threshold,
-        window=window,
-        min_gap=min_gap,
-    )
-    boundaries = np.concatenate([[0], cuts, [arr.size]])
-    lengths = np.diff(boundaries).astype(float)
-    lengths = lengths[lengths > 0]
-    if lengths.size == 0:
-        raise EstimationError("no scenes detected")
-    return SceneStatistics(
-        num_scenes=int(lengths.size),
-        mean_length=float(lengths.mean()),
-        median_length=float(np.median(lengths)),
-        max_length=float(lengths.max()),
-        cut_indices=cuts,
-    )

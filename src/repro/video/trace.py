@@ -132,20 +132,6 @@ class VideoTrace:
             raise ValidationError("cannot normalize a zero-mean trace")
         return self.sizes / mean
 
-    def to_slices(self, slices_per_frame: int = 15) -> np.ndarray:
-        """Bytes per slice, splitting each frame evenly.
-
-        The paper's trace carries 15 slices per frame (Table 1); slice-
-        level series are what a cell-level multiplexer actually sees.
-        Returns a 1-D array of length ``num_frames * slices_per_frame``
-        whose per-frame sums equal the frame sizes.
-        """
-        if slices_per_frame <= 0:
-            raise ValidationError("slices_per_frame must be positive")
-        return np.repeat(
-            self.sizes / float(slices_per_frame), slices_per_frame
-        )
-
     def slice(self, start: int, stop: int) -> "VideoTrace":
         """Return a sub-trace of frames ``start:stop`` (GOP-aligned only
         when ``start`` is a multiple of the GOP period)."""

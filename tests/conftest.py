@@ -13,13 +13,13 @@ import pytest
 
 from repro.core import CompositeMPEGModel, UnifiedVBRModel
 from repro.processes.coeff_table import (
+    _set_coefficient_cache_limits,
     clear_coefficient_cache,
     coefficient_cache_info,
-    set_coefficient_cache_limits,
 )
 from repro.processes.spectral_cache import (
+    _set_spectral_cache_limits,
     clear_spectral_cache,
-    set_spectral_cache_limits,
     spectral_cache_info,
 )
 from repro.video import SyntheticCodecConfig, SyntheticMPEGCodec
@@ -113,11 +113,11 @@ def coefficient_cache_cap(horizon: int):
     """
     previous = coefficient_cache_info().max_cached_horizon
     clear_coefficient_cache()
-    set_coefficient_cache_limits(max_cached_horizon=horizon)
+    _set_coefficient_cache_limits(max_cached_horizon=horizon)
     try:
         yield
     finally:
-        set_coefficient_cache_limits(max_cached_horizon=previous)
+        _set_coefficient_cache_limits(max_cached_horizon=previous)
         clear_coefficient_cache()
 
 
@@ -133,9 +133,9 @@ def spectral_cache_cap(length: int):
     """
     previous = spectral_cache_info().max_cached_length
     clear_spectral_cache()
-    set_spectral_cache_limits(max_cached_length=length)
+    _set_spectral_cache_limits(max_cached_length=length)
     try:
         yield
     finally:
-        set_spectral_cache_limits(max_cached_length=previous)
+        _set_spectral_cache_limits(max_cached_length=previous)
         clear_spectral_cache()

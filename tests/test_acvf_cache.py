@@ -7,18 +7,18 @@ import pytest
 from repro.exceptions import CorrelationError, ValidationError
 from repro.processes.acvf_cache import resolve_acvf
 from repro.processes.coeff_table import (
+    _set_coefficient_cache_limits,
     clear_coefficient_cache,
     coefficient_cache_info,
     get_coefficient_table,
-    set_coefficient_cache_limits,
 )
 from repro.processes.correlation import FGNCorrelation
 from repro.processes.davies_harte import davies_harte_generate
 from repro.processes.hosking import hosking_generate
 from repro.processes.spectral_cache import (
+    _set_spectral_cache_limits,
     clear_spectral_cache,
     get_spectral_table,
-    set_spectral_cache_limits,
     spectral_cache_info,
 )
 from tests.conftest import spectral_cache_cap
@@ -40,7 +40,7 @@ KINDS = {
         get_coefficient_table,
         coefficient_cache_info,
         clear_coefficient_cache,
-        set_coefficient_cache_limits,
+        _set_coefficient_cache_limits,
         0,
         "max_cached_horizon",
     ),
@@ -48,7 +48,7 @@ KINDS = {
         get_spectral_table,
         spectral_cache_info,
         clear_spectral_cache,
-        set_spectral_cache_limits,
+        _set_spectral_cache_limits,
         1,
         "max_cached_length",
     ),

@@ -3,22 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.core.aggregate import (
-    ShardedAggregateModel,
-    SourceClass,
-    SourcePopulation,
-)
+from repro.core.aggregate import SourceClass, SourcePopulation
 from repro.exceptions import ValidationError
 from repro.marginals.parametric import NormalDistribution
 from repro.queueing import norros_effective_bandwidth
 from repro.queueing.capacity import (
     admissible_sources,
-    admission_control_curve,
     bufferless_loss_gaussian,
     effective_bandwidth_vs_n,
     loss_vs_n,
 )
-from repro.simulation import aggregate_overflow_curve
 
 
 @pytest.fixture()
@@ -117,14 +111,6 @@ class TestAdmission:
             n_max=500,
         ) == 500
 
-    def test_curve_is_monotone(self, mixture):
-        curve = admission_control_curve(
-            mixture, [100.0, 400.0, 1600.0], buffer_size=1.0,
-            epsilon=1e-6, n_max=10_000,
-        )
-        assert np.all(np.diff(curve.max_sources) > 0)
-        assert curve.hurst == pytest.approx(0.85)
-
 
 class TestBufferlessLoss:
     def test_matches_monte_carlo(self):
@@ -194,81 +180,6 @@ class TestLossVsN:
             loss_vs_n(mixture, [4], utilization=1.0)
         with pytest.raises(ValidationError):
             loss_vs_n(mixture, [4], utilization=0.9, buffer_size=-1.0)
-
-
-class TestAggregateOverflowCurve:
-    def test_probabilities_decrease_with_buffer(self, mixture):
-        engine = ShardedAggregateModel(mixture, batch_size=8)
-        curve = aggregate_overflow_curve(
-            engine, [0.02, 0.2, 2.0], utilization=0.95, horizon=2048,
-            replications=3, shards=2, warmup=64, random_state=13,
-        )
-        probs = [e.probability for e in curve.estimates]
-        assert all(0.0 <= p <= 1.0 for p in probs)
-        assert probs[0] >= probs[1] >= probs[2]
-        assert curve.estimates[0].replications == 3
-        assert np.isfinite(curve.estimates[0].variance)
-
-    def test_single_replication_variance_is_nan(self, mixture):
-        engine = ShardedAggregateModel(mixture, batch_size=8)
-        curve = aggregate_overflow_curve(
-            engine, [0.1], utilization=0.95, horizon=256,
-            random_state=1,
-        )
-        assert np.isnan(curve.estimates[0].variance)
-
-    def test_requires_engine(self):
-        with pytest.raises(ValidationError):
-            aggregate_overflow_curve(
-                "nope", [1.0], utilization=0.9, horizon=64
-            )
-
-    def test_processes_never_change_the_curve(self, mixture):
-        # Replications are pre-seeded from spawn_rngs and each feed is
-        # bit-identical at any pool size, so the curve must reproduce
-        # the serial one bit for bit.
-        engine = ShardedAggregateModel(mixture, batch_size=8)
-        serial = aggregate_overflow_curve(
-            engine, [0.05, 0.5], utilization=0.95, horizon=512,
-            replications=3, warmup=32, random_state=17,
-        )
-        for processes in (1, 2, 4):
-            pooled = aggregate_overflow_curve(
-                engine, [0.05, 0.5], utilization=0.95, horizon=512,
-                replications=3, warmup=32, processes=processes,
-                random_state=17,
-            )
-            for a, b in zip(serial.estimates, pooled.estimates):
-                assert b.probability == a.probability
-                assert b.variance == a.variance
-                assert b.replications == a.replications
-
-    def test_parallel_replications_reject_instance_backends(self):
-        from repro.processes import registry
-        from repro.processes.correlation import FGNCorrelation
-
-        source = registry.resolve("davies_harte", FGNCorrelation(0.8))
-        klass = SourceClass(
-            "inst", correlation=0.8,
-            marginal=NormalDistribution(10.0, 2.0), count=4,
-            backend=source,
-        )
-        # Name kept from when pooled replications rejected instance
-        # backends: the pool threads share the built source, so the
-        # pooled curve must equal the in-line one bit for bit.
-        engine = ShardedAggregateModel(klass, batch_size=2)
-        inline = aggregate_overflow_curve(
-            engine, [0.02, 0.1], utilization=0.95, horizon=64,
-            replications=2, processes=1, random_state=0,
-        )
-        pooled = aggregate_overflow_curve(
-            engine, [0.02, 0.1], utilization=0.95, horizon=64,
-            replications=2, processes=2, random_state=0,
-        )
-        assert pooled.estimates[0].replications == 2
-        for a, b in zip(inline.estimates, pooled.estimates):
-            assert b.probability == a.probability
-            assert b.variance == a.variance
 
 
 class TestLossVsNProcesses:

@@ -43,7 +43,6 @@ from repro.processes import chunked, registry
 from repro.processes.chunked import (
     ChunkedGenerator,
     bridge_matrix,
-    chunked_generate,
     plan_chunks,
     stitched_covariance,
 )
@@ -192,16 +191,12 @@ class TestExactStitch:
     @pytest.mark.parametrize("processes", [1, 2, 7, 16])
     def test_thread_count_invariant_bits(self, processes):
         src = HoskingSource(FGNCorrelation(0.8))
-        baseline = chunked_generate(
-            src, 600, chunk_frames=128, processes=1, random_state=42
-        )
-        out = chunked_generate(
-            src,
-            600,
-            chunk_frames=128,
-            processes=processes,
-            random_state=42,
-        )
+        baseline = ChunkedGenerator(
+            src, chunk_frames=128, processes=1
+        ).generate(600, random_state=42)
+        out = ChunkedGenerator(
+            src, chunk_frames=128, processes=processes
+        ).generate(600, random_state=42)
         assert np.array_equal(out, baseline)
 
     def test_auto_picks_exact_for_conditional_source(self):
@@ -212,11 +207,11 @@ class TestExactStitch:
 
     def test_mean_shift_applied(self):
         src = HoskingSource(FGNCorrelation(0.8))
-        x = chunked_generate(
-            src, 200, chunk_frames=64, mean=5.0, random_state=0
+        x = ChunkedGenerator(src, chunk_frames=64).generate(
+            200, mean=5.0, random_state=0
         )
-        y = chunked_generate(
-            src, 200, chunk_frames=64, mean=0.0, random_state=0
+        y = ChunkedGenerator(src, chunk_frames=64).generate(
+            200, mean=0.0, random_state=0
         )
         np.testing.assert_allclose(x, y + 5.0)
 
@@ -304,22 +299,12 @@ class TestBridgeStitch:
     @pytest.mark.parametrize("processes", [1, 2, 7, 16])
     def test_process_count_invariant_bits(self, processes):
         src = DaviesHarteSource(FGNCorrelation(0.8))
-        baseline = chunked_generate(
-            src,
-            4096,
-            chunk_frames=1024,
-            stitch_window=128,
-            processes=1,
-            random_state=99,
-        )
-        out = chunked_generate(
-            src,
-            4096,
-            chunk_frames=1024,
-            stitch_window=128,
-            processes=processes,
-            random_state=99,
-        )
+        baseline = ChunkedGenerator(
+            src, chunk_frames=1024, stitch_window=128, processes=1
+        ).generate(4096, random_state=99)
+        out = ChunkedGenerator(
+            src, chunk_frames=1024, stitch_window=128, processes=processes
+        ).generate(4096, random_state=99)
         assert np.array_equal(out, baseline)
 
     def test_uniform_stitch_matches_sequential_reference(self):
@@ -354,14 +339,14 @@ class TestBridgeStitch:
         # Same seed, same geometry -> same bits; different chunking ->
         # a different (equally distributed) path.
         src = DaviesHarteSource(FGNCorrelation(0.8))
-        a = chunked_generate(
-            src, 2048, chunk_frames=512, random_state=5
+        a = ChunkedGenerator(src, chunk_frames=512).generate(
+            2048, random_state=5
         )
-        b = chunked_generate(
-            src, 2048, chunk_frames=512, random_state=5
+        b = ChunkedGenerator(src, chunk_frames=512).generate(
+            2048, random_state=5
         )
-        c = chunked_generate(
-            src, 2048, chunk_frames=256, random_state=5
+        c = ChunkedGenerator(src, chunk_frames=256).generate(
+            2048, random_state=5
         )
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
@@ -431,13 +416,9 @@ class TestBridgeStitch:
         vt, wh, mv, acf_shift = [], [], [], []
         for seed in (11, 12, 13, 14):
             plain = src.sample(n, random_state=seed)
-            chunked = chunked_generate(
-                src,
-                n,
-                chunk_frames=4096,
-                stitch_window=256,
-                random_state=seed,
-            )
+            chunked = ChunkedGenerator(
+                src, chunk_frames=4096, stitch_window=256
+            ).generate(n, random_state=seed)
             vt.append(
                 (
                     variance_time_estimate(plain).hurst,
@@ -551,9 +532,9 @@ class TestSpawnHygiene:
         # No chunk reuses another chunk's stream: with a constant-zero
         # bridge the raw chunks would otherwise repeat.
         src = DaviesHarteSource(FGNCorrelation(0.8))
-        out = chunked_generate(
-            src, 1024, chunk_frames=256, stitch_window=1, random_state=3
-        )
+        out = ChunkedGenerator(
+            src, chunk_frames=256, stitch_window=1
+        ).generate(1024, random_state=3)
         chunks = out.reshape(4, 256)
         for i in range(4):
             for j in range(i + 1, 4):
@@ -635,8 +616,8 @@ class TestMemoryAndMetrics:
 
     def test_metrics_do_not_change_bits(self):
         src = DaviesHarteSource(FGNCorrelation(0.8))
-        quiet = chunked_generate(
-            src, 1024, chunk_frames=256, random_state=6
+        quiet = ChunkedGenerator(src, chunk_frames=256).generate(
+            1024, random_state=6
         )
         with recording(RunContext()):
             loud = ChunkedGenerator(src, chunk_frames=256).generate(
@@ -646,8 +627,8 @@ class TestMemoryAndMetrics:
 
     def test_env_processes_consulted(self):
         src = DaviesHarteSource(FGNCorrelation(0.8))
-        baseline = chunked_generate(
-            src, 1024, chunk_frames=256, random_state=9
+        baseline = ChunkedGenerator(src, chunk_frames=256).generate(
+            1024, random_state=9
         )
         old = os.environ.get("REPRO_WORKERS")
         os.environ["REPRO_WORKERS"] = "3"

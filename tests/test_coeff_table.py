@@ -8,11 +8,11 @@ import pytest
 from repro.exceptions import ValidationError
 from repro.processes.coeff_table import (
     CoefficientTable,
+    _set_coefficient_cache_limits,
     acvf_fingerprint,
     clear_coefficient_cache,
     coefficient_cache_info,
     get_coefficient_table,
-    set_coefficient_cache_limits,
 )
 from repro.processes.correlation import (
     CompositeCorrelation,
@@ -26,10 +26,10 @@ from repro.processes.partial_corr import DurbinLevinson
 def fresh_cache():
     """Isolate every test from the process-global table cache."""
     clear_coefficient_cache()
-    set_coefficient_cache_limits(max_tables=8, max_cached_horizon=4096)
+    _set_coefficient_cache_limits(max_tables=8, max_cached_horizon=4096)
     yield
     clear_coefficient_cache()
-    set_coefficient_cache_limits(max_tables=8, max_cached_horizon=4096)
+    _set_coefficient_cache_limits(max_tables=8, max_cached_horizon=4096)
 
 
 #: The storage a lock-free reader of built rows goes through.
@@ -234,7 +234,7 @@ class TestFingerprintCache:
         np.testing.assert_array_equal(t2.acvf, b)
 
     def test_lru_eviction(self):
-        set_coefficient_cache_limits(max_tables=2)
+        _set_coefficient_cache_limits(max_tables=2)
         models = [FGNCorrelation(h) for h in (0.6, 0.7, 0.8)]
         tables = [get_coefficient_table(m, 20) for m in models]
         assert coefficient_cache_info().tables == 2
@@ -243,7 +243,7 @@ class TestFingerprintCache:
         assert again is not tables[0]
 
     def test_horizon_cap_bypasses_cache(self):
-        set_coefficient_cache_limits(max_cached_horizon=32)
+        _set_coefficient_cache_limits(max_cached_horizon=32)
         model = FGNCorrelation(0.8)
         t1 = get_coefficient_table(model, 64)
         t2 = get_coefficient_table(model, 64)

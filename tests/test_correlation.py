@@ -12,7 +12,6 @@ from repro.processes.correlation import (
     FGNCorrelation,
     PowerLawCorrelation,
     RescaledCorrelation,
-    TabulatedCorrelation,
     WhiteNoiseCorrelation,
 )
 from repro.processes.partial_corr import validate_acvf_pd
@@ -43,9 +42,6 @@ class TestBaseBehaviour:
         acvf = FGNCorrelation(0.6).acvf(10)
         assert acvf.shape == (10,)
         assert acvf[0] == 1.0
-
-    def test_validate_acvf_passes_for_valid(self):
-        FGNCorrelation(0.9).validate_acvf(50)
 
     def test_rejects_2d_lags(self):
         with pytest.raises(ValidationError):
@@ -269,23 +265,3 @@ class TestRescaled:
     def test_rejects_non_model_base(self):
         with pytest.raises(ValidationError):
             RescaledCorrelation("not a model", 12)
-
-
-class TestTabulated:
-    def test_interpolates(self):
-        model = TabulatedCorrelation([1.0, 0.5, 0.25])
-        assert model(1) == 0.5
-        assert model(1.5) == pytest.approx(0.375)
-
-    def test_tail_extension_decays(self):
-        model = TabulatedCorrelation([1.0, 0.5], tail_decay=0.9)
-        assert model(2) == pytest.approx(0.5 * 0.9)
-        assert model(3) == pytest.approx(0.5 * 0.81)
-
-    def test_rejects_bad_head(self):
-        with pytest.raises(ValidationError):
-            TabulatedCorrelation([0.9, 0.5])
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValidationError):
-            TabulatedCorrelation([1.0, 1.5])

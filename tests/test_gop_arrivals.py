@@ -1,12 +1,11 @@
-"""Tests for GOP-phase-aware arrival transforms and slice views."""
+"""Tests for GOP-phase-aware arrival transforms."""
 
 import numpy as np
 import pytest
 
 from repro.core.composite import GopPhaseArrivalTransform
-from repro.exceptions import NotFittedError, ValidationError
+from repro.exceptions import NotFittedError
 from repro.simulation.importance import is_overflow_probability
-from repro.video.trace import VideoTrace
 
 
 class TestGopPhaseArrivalTransform:
@@ -67,21 +66,3 @@ class TestGopPhaseArrivalTransform:
         assert 0.0 <= estimate.probability <= 1.0
         assert estimate.hits > 0
 
-
-class TestToSlices:
-    def test_per_frame_sums_preserved(self):
-        trace = VideoTrace(sizes=np.array([150.0, 300.0]))
-        slices = trace.to_slices(15)
-        assert slices.size == 30
-        np.testing.assert_allclose(
-            slices.reshape(2, 15).sum(axis=1), trace.sizes
-        )
-
-    def test_default_fifteen(self, intra_trace):
-        slices = intra_trace.to_slices()
-        assert slices.size == intra_trace.num_frames * 15
-
-    def test_rejects_nonpositive(self):
-        trace = VideoTrace(sizes=np.ones(3))
-        with pytest.raises(ValidationError):
-            trace.to_slices(0)

@@ -20,7 +20,6 @@ from repro.simulation import (
     search_twisted_mean,
 )
 from repro.stats.histogram import frequency_histogram
-from repro.stats.qq import qq_max_deviation
 from repro.video import SyntheticCodecConfig, SyntheticMPEGCodec
 
 

@@ -14,7 +14,6 @@ from repro.queueing import AtmMultiplexer
 from repro.queueing.lindley import (
     _BLOCK,
     finite_lindley_recursion,
-    first_passage_times,
     lindley_recursion,
     workload_paths,
     workload_supremum,
@@ -215,22 +214,6 @@ class TestWorkload:
         w = workload_paths(arrivals, mu)
         running_min = np.minimum(np.minimum.accumulate(w), 0.0)
         np.testing.assert_allclose(q, w - running_min, atol=1e-12)
-
-
-class TestFirstPassage:
-    def test_simple_crossing(self):
-        arrivals = np.array([[5.0, 5.0, 0.0]])
-        t = first_passage_times(arrivals, service_rate=1.0, threshold=6.0)
-        np.testing.assert_array_equal(t, [1])
-
-    def test_no_crossing_gives_minus_one(self):
-        arrivals = np.zeros((2, 5))
-        t = first_passage_times(arrivals, service_rate=1.0, threshold=1.0)
-        np.testing.assert_array_equal(t, [-1, -1])
-
-    def test_rejects_negative_threshold(self):
-        with pytest.raises(ValidationError):
-            first_passage_times(np.ones(3), 1.0, -1.0)
 
 
 class TestLindleyStep:

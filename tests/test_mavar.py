@@ -9,7 +9,6 @@ from repro.estimators.mavar import (
     _octave_taus,
     fgn_expected_mavar,
     mavar_estimate,
-    modified_allan_variance,
 )
 from repro.exceptions import EstimationError, ValidationError
 from repro.processes import fgn_generate
@@ -23,9 +22,8 @@ class TestStatistic:
         # E[Mod sigma^2(1)] = sigma^2 exactly.
         rng = np.random.default_rng(7)
         w = rng.normal(0.0, 2.0, size=20_000)
-        assert modified_allan_variance(w, 1) == pytest.approx(
-            4.0, rel=0.05
-        )
+        profile = mavar_estimate(w, taus=[1, 2]).mavar_values
+        assert profile[0] == pytest.approx(4.0, rel=0.05)
 
     def test_matches_expected_fgn_curve(self):
         # Monte Carlo MAVAR of exact fGn must track the closed-form
@@ -35,18 +33,12 @@ class TestStatistic:
         pooled = np.zeros(len(taus))
         for seed in range(20):
             x = fgn_generate(0.8, 4096, random_state=seed)
-            pooled += [modified_allan_variance(x, t) for t in taus]
+            pooled += mavar_estimate(x, taus=taus).mavar_values
         np.testing.assert_allclose(pooled / 20, expected, rtol=0.1)
-
-    def test_requires_three_tau_plus_one_samples(self):
-        with pytest.raises(ValidationError, match="values"):
-            modified_allan_variance(np.ones(6), 2)
-        # 3*2+1 = 7 samples is exactly enough.
-        modified_allan_variance(np.arange(7, dtype=float), 2)
 
     def test_rejects_bad_tau(self):
         with pytest.raises(ValidationError, match="tau"):
-            modified_allan_variance(np.ones(100), 0)
+            mavar_estimate(np.ones(100), taus=[0, 2])
 
 
 class TestOctaveGrid:

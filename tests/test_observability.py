@@ -9,11 +9,8 @@ import pytest
 from repro.exceptions import ValidationError
 from repro.observability import (
     NULL_CONTEXT,
-    InMemorySink,
-    JsonLinesSink,
     MetricsRegistry,
     NullRunContext,
-    PrometheusTextSink,
     RunContext,
     canonical_labels,
     ensure_context,
@@ -313,15 +310,3 @@ class TestSinks:
         assert 'mux_queue_occupancy_bucket{le="1"} 0' in text
         assert 'mux_queue_occupancy_bucket{le="10"} 1' in text
         assert 'mux_queue_occupancy_bucket{le="+Inf"} 1' in text
-
-    def test_file_sinks(self, tmp_path):
-        snapshot = self._snapshot()
-        jl = tmp_path / "m.jsonl"
-        prom = tmp_path / "m.prom"
-        JsonLinesSink(jl).export(snapshot, header={"run": 1})
-        PrometheusTextSink(prom).export(snapshot)
-        assert jl.read_text().count("\n") == len(snapshot) + 1
-        assert "# TYPE" in prom.read_text()
-        mem = InMemorySink()
-        mem.export(snapshot)
-        assert mem.latest == snapshot

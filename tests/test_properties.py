@@ -197,29 +197,6 @@ class TestHistogramProperties:
         assert h.frequencies.sum() == pytest.approx(1.0)
 
 
-class TestMixtureProperties:
-    @FAST
-    @given(
-        hursts=st.lists(
-            st.floats(min_value=0.55, max_value=0.95),
-            min_size=1, max_size=3,
-        ),
-        weights=st.lists(
-            st.floats(min_value=0.1, max_value=5.0),
-            min_size=3, max_size=3,
-        ),
-    )
-    def test_mixture_of_fgn_bounded_and_pd(self, hursts, weights):
-        from repro.processes.correlation import MixtureCorrelation
-        from repro.processes.partial_corr import validate_acvf_pd
-
-        components = [FGNCorrelation(h) for h in hursts]
-        mix = MixtureCorrelation(components, weights[: len(components)])
-        values = mix(np.arange(0, 60))
-        assert np.all(np.abs(values) <= 1.0 + 1e-9)
-        assert validate_acvf_pd(mix.acvf(60))
-
-
 class TestSpreadingProperties:
     @FAST
     @given(

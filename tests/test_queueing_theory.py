@@ -107,41 +107,6 @@ class TestNorrosApproximation:
         assert 0.6 < slopes[0] / slopes[1] < 1.7
 
 
-class TestBatchMeans:
-    def test_estimates_match_time_average(self, rng):
-        from repro.queueing.overflow import (
-            batch_means_overflow,
-            steady_state_overflow_from_trace,
-        )
-
-        arrivals = rng.exponential(size=50_000) * 0.9
-        batch = batch_means_overflow(arrivals, 1.0, 2.0, num_batches=10)
-        direct = steady_state_overflow_from_trace(
-            arrivals, 1.0, [2.0]
-        )[0]
-        assert batch.probability == pytest.approx(
-            direct.probability, abs=0.01
-        )
-        assert np.isfinite(batch.variance)
-        assert batch.replications == 10
-
-    def test_rejects_too_few_batches(self, rng):
-        from repro.queueing.overflow import batch_means_overflow
-        from repro.exceptions import ValidationError
-
-        with pytest.raises(ValidationError):
-            batch_means_overflow(rng.exponential(size=100), 1.0, 1.0,
-                                 num_batches=1)
-
-    def test_rejects_short_series(self, rng):
-        from repro.queueing.overflow import batch_means_overflow
-        from repro.exceptions import ValidationError
-
-        with pytest.raises(ValidationError, match="too short"):
-            batch_means_overflow(rng.exponential(size=10), 1.0, 1.0,
-                                 num_batches=20)
-
-
 class TestEffectiveBandwidth:
     def test_inverse_consistency(self):
         from repro.queueing.theory import (

@@ -31,7 +31,7 @@ from repro.processes.coeff_table import clear_coefficient_cache
 from repro.processes.correlation import (
     ExponentialCorrelation,
     FGNCorrelation,
-    TabulatedCorrelation,
+    PowerLawCorrelation,
 )
 from repro.processes.source import DaviesHarteSource
 from repro.processes.spectral_cache import clear_spectral_cache
@@ -188,7 +188,7 @@ def _aggregate_series(processes):
         "clipped",
         # Its circulant embedding has negative eigenvalues, so every
         # block's Davies-Harte draw clips and counts it.
-        correlation=TabulatedCorrelation([1.0, 0.9, 0.2, 0.0]),
+        correlation=PowerLawCorrelation(0.9, 3.0),
         marginal=NormalDistribution(5.0, 1.0),
         count=9,
     )

@@ -5,7 +5,7 @@ import pytest
 
 from repro.exceptions import EstimationError, ValidationError
 from repro.processes import plan_chunks
-from repro.video.scenes import detect_scene_changes, scene_statistics
+from repro.video.scenes import detect_scene_changes
 
 
 def step_series(levels, segment=100, noise=0.02, seed=0):
@@ -52,26 +52,6 @@ class TestDetectSceneChanges:
 
 
 class TestSceneStatistics:
-    def test_counts_scenes(self):
-        x = step_series([1000.0, 3000.0, 800.0, 2500.0])
-        stats = scene_statistics(x, threshold=0.5, window=10)
-        assert stats.num_scenes == 4
-        assert stats.mean_length == pytest.approx(100.0, rel=0.15)
-
-    def test_seconds_conversion(self):
-        x = step_series([1000.0, 3000.0])
-        stats = scene_statistics(x, threshold=0.5, window=10)
-        assert stats.mean_length_seconds(25.0) == pytest.approx(
-            stats.mean_length / 25.0
-        )
-
-    def test_single_scene(self):
-        rng = np.random.default_rng(2)
-        x = 500.0 * (1.0 + 0.03 * rng.standard_normal(500))
-        stats = scene_statistics(x, threshold=0.8)
-        assert stats.num_scenes == 1
-        assert stats.max_length == 500.0
-
     def test_detected_cuts_drive_chunk_planning(self):
         # End-to-end with the chunked pipeline: detected scene cuts
         # feed plan_chunks as candidate boundaries, so every interior
@@ -97,7 +77,8 @@ class TestSceneStatistics:
         """On the synthetic codec (true scene process: Pareto lengths,
         min 30, capped at 900) the detector's mean scene length lands
         in the right order of magnitude."""
-        stats = scene_statistics(intra_trace.sizes[:30_000],
-                                 threshold=0.6)
-        assert 30 <= stats.mean_length <= 300
-        assert stats.max_length <= 3000
+        sizes = intra_trace.sizes[:30_000]
+        cuts = detect_scene_changes(sizes, threshold=0.6)
+        lengths = np.diff(np.concatenate([[0], cuts, [sizes.size]]))
+        assert 30 <= lengths.mean() <= 300
+        assert lengths.max() <= 3000

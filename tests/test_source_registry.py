@@ -14,7 +14,7 @@ import pytest
 
 from repro.exceptions import ValidationError
 from repro.processes import registry
-from repro.processes.chunked import chunked_generate
+from repro.processes.chunked import ChunkedGenerator
 from repro.processes.correlation import FGNCorrelation
 from repro.processes.davies_harte import davies_harte_generate
 from repro.processes.hosking import hosking_generate
@@ -225,10 +225,9 @@ MEAN_TAKERS = {
     "davies_harte_generate": lambda mean: davies_harte_generate(
         FGNCorrelation(HURST), 8, mean=mean, random_state=0
     ),
-    "chunked_generate": lambda mean: chunked_generate(
-        make_source("davies_harte"), 64, chunk_frames=16, mean=mean,
-        random_state=0,
-    ),
+    "ChunkedGenerator.generate": lambda mean: ChunkedGenerator(
+        make_source("davies_harte"), chunk_frames=16
+    ).generate(64, mean=mean, random_state=0),
 }
 
 

@@ -20,12 +20,12 @@ from repro.processes.correlation import (
 from repro.processes.spectral_cache import (
     EigenvalueEntry,
     SpectralTable,
+    _set_spectral_cache_limits,
     apply_eigenvalue_policy,
     build_eigenvalue_entry,
     circulant_eigenvalues,
     clear_spectral_cache,
     get_spectral_table,
-    set_spectral_cache_limits,
     spectral_cache_info,
     spectral_cache_metrics,
 )
@@ -39,12 +39,12 @@ FAST = settings(max_examples=25, deadline=None)
 def fresh_cache():
     """Isolate every test from the process-global spectral cache."""
     clear_spectral_cache()
-    set_spectral_cache_limits(
+    _set_spectral_cache_limits(
         max_tables=8, max_cached_length=1 << 20, max_entries_per_table=32
     )
     yield
     clear_spectral_cache()
-    set_spectral_cache_limits(
+    _set_spectral_cache_limits(
         max_tables=8, max_cached_length=1 << 20, max_entries_per_table=32
     )
 
@@ -201,21 +201,10 @@ class TestSpectralTable:
         assert table.horizon == 65
         assert table.max_length == 64
 
-    def test_acvf_prefix_is_bitwise_slice(self):
-        model = CompositeCorrelation.paper_fit()
-        table = SpectralTable(model.acvf(129))
-        np.testing.assert_array_equal(
-            table.acvf_prefix(33), model.acvf(33)
-        )
-        with pytest.raises(ValidationError, match="holds 129 lags"):
-            table.acvf_prefix(130)
-
     def test_views_read_only(self):
         table = SpectralTable(FGNCorrelation(0.7).acvf(17))
         with pytest.raises(ValueError):
             table.acvf[0] = 9.0
-        with pytest.raises(ValueError):
-            table.acvf_prefix(4)[0] = 9.0
 
     def test_entry_built_once_and_cached(self):
         table = SpectralTable(FGNCorrelation(0.8).acvf(65))
@@ -238,7 +227,7 @@ class TestSpectralTable:
             table.eigenvalues(40)
 
     def test_entry_eviction_in_insertion_order(self):
-        set_spectral_cache_limits(max_entries_per_table=2)
+        _set_spectral_cache_limits(max_entries_per_table=2)
         table = SpectralTable(FGNCorrelation(0.8).acvf(65))
         table.eigenvalues(8)
         table.eigenvalues(16)
@@ -344,7 +333,7 @@ class TestGetSpectralTable:
             get_spectral_table(np.ones(10), 32)
 
     def test_over_cap_requests_bypass_cache(self):
-        set_spectral_cache_limits(max_cached_length=100)
+        _set_spectral_cache_limits(max_cached_length=100)
         model = FGNCorrelation(0.8)
         table = get_spectral_table(model, 200)
         assert table.horizon == 201
@@ -355,7 +344,7 @@ class TestGetSpectralTable:
         assert get_spectral_table(model, 200) is not table
 
     def test_lru_eviction_counts(self):
-        set_spectral_cache_limits(max_tables=2)
+        _set_spectral_cache_limits(max_tables=2)
         for hurst in (0.6, 0.7, 0.8, 0.9):
             get_spectral_table(FGNCorrelation(hurst), 32)
         info = spectral_cache_info()
@@ -513,7 +502,7 @@ class TestPrefixStabilityProperty:
         clear_spectral_cache()
         table = get_spectral_table(model, 256)
         np.testing.assert_array_equal(
-            table.acvf_prefix(short), model.acvf(short)
+            table.acvf[:short], model.acvf(short)
         )
         # The eigenvalue entry for the short length is likewise
         # bit-identical to one built from a fresh short evaluation.

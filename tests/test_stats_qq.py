@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.stats.qq import qq_max_deviation, qq_points, quantiles
+from repro.stats.qq import qq_points, quantiles
 
 
 class TestQuantiles:
@@ -30,19 +30,3 @@ class TestQqPoints:
         qa, qb = qq_points(data, data + 2.0, count=20)
         np.testing.assert_allclose(qb - qa, 2.0, atol=0.15)
 
-
-class TestQqMaxDeviation:
-    def test_zero_for_identical(self):
-        data = np.random.default_rng(2).normal(size=500)
-        assert qq_max_deviation(data, data) == 0.0
-
-    def test_small_for_same_distribution(self):
-        g = np.random.default_rng(3)
-        a, b = g.normal(size=20_000), g.normal(size=20_000)
-        assert qq_max_deviation(a, b) < 0.05
-
-    def test_large_for_different_distributions(self):
-        g = np.random.default_rng(4)
-        a = g.normal(size=5000)
-        b = g.exponential(size=5000)
-        assert qq_max_deviation(a, b) > 0.2

@@ -49,9 +49,15 @@ def _frozen_gamma_h(shape, scale, x):
 
 def _exact_gamma_h(shape, scale, x):
     """The exact Gamma ``h`` the table is built from (and falls back to
-    outside its grid): ``gammaincinv(shape, clip(Phi(x))) * scale``."""
+    outside its grid): ``gammaincinv(shape, clip(Phi(x))) * scale`` for
+    ``x < 0`` and ``gammainccinv(shape, max(Phi(-x), 1e-300)) * scale``
+    for ``x >= 0``."""
+    x = np.asarray(x, dtype=float)
     u = np.clip(special.ndtr(x), 1e-300, float(np.nextafter(1, 0)))
-    return special.gammaincinv(shape, u) * scale
+    q = np.maximum(special.ndtr(-x), 1e-300)
+    with np.errstate(invalid="ignore"):
+        upper = special.gammainccinv(shape, q)
+    return np.where(x >= 0, upper, special.gammaincinv(shape, u)) * scale
 
 
 def _reference_inverse(target, y):
@@ -368,29 +374,44 @@ class TestGammaTable:
 
     def test_table_read_skips_gammaincinv(self, monkeypatch):
         # Once built, the table serves every point of the grid; only
-        # points outside it reach gammaincinv, each one exactly once.
+        # points outside it reach gammaincinv (x < 0, and NaN) or
+        # gammainccinv (x > 0), each one exactly once.
         tr = MarginalTransform(GammaDistribution(6.0, 1.0))
         tr(0.0)
-        passed = []
-        gammaincinv = special.gammaincinv
+        passed = {"gammaincinv": [], "gammainccinv": []}
+        for name in passed:
+            def spy(shape, u, _name=name, _inverse=getattr(special, name)):
+                passed[_name].append(np.array(u, dtype=float).ravel())
+                return _inverse(shape, u)
 
-        def spy(shape, u):
-            passed.append(np.array(u, dtype=float).ravel())
-            return gammaincinv(shape, u)
-
-        monkeypatch.setattr(special, "gammaincinv", spy)
+            monkeypatch.setattr(special, name, spy)
         rng = np.random.default_rng(41)
         x = np.clip(rng.standard_normal((1024, 2048)), -5.5, 5.5)
         tr(x)
-        assert passed == []
-        outside = np.array(
-            [-np.inf, -40.0, np.nextafter(-5.5, -np.inf), 6.0, 8.5,
-             np.inf, np.nan]
-        )
+        assert passed == {"gammaincinv": [], "gammainccinv": []}
+        lower = np.array([-np.inf, -40.0, np.nextafter(-5.5, -np.inf),
+                          np.nan])
+        upper = np.array([6.0, 8.5, 40.0, np.inf])
+        outside = np.concatenate([lower, upper])
         x.flat[rng.choice(x.size, outside.size, replace=False)] = outside
         tr(x)
-        seen = np.concatenate(passed)
-        expected = np.clip(
-            special.ndtr(outside), 1e-300, float(np.nextafter(1, 0))
+        np.testing.assert_array_equal(
+            np.sort(np.concatenate(passed["gammaincinv"])),
+            np.sort(np.clip(
+                special.ndtr(lower), 1e-300, float(np.nextafter(1, 0))
+            )),
         )
-        np.testing.assert_array_equal(np.sort(seen), np.sort(expected))
+        np.testing.assert_array_equal(
+            np.sort(np.concatenate(passed["gammainccinv"])),
+            np.sort(np.maximum(special.ndtr(-upper), 1e-300)),
+        )
+
+    @pytest.mark.parametrize("shape", [0.5, 6.0, 50.0])
+    def test_upper_tail_strictly_increasing(self, shape):
+        # Past the grid, 1 - Phi(x) cancels: a formula on Phi(x) turns
+        # into a staircase from x ~ 7.5 and is constant from x ~ 8.16,
+        # where Phi(x) rounds to 1 - 2^-53.  The upper tail Phi(-x)
+        # keeps h strictly increasing there.
+        tr = MarginalTransform(GammaDistribution(shape, 1.0))
+        y = tr(np.linspace(7.5, 9.0, 151))
+        assert np.all(np.diff(y) > 0.0)

@@ -15,9 +15,9 @@ from repro.exceptions import SimulationWarning, ValidationError
 from repro.observability import RunContext, recording
 from repro.processes.coeff_table import (
     CoefficientTable,
+    _set_coefficient_cache_limits,
     clear_coefficient_cache,
     resolve_acvf,
-    set_coefficient_cache_limits,
 )
 from repro.processes.correlation import ExponentialCorrelation
 from repro.processes.hosking import hosking_generate
@@ -293,7 +293,7 @@ class TestEdgeCases:
         )
         # Horizons above the cache cap get a private coefficient table.
         clear_coefficient_cache()
-        set_coefficient_cache_limits(max_cached_horizon=10)
+        _set_coefficient_cache_limits(max_cached_horizon=10)
         try:
             uncached = sweep_twists(
                 CORR, arrivals, service_rate=MU, buffer_size=BUFFER,
@@ -301,7 +301,7 @@ class TestEdgeCases:
                 random_state=9,
             )
         finally:
-            set_coefficient_cache_limits(max_cached_horizon=4096)
+            _set_coefficient_cache_limits(max_cached_horizon=4096)
         np.testing.assert_array_equal(
             [e.probability for e in uncached.estimates],
             [e.probability for e in base.estimates],

@@ -12,7 +12,6 @@ from repro._validation import (
     check_nonnegative_int,
     check_positive_float,
     check_positive_int,
-    check_probability,
 )
 from repro.exceptions import ValidationError
 
@@ -101,16 +100,6 @@ class TestCheckInRange:
     def test_error_message_shows_brackets(self):
         with pytest.raises(ValidationError, match=r"\(0.*1.*\]"):
             check_in_range(-1, "x", 0.0, 1.0, inclusive_low=False)
-
-
-class TestCheckProbability:
-    def test_accepts_endpoints(self):
-        assert check_probability(0, "p") == 0.0
-        assert check_probability(1, "p") == 1.0
-
-    def test_rejects_above_one(self):
-        with pytest.raises(ValidationError):
-            check_probability(1.01, "p")
 
 
 class TestCheckHurst:

@@ -7,6 +7,8 @@ import pytest
 
 from repro.estimators.whittle import fgn_spectral_density, whittle_estimate
 from repro.exceptions import ValidationError
+from repro.marginals.parametric import GammaDistribution
+from repro.marginals.transform import MarginalTransform
 from repro.processes.correlation import FGNCorrelation
 from repro.processes.fgn import fgn_generate
 
@@ -93,16 +95,40 @@ class TestWhittleEstimate:
             whittle_estimate(np.ones(32))
 
     @pytest.mark.parametrize("factor", [1e300, 1e-300])
-    def test_refuses_non_finite_objective(self, factor):
-        # The periodogram overflows at 1e300 and underflows to zero at
-        # 1e-300; a bounded search would then return its 0.99 bound.
-        # The refusal comes before any numpy RuntimeWarning.
+    def test_extreme_scales_read_the_unscaled_hurst(self, factor):
+        # The periodogram would overflow at 1e300 and underflow to zero
+        # at 1e-300; the series is rescaled by an exact power of two
+        # first, without a numpy RuntimeWarning.  2e-4 is twice the
+        # search's xatol.
         x = np.random.default_rng(43).gamma(6.0, 1.0, 4096)
-        assert np.isfinite(whittle_estimate(x).objective)
+        base = whittle_estimate(x).hurst
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = whittle_estimate(x * factor).hurst
+        assert scaled == pytest.approx(base, abs=2e-4)
+
+    def test_partly_underflowing_scale_reads_the_unscaled_hurst(self):
+        # At 2^-531 part of the unrescaled periodogram is subnormal and
+        # the estimate shifts (0.7690 against 0.7703); at 2^-600 all of
+        # it underflows and the objective is not finite.
+        x = fgn_generate(0.8, 4096, random_state=5)
+        y = MarginalTransform(GammaDistribution(0.5, 1.0))(x)
+        base = whittle_estimate(y).hurst
+        scaled = whittle_estimate(y * 2.0**-531).hurst
+        assert scaled == pytest.approx(base, abs=2e-4)
+        assert whittle_estimate(y * 2.0**-600).hurst == pytest.approx(
+            base, abs=2e-4
+        )
+
+    def test_refuses_non_finite_periodogram(self):
+        # Values near the largest double overflow the series' mean,
+        # which no rescale undoes.  The refusal comes before any numpy
+        # RuntimeWarning.
+        x = np.random.default_rng(43).gamma(6.0, 1.0, 4096) * 1e305
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match="values"):
-                whittle_estimate(x * factor)
+                whittle_estimate(x)
 
     def test_refuses_constant_series(self):
         with pytest.raises(ValidationError, match="values"):
