@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument(
         "--chunk-frames", type=int, default=None, metavar="L",
         help=(
-            "generate via the scene-chunked pipeline with L-frame "
+            "generate via the chunked pipeline with L-frame "
             "chunks (chunking is part of the law: a chunked trace uses "
             "different random streams than a single-pass one)"
         ),
@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--chunk-frames", type=int, default=None, metavar="L",
         help=(
             "also run a chunked-generation panel: synthesize the sweep "
-            "horizon through the scene-chunked pipeline in L-frame "
+            "horizon through the chunked pipeline in L-frame "
             "chunks and print its engine report"
         ),
     )

@@ -401,12 +401,6 @@ class AggregateFeed:
 #: One generation block: (class index, first in-class source, rows).
 _Block = Tuple[int, int, int]
 
-#: Feed dtypes the engine will accumulate into.  Per-block partial
-#: sums are always computed in float64; float32 only stores the
-#: running feed at half the memory (opt-in, not bit-comparable to the
-#: float64 feed).
-_FEED_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
-
 
 def _block_partial(
     klass: SourceClass,
@@ -437,23 +431,6 @@ def _block_partial(
         for phase in range(period):
             y[(phase - offset) % period::period] *= gains[phase]
     return y.sum(axis=0)
-
-
-def _check_feed_dtype(dtype) -> np.dtype:
-    """Validate the opt-in feed accumulator dtype."""
-    if dtype is None:
-        return _FEED_DTYPES[0]
-    try:
-        resolved = np.dtype(dtype)
-    except TypeError:
-        raise ValidationError(
-            f"dtype must be float64 or float32, got {dtype!r}"
-        ) from None
-    if resolved not in _FEED_DTYPES:
-        raise ValidationError(
-            f"dtype must be float64 or float32, got {dtype!r}"
-        )
-    return resolved
 
 
 class ShardedAggregateModel:
@@ -553,7 +530,6 @@ class ShardedAggregateModel:
         *,
         shards: int = 1,
         processes: Optional[int] = None,
-        dtype=None,
         random_state: RandomState = None,
     ) -> AggregateFeed:
         """Generate one aggregate arrival path of length ``horizon``.
@@ -563,20 +539,15 @@ class ShardedAggregateModel:
         many blocks at once on a thread pool (``None`` defers to the
         ``REPRO_WORKERS`` environment variable, default 1 = in-line);
         the returned feed is bit-identical for any value of either
-        (see the module seeding contract).  ``dtype`` selects the feed
-        accumulator precision: float64 (default) or, opt-in, float32 —
-        partial sums are always computed in float64 and only the
-        running feed is stored narrow, halving feed memory at scale
-        (the float32 feed is *not* bit-comparable to the float64 one).
-        Peak memory is O(batch_size x horizon) per thread plus the
-        bounded in-flight reduction window — never O(shards x horizon).
+        (see the module seeding contract).  Peak memory is
+        O(batch_size x horizon) per thread plus the bounded in-flight
+        reduction window — never O(shards x horizon).
         """
         with recording(self._metrics):
-            return self._generate(horizon, shards, processes, dtype,
-                                  random_state)
+            return self._generate(horizon, shards, processes, random_state)
 
     def _generate(
-        self, horizon, shards, processes, dtype, random_state
+        self, horizon, shards, processes, random_state
     ) -> AggregateFeed:
         horizon = check_positive_int(horizon, "horizon")
         shards = check_positive_int(shards, "shards")
@@ -586,12 +557,11 @@ class ShardedAggregateModel:
         from ..simulation.parallel import reduce_tasks, resolve_workers
 
         procs = resolve_workers(processes, "processes")
-        out_dtype = _check_feed_dtype(dtype)
         ctx = current_context()
         classes = self.population.classes
         blocks = self._blocks()
         children = spawn_rngs(random_state, len(blocks))
-        total = np.zeros(horizon, dtype=out_dtype)
+        total = np.zeros(horizon, dtype=float)
         folded = 0
         ctx.set("aggregate.batch_size", float(self.batch_size))
         ctx.set("aggregate.horizon", float(horizon))

@@ -80,20 +80,8 @@ class CompositeMPEGModel:
         ACF lags fitted on the I-frame subsequence (at I-frame
         resolution; ``max_lag_i = 41`` covers ~492 frame lags after
         rescaling by the paper's ``K_I = 12``).
-    knee_i:
-        Knee lag of the I-frame ACF fit (at I-frame resolution; the
-        paper's frame-level knee of 60 corresponds to 5 here).  ``None``
-        auto-detects.
     histogram_bins:
         Bins for each per-type histogram inversion.
-    marginal_method:
-        ``"histogram"`` or ``"exact"`` per-type marginal inversion (see
-        :class:`~repro.core.unified.UnifiedVBRModel`).
-    attenuation_method:
-        Passed to the underlying unified model (``"pilot"`` or
-        ``"analytic"``).
-    hurst_override:
-        Optional fixed Hurst parameter for the I-frame fit.
     metrics:
         A seam kept for ``perfbench/workloads.py:349``: a context given
         here is bound (as by :func:`repro.observability.recording`) in
@@ -108,27 +96,14 @@ class CompositeMPEGModel:
         self,
         *,
         max_lag_i: int = 41,
-        knee_i: Optional[int] = None,
         histogram_bins: int = 200,
-        marginal_method: str = "histogram",
-        attenuation_method: str = "pilot",
-        hurst_override: Optional[float] = None,
         metrics=None,
     ) -> None:
         self._metrics = metrics
         self.max_lag_i = check_positive_int(max_lag_i, "max_lag_i")
-        self.knee_i = knee_i
         self.histogram_bins = check_positive_int(
             histogram_bins, "histogram_bins"
         )
-        if marginal_method not in ("histogram", "exact"):
-            raise ValidationError(
-                "marginal_method must be 'histogram' or 'exact', got "
-                f"{marginal_method!r}"
-            )
-        self.marginal_method = marginal_method
-        self.attenuation_method = attenuation_method
-        self.hurst_override = hurst_override
         # Fitted state.
         self.gop_: Optional[GopStructure] = None
         self.i_model_: Optional[UnifiedVBRModel] = None
@@ -171,8 +146,7 @@ class CompositeMPEGModel:
                 if sizes.size == 0:
                     continue
                 marginal = EmpiricalDistribution(
-                    sizes, bins=self.histogram_bins,
-                    method=self.marginal_method,
+                    sizes, bins=self.histogram_bins
                 )
                 self.marginals_[frame_type.value] = marginal
                 self.transforms_[frame_type.value] = MarginalTransform(
@@ -186,11 +160,7 @@ class CompositeMPEGModel:
         with recording(ctx.scoped(model="composite-i")):
             self.i_model_ = UnifiedVBRModel(
                 max_lag=self.max_lag_i,
-                knee=self.knee_i,
                 histogram_bins=self.histogram_bins,
-                marginal_method=self.marginal_method,
-                attenuation_method=self.attenuation_method,
-                hurst_override=self.hurst_override,
             ).fit(i_sizes, random_state=random_state)
 
         # Step 2 (§3.3): stretch the I-frame background correlation to
@@ -233,7 +203,6 @@ class CompositeMPEGModel:
         backend: BackendArg = "auto",
         chunk_frames: Optional[int] = None,
         processes: Optional[int] = None,
-        stitch_window: Optional[int] = None,
         random_state: RandomState = None,
     ) -> np.ndarray:
         """Generate the shared background Gaussian process of length n.
@@ -241,48 +210,35 @@ class CompositeMPEGModel:
         ``backend`` selects a registry backend (default ``"auto"`` =
         Davies-Harte for these unconditional fixed-length paths).
 
-        ``chunk_frames`` routes through the scene-chunked pipeline of
+        ``chunk_frames`` routes through the chunked pipeline of
         :mod:`repro.processes.chunked` with chunk edges aligned to the
         fitted GOP period ``K_I``, so every chunk starts on an I frame;
-        ``processes`` bounds concurrent chunk jobs and
-        ``stitch_window`` sizes the bridge stitch's boundary history.
-        ``chunk_frames=None`` (the default) keeps the single-pass path
-        byte-identical to previous releases.
+        ``processes`` bounds concurrent chunk jobs.  ``chunk_frames=None``
+        (the default) keeps the single-pass path byte-identical to
+        previous releases.
         """
         self._require_fitted()
         n = check_positive_int(n, "n")
         with recording(self._metrics) as ctx, spectral_cache_metrics(ctx):
             return self._generate_background(
-                n, backend, chunk_frames, processes, stitch_window,
-                random_state,
+                n, backend, chunk_frames, processes, random_state
             )
 
     def _generate_background(
-        self, n, backend, chunk_frames, processes, stitch_window,
-        random_state,
+        self, n, backend, chunk_frames, processes, random_state
     ) -> np.ndarray:
         if chunk_frames is None:
-            if processes is not None or stitch_window is not None:
-                raise ValidationError(
-                    "processes=/stitch_window= require chunk_frames="
-                )
+            if processes is not None:
+                raise ValidationError("processes= requires chunk_frames=")
             source = self.background_source(backend)
             return source.sample(n, random_state=random_state)
         source = registry.resolve(backend, self.background_, chunked=True)
-        from ..processes.chunked import (
-            DEFAULT_STITCH_WINDOW,
-            ChunkedGenerator,
-        )
+        from ..processes.chunked import ChunkedGenerator
 
         generator = ChunkedGenerator(
             source,
             chunk_frames=chunk_frames,
             alignment=self.gop_.i_period,
-            stitch_window=(
-                DEFAULT_STITCH_WINDOW
-                if stitch_window is None
-                else stitch_window
-            ),
             processes=processes,
         )
         return generator.generate(n, random_state=random_state)
@@ -294,7 +250,6 @@ class CompositeMPEGModel:
         backend: BackendArg = "auto",
         chunk_frames: Optional[int] = None,
         processes: Optional[int] = None,
-        stitch_window: Optional[int] = None,
         random_state: RandomState = None,
     ) -> VideoTrace:
         """Generate a synthetic interframe trace of ``n`` frames.
@@ -308,7 +263,6 @@ class CompositeMPEGModel:
             backend=backend,
             chunk_frames=chunk_frames,
             processes=processes,
-            stitch_window=stitch_window,
             random_state=random_state,
         )
         sizes = np.empty(n, dtype=float)

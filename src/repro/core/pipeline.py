@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..exceptions import NotFittedError
 from .unified import UnifiedVBRModel
@@ -20,8 +20,8 @@ class ModelFitReport:
     parameters (eq. 13), and the attenuation factor (Step 3).
     """
 
-    hurst_variance_time: Optional[float]
-    hurst_rs: Optional[float]
+    hurst_variance_time: float
+    hurst_rs: float
     hurst: float
     knee: int
     srd_rates: tuple
@@ -38,10 +38,9 @@ class ModelFitReport:
 
     def rows(self) -> Dict[str, str]:
         """Rows for tabular printing."""
-        fmt = lambda v: "n/a" if v is None else f"{v:.4f}"  # noqa: E731
         return {
-            "Hurst (variance-time)": fmt(self.hurst_variance_time),
-            "Hurst (R/S)": fmt(self.hurst_rs),
+            "Hurst (variance-time)": f"{self.hurst_variance_time:.4f}",
+            "Hurst (R/S)": f"{self.hurst_rs:.4f}",
             "Hurst (adopted)": f"{self.hurst:.4f}",
             "Knee lag Kt": str(self.knee),
             "SRD rates": ", ".join(f"{r:.5f}" for r in self.srd_rates),
@@ -72,10 +71,8 @@ def fit_report(model: UnifiedVBRModel) -> ModelFitReport:
     fitted = model.acf_fit_.model
     background = model.background_
     return ModelFitReport(
-        hurst_variance_time=(
-            model.variance_time_.hurst if model.variance_time_ else None
-        ),
-        hurst_rs=model.rs_.hurst if model.rs_ else None,
+        hurst_variance_time=model.variance_time_.hurst,
+        hurst_rs=model.rs_.hurst,
         hurst=model.hurst,
         knee=model.acf_fit_.knee,
         srd_rates=tuple(float(r) for r in fitted.srd.rates),

@@ -9,7 +9,7 @@
    composite SRD+LRD structure of eq. 10-13, the power-law exponent
    pinned to ``2 - 2H``.
 3. **Attenuation measurement** — the factor ``a`` by which the marginal
-   transform shrinks the ACF (pilot-simulation or analytic).
+   transform shrinks the ACF, measured by a pilot simulation.
 4. **Compensation and generation** — the background correlation is the
    fitted model divided by ``a`` (tail) with the eq. 14 exponential
    head, fed to Hosking's method (or Davies-Harte for long traces),
@@ -37,8 +37,6 @@ from ..estimators.variance_time import (
     variance_time_estimate,
 )
 from ..marginals.empirical import EmpiricalDistribution
-from ..marginals.fitting import fit_gamma_pareto
-from ..marginals.parametric import MarginalDistribution
 from ..marginals.transform import MarginalTransform
 from ..processes import registry
 from ..processes.correlation import CompositeCorrelation
@@ -48,7 +46,9 @@ from ..stats.random import RandomState
 from ..video.trace import VideoTrace
 from .calibration import (
     invert_transform_acf,
-    measure_attenuation_analytic,
+    # Perfbench seam: the fit always runs the pilot, but
+    # perfbench/tracing.py patches this name in this module.
+    measure_attenuation_analytic,  # noqa: F401
     measure_attenuation_pilot,
 )
 
@@ -65,20 +65,8 @@ class UnifiedVBRModel:
         lags up to ~500).
     knee:
         Fix the SRD/LRD knee lag; ``None`` auto-detects it.
-    num_exponentials:
-        Exponential terms in the SRD mixture (paper: 1).
     histogram_bins:
-        Bins of the marginal histogram inversion.
-    marginal_method:
-        ``"histogram"`` (the paper's piecewise-linear histogram
-        inversion), ``"exact"`` (raw ECDF inversion: synthetic values
-        are resamples of the observed ones), or ``"gamma-pareto"``
-        (the parametric Gamma-body/Pareto-tail model of Garrett &
-        Willinger — the paper's stated alternative to direct
-        inversion; can extrapolate beyond the observed maximum).
-    attenuation_method:
-        ``"pilot"`` (the paper's Step 3 simulation) or ``"analytic"``
-        (Appendix A eq. 30 via quadrature).
+        Bins of the marginal histogram inversion (eq. 7).
     background_method:
         How the background correlation is derived from the fitted
         foreground ACF:
@@ -91,9 +79,6 @@ class UnifiedVBRModel:
           model to the inverted sequence — the "automatic search for
           the best background autocorrelation structure" the paper
           leaves as future work.
-    hurst_override:
-        Skip Step 1 and use this Hurst value (the paper rounds its two
-        estimates to 0.9; pass 0.9 to reproduce that choice exactly).
     metrics:
         A seam kept for ``perfbench/workloads.py:116`` and ``:344``: a
         context given here is bound (as by
@@ -119,46 +104,24 @@ class UnifiedVBRModel:
         *,
         max_lag: int = 500,
         knee: Optional[int] = None,
-        num_exponentials: int = 1,
         histogram_bins: int = 200,
-        marginal_method: str = "histogram",
-        attenuation_method: str = "pilot",
         background_method: str = "compensated",
-        hurst_override: Optional[float] = None,
-        fit_nugget: bool = True,
         metrics=None,
     ) -> None:
         self._metrics = metrics
         self.max_lag = check_positive_int(max_lag, "max_lag")
         self.knee = knee
-        self.num_exponentials = check_positive_int(
-            num_exponentials, "num_exponentials"
-        )
         self.histogram_bins = check_positive_int(
             histogram_bins, "histogram_bins"
         )
-        if marginal_method not in ("histogram", "exact", "gamma-pareto"):
-            raise ValidationError(
-                "marginal_method must be 'histogram', 'exact', or "
-                f"'gamma-pareto', got {marginal_method!r}"
-            )
-        self.marginal_method = marginal_method
-        if attenuation_method not in ("pilot", "analytic"):
-            raise ValidationError(
-                "attenuation_method must be 'pilot' or 'analytic', got "
-                f"{attenuation_method!r}"
-            )
-        self.attenuation_method = attenuation_method
         if background_method not in ("compensated", "hermite-inverse"):
             raise ValidationError(
                 "background_method must be 'compensated' or "
                 f"'hermite-inverse', got {background_method!r}"
             )
         self.background_method = background_method
-        self.hurst_override = hurst_override
-        self.fit_nugget = bool(fit_nugget)
         # Fitted state (None until fit()).
-        self.marginal_: Optional[MarginalDistribution] = None
+        self.marginal_: Optional[EmpiricalDistribution] = None
         self.transform_: Optional[MarginalTransform] = None
         self.variance_time_: Optional[VarianceTimeEstimate] = None
         self.rs_: Optional[RsEstimate] = None
@@ -182,8 +145,7 @@ class UnifiedVBRModel:
 
         ``trace`` may be a :class:`~repro.video.trace.VideoTrace` or a
         plain frame-size series.  ``random_state`` seeds the pilot
-        simulation of the attenuation measurement (unused with the
-        analytic method).
+        simulation of the attenuation measurement.
         """
         with recording(self._metrics):
             return self._fit(trace, random_state)
@@ -200,30 +162,18 @@ class UnifiedVBRModel:
                 f"{4 * self.max_lag} samples for a {self.max_lag}-lag fit"
             )
 
-        # Marginal (eq. 7): empirical inversion or parametric fit.
+        # Marginal (eq. 7): histogram inversion.
         with ctx.time("model.fit_seconds", step="marginal"):
-            if self.marginal_method == "gamma-pareto":
-                self.marginal_ = fit_gamma_pareto(series)
-            else:
-                self.marginal_ = EmpiricalDistribution(
-                    series,
-                    bins=self.histogram_bins,
-                    method=self.marginal_method,
-                )
+            self.marginal_ = EmpiricalDistribution(
+                series, bins=self.histogram_bins
+            )
             self.transform_ = MarginalTransform(self.marginal_)
 
         # Step 1: Hurst parameter.
         with ctx.time("model.fit_seconds", step="hurst"):
-            if self.hurst_override is None:
-                self.variance_time_ = variance_time_estimate(series)
-                self.rs_ = rs_estimate(series)
-                self.hurst_ = 0.5 * (
-                    self.variance_time_.hurst + self.rs_.hurst
-                )
-            else:
-                self.variance_time_ = None
-                self.rs_ = None
-                self.hurst_ = float(self.hurst_override)
+            self.variance_time_ = variance_time_estimate(series)
+            self.rs_ = rs_estimate(series)
+            self.hurst_ = 0.5 * (self.variance_time_.hurst + self.rs_.hurst)
         if not 0.5 < self.hurst_ < 1.0:
             raise ValidationError(
                 f"estimated Hurst parameter {self.hurst_:.3f} is outside "
@@ -237,30 +187,23 @@ class UnifiedVBRModel:
             self.acf_fit_ = fit_composite_acf(
                 self.empirical_acf_,
                 knee=self.knee,
-                num_exponentials=self.num_exponentials,
                 lrd_exponent=2.0 - 2.0 * self.hurst_,
-                fit_nugget=self.fit_nugget,
             )
 
         # Step 3: attenuation of the transform.
         with ctx.time("model.fit_seconds", step="attenuation"):
-            if self.attenuation_method == "analytic":
-                self.attenuation_ = measure_attenuation_analytic(
-                    self.transform_
+            pilot_corr = self.acf_fit_.model.with_continuity()
+            hi = min(4 * int(self.acf_fit_.knee), self.max_lag)
+            # The pilot simulation runs Davies-Harte; surface its
+            # spectral-cache activity in the fit metrics.
+            with spectral_cache_metrics(ctx, step="attenuation"):
+                self.attenuation_ = measure_attenuation_pilot(
+                    pilot_corr,
+                    self.transform_,
+                    max_lag=self.max_lag,
+                    lag_range=(int(self.acf_fit_.knee), hi),
+                    random_state=random_state,
                 )
-            else:
-                pilot_corr = self.acf_fit_.model.with_continuity()
-                hi = min(4 * int(self.acf_fit_.knee), self.max_lag)
-                # The pilot simulation runs Davies-Harte; surface its
-                # spectral-cache activity in the fit metrics.
-                with spectral_cache_metrics(ctx, step="attenuation"):
-                    self.attenuation_ = measure_attenuation_pilot(
-                        pilot_corr,
-                        self.transform_,
-                        max_lag=self.max_lag,
-                        lag_range=(int(self.acf_fit_.knee), hi),
-                        random_state=random_state,
-                    )
         ctx.set("model.attenuation", float(self.attenuation_))
 
         # Step 4: background correlation.
@@ -284,9 +227,7 @@ class UnifiedVBRModel:
                 refit = fit_composite_acf(
                     inverted,
                     knee=self.acf_fit_.knee,
-                    num_exponentials=self.num_exponentials,
                     lrd_exponent=self.acf_fit_.model.lrd_exponent,
-                    fit_nugget=self.fit_nugget,
                 )
                 self.background_ = refit.model.with_continuity()
         return self
@@ -351,7 +292,6 @@ class UnifiedVBRModel:
         backend: BackendArg = "auto",
         chunk_frames: Optional[int] = None,
         processes: Optional[int] = None,
-        stitch_window: Optional[int] = None,
         random_state: RandomState = None,
     ) -> np.ndarray:
         """Generate the background Gaussian process X (zero mean, unit var).
@@ -361,30 +301,25 @@ class UnifiedVBRModel:
         routes unconditional paths to the O(n log n) Davies-Harte
         generator).
 
-        ``chunk_frames`` routes generation through the scene-chunked
-        pipeline of :mod:`repro.processes.chunked` (``processes`` chunk
-        jobs in flight, ``stitch_window`` boundary-history frames for
-        the bridge stitch), which requires the ``chunked`` backend
-        capability and ``size=None``.  The default ``chunk_frames=None``
-        keeps the single-pass path byte-identical to previous releases
-        — chunking is part of the law, never an invisible default.
+        ``chunk_frames`` routes generation through the chunked pipeline
+        of :mod:`repro.processes.chunked` (``processes`` chunk jobs in
+        flight), which requires the ``chunked`` backend capability and
+        ``size=None``.  The default ``chunk_frames=None`` keeps the
+        single-pass path byte-identical to previous releases — chunking
+        is part of the law, never an invisible default.
         """
         self._require_fitted()
         with recording(self._metrics) as ctx, spectral_cache_metrics(ctx):
             return self._generate_background(
-                n, size, backend, chunk_frames, processes, stitch_window,
-                random_state,
+                n, size, backend, chunk_frames, processes, random_state
             )
 
     def _generate_background(
-        self, n, size, backend, chunk_frames, processes, stitch_window,
-        random_state,
+        self, n, size, backend, chunk_frames, processes, random_state
     ) -> np.ndarray:
         if chunk_frames is None:
-            if processes is not None or stitch_window is not None:
-                raise ValidationError(
-                    "processes=/stitch_window= require chunk_frames="
-                )
+            if processes is not None:
+                raise ValidationError("processes= requires chunk_frames=")
             source = self.background_source(backend)
             return source.sample(n, size=size, random_state=random_state)
         if size is not None:
@@ -393,20 +328,10 @@ class UnifiedVBRModel:
                 "supported (loop replications instead)"
             )
         source = registry.resolve(backend, self.background_, chunked=True)
-        from ..processes.chunked import (
-            DEFAULT_STITCH_WINDOW,
-            ChunkedGenerator,
-        )
+        from ..processes.chunked import ChunkedGenerator
 
         generator = ChunkedGenerator(
-            source,
-            chunk_frames=chunk_frames,
-            stitch_window=(
-                DEFAULT_STITCH_WINDOW
-                if stitch_window is None
-                else stitch_window
-            ),
-            processes=processes,
+            source, chunk_frames=chunk_frames, processes=processes
         )
         return generator.generate(n, random_state=random_state)
 
@@ -418,7 +343,6 @@ class UnifiedVBRModel:
         backend: BackendArg = "auto",
         chunk_frames: Optional[int] = None,
         processes: Optional[int] = None,
-        stitch_window: Optional[int] = None,
         random_state: RandomState = None,
     ) -> np.ndarray:
         """Generate a synthetic foreground trace Y = h(X) (eq. 7)."""
@@ -428,7 +352,6 @@ class UnifiedVBRModel:
             backend=backend,
             chunk_frames=chunk_frames,
             processes=processes,
-            stitch_window=stitch_window,
             random_state=random_state,
         )
         return np.asarray(self.transform_(x), dtype=float)

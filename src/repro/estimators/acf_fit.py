@@ -5,7 +5,8 @@ Step 2 of the paper's pipeline: given an empirical autocorrelation
 exponential decay (short-range dependence) from the slow, power-law
 decay (long-range dependence), and least-squares fit
 
-- ``sum_i w_i exp(-beta_i k)`` to the lags below the knee, and
+- ``(1 - w_0) exp(-beta k)`` to the lags below the knee (``w_0`` is a
+  lag-0 white-noise "nugget"), and
 - ``L k^{-gamma}`` to the lags at and above the knee.
 
 The paper fixes the LRD exponent from the Hurst estimate
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .._validation import (
     check_1d_array,
@@ -91,15 +91,11 @@ def _fit_power_tail(
 def _fit_exponential_head(
     lags: np.ndarray,
     acf: np.ndarray,
-    num_exponentials: int,
-    fit_nugget: bool,
-) -> Tuple[np.ndarray, np.ndarray, float, float]:
-    """Fit ``(1 - w0) sum_i w_i exp(-b_i k)`` to the head lags.
+) -> Tuple[float, float, float]:
+    """Fit ``(1 - w0) exp(-b k)`` to the head lags.
 
-    Returns ``(weights, rates, nugget, rmse)``; ``weights`` are
-    normalized to sum to 1 and ``nugget`` is the lag-0 white-noise mass
-    (always 0 when ``fit_nugget`` is False, matching the paper's strict
-    eq. 10-11 form).
+    Returns ``(rate, nugget, rmse)``: the decay rate ``b``, the lag-0
+    white-noise mass ``w0`` and the fit's root-mean-square error.
     """
     positive = acf > 0
     if positive.sum() < 2:
@@ -107,105 +103,47 @@ def _fit_exponential_head(
             "not enough positive head autocorrelations for an "
             "exponential fit"
         )
-    if num_exponentials == 1:
-        fit = fit_line(lags[positive], np.log(acf[positive]))
-        if fit_nugget:
-            # Take the decay rate from the log-linear slope but anchor
-            # the amplitude so the head passes exactly through the
-            # first positive lag: (1 - w0) exp(-rate * k1) = r(k1).
-            # Anchoring beats using the regression intercept because a
-            # not-quite-exponential head otherwise dumps its curvature
-            # into a spurious nugget.
-            rate = max(-fit.slope, 1e-12)
-            k1 = float(lags[positive][0])
-            r1 = float(acf[positive][0])
-            amplitude = float(np.clip(r1 * np.exp(rate * k1), 1e-6, 1.0))
-        else:
-            # Regression through the origin pins the amplitude at 1.
-            amplitude = 1.0
-            k = lags[positive]
-            rate = max(
-                -float(np.sum(k * np.log(acf[positive])) / np.sum(k * k)),
-                1e-12,
-            )
-        weights = np.array([1.0])
-        rates = np.array([rate])
-        nugget = 1.0 - amplitude
-    else:
-        # Parameterize softmax logits over the j exponentials (plus the
-        # nugget as an extra category when fitted) and j log-rates.
-        j = num_exponentials
-        n_logits = j if fit_nugget else j - 1
-        init_rates = np.log(np.logspace(-2.5, -0.5, j))
-        init = np.concatenate([np.zeros(n_logits), init_rates])
-
-        def unpack(params: np.ndarray):
-            logits = np.concatenate([params[:n_logits], [0.0]])
-            masses = np.exp(logits - logits.max())
-            masses = masses / masses.sum()
-            if fit_nugget:
-                w0 = masses[-1]
-                w = masses[:-1]
-            else:
-                w0 = 0.0
-                w = masses
-            b = np.exp(params[n_logits:])
-            return w, b, w0
-
-        def residuals(params: np.ndarray) -> np.ndarray:
-            w, b, w0 = unpack(params)
-            predicted = np.exp(-np.outer(lags, b)) @ w
-            return predicted - acf
-
-        solution = least_squares(residuals, init, method="lm", max_nfev=5000)
-        raw_weights, rates, nugget = unpack(solution.x)
-        total = raw_weights.sum()
-        if total <= 0:
-            raise EstimationError(
-                "exponential head fit collapsed onto the nugget"
-            )
-        weights = raw_weights / total
-        nugget = float(nugget)
-    predicted = (1.0 - nugget) * (np.exp(-np.outer(lags, rates)) @ weights)
+    fit = fit_line(lags[positive], np.log(acf[positive]))
+    # Take the decay rate from the log-linear slope but anchor the
+    # amplitude so the head passes exactly through the first positive
+    # lag: (1 - w0) exp(-rate * k1) = r(k1).  Anchoring beats using the
+    # regression intercept because a not-quite-exponential head
+    # otherwise dumps its curvature into a spurious nugget.
+    rate = max(-fit.slope, 1e-12)
+    k1 = float(lags[positive][0])
+    r1 = float(acf[positive][0])
+    amplitude = float(np.clip(r1 * np.exp(rate * k1), 1e-6, 1.0))
+    nugget = 1.0 - amplitude
+    predicted = (1.0 - nugget) * np.exp(-rate * lags)
     rmse = float(np.sqrt(np.mean((predicted - acf) ** 2)))
-    return weights, rates, float(nugget), rmse
+    return rate, nugget, rmse
 
 
 def detect_knee(
     acf: Sequence[float],
     *,
-    candidates: Optional[Sequence[int]] = None,
-    num_exponentials: int = 1,
     lrd_exponent: Optional[float] = None,
-    fit_nugget: bool = True,
 ) -> int:
     """Return the knee lag minimising the combined SRD+LRD fit error.
 
-    ``acf`` is the sample autocorrelation with ``acf[0] = 1``;
-    candidate knees default to every fifth lag between 10 and 60% of
-    the available lags.
+    ``acf`` is the sample autocorrelation with ``acf[0] = 1``; the
+    candidate knees are a 25-point log grid from lag 5 to 60% of the
+    available lags.
     """
     arr = check_1d_array(acf, "acf")
     max_lag = arr.size - 1
-    if candidates is None:
-        upper = min(max(8, int(0.6 * max_lag)), max_lag - 4)
-        grid = np.unique(
-            np.round(np.logspace(np.log10(5), np.log10(upper), 25))
-        )
-        candidates = [int(c) for c in grid]
+    upper = min(max(8, int(0.6 * max_lag)), max_lag - 4)
+    grid = np.unique(
+        np.round(np.logspace(np.log10(5), np.log10(upper), 25))
+    )
     best_knee = None
     best_error = np.inf
-    for knee in candidates:
-        knee = int(knee)
+    for knee in (int(c) for c in grid):
         if knee < 4 or knee > max_lag - 4:
             continue
         try:
             fit = fit_composite_acf(
-                arr,
-                knee=knee,
-                num_exponentials=num_exponentials,
-                lrd_exponent=lrd_exponent,
-                fit_nugget=fit_nugget,
+                arr, knee=knee, lrd_exponent=lrd_exponent
             )
         except (EstimationError, ValidationError):
             continue
@@ -221,9 +159,7 @@ def fit_composite_acf(
     acf: Sequence[float],
     *,
     knee: Optional[int] = None,
-    num_exponentials: int = 1,
     lrd_exponent: Optional[float] = None,
-    fit_nugget: bool = True,
 ) -> AcfFit:
     """Fit the composite SRD+LRD correlation model to a sample ACF.
 
@@ -235,18 +171,15 @@ def fit_composite_acf(
         :func:`~repro.estimators.acf.sample_acf`).
     knee:
         The knee lag ``Kt``.  ``None`` runs :func:`detect_knee`.
-    num_exponentials:
-        Number of exponential terms in the SRD mixture (the paper uses
-        one).
     lrd_exponent:
         Fix the power-law exponent ``gamma`` (e.g. ``2 - 2H`` from a
         Hurst estimate, as the paper does with ``gamma = 0.2``);
         ``None`` fits it freely.
-    fit_nugget:
-        Allow a lag-0 white-noise mass (instantaneous drop from
-        ``r(0) = 1``).  The paper's strict eq. 10-11 form corresponds
-        to ``fit_nugget=False``; real traces with per-frame coding
-        noise fit markedly better with the nugget enabled.
+
+    The exponential head carries a lag-0 white-noise mass (an
+    instantaneous drop from ``r(0) = 1``), its amplitude anchored at
+    the first positive lag: real traces with per-frame coding noise fit
+    markedly better with it than the paper's strict eq. 10-11 form.
 
     Returns
     -------
@@ -254,9 +187,6 @@ def fit_composite_acf(
         The fitted model with diagnostics.
     """
     arr = check_1d_array(acf, "acf")
-    num_exponentials = check_positive_int(
-        num_exponentials, "num_exponentials"
-    )
     if arr.size < 10:
         raise ValidationError(
             f"need at least 10 ACF lags to fit, got {arr.size}"
@@ -264,12 +194,7 @@ def fit_composite_acf(
     if abs(arr[0] - 1.0) > 1e-6:
         raise ValidationError(f"acf[0] must be 1, got {arr[0]}")
     if knee is None:
-        knee = detect_knee(
-            arr,
-            num_exponentials=num_exponentials,
-            lrd_exponent=lrd_exponent,
-            fit_nugget=fit_nugget,
-        )
+        knee = detect_knee(arr, lrd_exponent=lrd_exponent)
     knee = check_positive_int(knee, "knee")
     max_lag = arr.size - 1
     if not 4 <= knee <= max_lag - 4:
@@ -284,17 +209,15 @@ def fit_composite_acf(
     tail_lags = lags[knee:]
     tail_acf = arr[knee:]
 
-    weights, rates, nugget, srd_rmse = _fit_exponential_head(
-        head_lags, head_acf, num_exponentials, fit_nugget
-    )
+    rate, nugget, srd_rmse = _fit_exponential_head(head_lags, head_acf)
     amplitude, gamma, lrd_rmse = _fit_power_tail(
         tail_lags, tail_acf, lrd_exponent
     )
     # Keep the tail a valid correlation at the knee.
     amplitude = min(amplitude, 0.999 * knee**gamma)
     model = CompositeCorrelation(
-        srd_weights=weights,
-        srd_rates=rates,
+        srd_weights=[1.0],
+        srd_rates=[rate],
         lrd_amplitude=amplitude,
         lrd_exponent=gamma,
         knee=float(knee),

@@ -20,28 +20,25 @@ normalized by ``n^2``.  For an LRD process with spectral exponent
 ``Mod sigma^2(n) ~ n^{mu}`` with ``mu = 2H - 2``, so the log-log slope
 ``mu`` estimates ``H = (mu + 2) / 2``.
 
-Two estimation modes are provided:
+The estimate matches the observed octave profile against the *exact*
+finite-``n`` expected MAVAR of fractional Gaussian noise (a quadratic
+form in the FGN autocovariance, computed per octave from the averaging
+kernel's autocorrelation), with the scale profiled out.  This removes
+the small-``n`` curvature bias of the asymptotic power law, which is
+material at the 2^14-sample horizons of the Tier-1 harness.  The classic
+Bregni estimator — a weighted least-squares line through
+``(log n, log Mod sigma^2)`` and ``H = (slope + 2) / 2`` — is reported
+alongside as :attr:`MavarEstimate.asymptotic_hurst`.
 
-- ``calibration="fgn"`` (default): the observed octave profile is
-  matched against the *exact* finite-``n`` expected MAVAR of
-  fractional Gaussian noise (a quadratic form in the FGN
-  autocovariance, computed per octave from the averaging kernel's
-  autocorrelation), with the scale profiled out.  This removes the
-  small-``n`` curvature bias of the asymptotic power law, which is
-  material at the 2^14-sample horizons of the Tier-1 harness.
-- ``calibration="asymptotic"``: the classic Bregni estimator — a
-  weighted least-squares line through ``(log n, log Mod sigma^2)``
-  and ``H = (slope + 2) / 2``.
+Both the matching and the line weight octave ``n`` by ``N / n``, the
+number of independent ``3n``-sample triplets the statistic averages
+over — the inverse-variance weighting that makes the large, noisy
+observation intervals count less.
 
-Both modes weight octave ``n`` by ``N / n``, the number of independent
-``3n``-sample triplets the statistic averages over — the
-inverse-variance weighting that makes the large, noisy observation
-intervals count less.
-
-Both modes are exactly invariant under affine rescaling ``a x + b`` of
-the input: the second phase difference annihilates the additive drift
-``b`` contributes to the phase, and the multiplicative ``a^2`` scale
-moves the log-MAVAR intercept, never the slope (nor the profiled
+Both readings are exactly invariant under affine rescaling ``a x + b``
+of the input: the second phase difference annihilates the additive
+drift ``b`` contributes to the phase, and the multiplicative ``a^2``
+scale moves the log-MAVAR intercept, never the slope (nor the profiled
 matching objective).
 """
 
@@ -71,7 +68,7 @@ __all__ = [
 #: two-point log-log fit (``3 n <= N - 1`` and ``n <= N // 8``).
 MIN_LENGTH = 32
 
-#: Hurst search interval of the ``"fgn"`` calibration (open (0, 1)).
+#: Hurst search interval of the FGN matching (open (0, 1)).
 _DEFAULT_BOUNDS = (0.02, 0.995)
 
 
@@ -82,26 +79,22 @@ class MavarEstimate:
     Attributes
     ----------
     hurst:
-        Estimated Hurst parameter (mode set by ``calibration``).
-    calibration:
-        ``"fgn"`` (exact finite-n expected-curve matching) or
-        ``"asymptotic"`` (pure log-log slope).
+        Estimated Hurst parameter (exact finite-n FGN expected-curve
+        matching).
     fit:
         Weighted log-log line fit through the octave profile; its
-        slope is the power-law exponent ``mu`` (diagnostic in ``fgn``
-        mode, the estimate itself in ``asymptotic`` mode).
+        slope is the power-law exponent ``mu`` (the diagnostic
+        :attr:`asymptotic_hurst`).
     taus:
         Octave-spaced observation intervals ``n`` (sample units).
     mavar_values:
         ``Mod sigma^2(n)`` per observation interval.
     objective:
-        Minimized matching objective in ``fgn`` mode (weighted squared
-        log-residual after profiling the scale); ``nan`` in
-        ``asymptotic`` mode.
+        Minimized matching objective (weighted squared log-residual
+        after profiling the scale).
     """
 
     hurst: float
-    calibration: str
     fit: LineFit
     taus: np.ndarray
     mavar_values: np.ndarray
@@ -194,7 +187,7 @@ def fgn_expected_mavar(
 
     Evaluated as a quadratic form: the autocorrelation of the averaging
     kernel (cached per ``n``) dotted with the exact FGN autocovariance.
-    This is the finite-``n`` curve the ``"fgn"`` calibration matches,
+    This is the finite-``n`` curve :func:`mavar_estimate` matches,
     exact where the asymptotic power law ``n^{2H-2}`` still bends.
     """
     taus = tuple(check_positive_int(int(n), "tau") for n in taus)
@@ -217,7 +210,6 @@ def mavar_estimate(
     taus: Optional[Sequence[int]] = None,
     min_tau: int = 2,
     max_tau: Optional[int] = None,
-    calibration: str = "fgn",
     bounds: Tuple[float, float] = _DEFAULT_BOUNDS,
 ) -> MavarEstimate:
     """Estimate the Hurst parameter by Modified Allan Variance.
@@ -236,13 +228,9 @@ def mavar_estimate(
         asymptotic regime); ``max_tau`` defaults to an eighth of the
         series length, below which the statistic still averages a
         useful number of independent triplets.
-    calibration:
-        ``"fgn"`` (default) matches the octave profile against the
-        exact finite-``n`` FGN expectation with the scale profiled
-        out; ``"asymptotic"`` reads ``H = (slope + 2) / 2`` off the
-        weighted log-log line.
     bounds:
-        Hurst search interval for the ``"fgn"`` calibration.
+        Hurst search interval of the match against the exact
+        finite-``n`` FGN expectation (scale profiled out).
 
     Raises
     ------
@@ -254,11 +242,6 @@ def mavar_estimate(
         MAVAR profile is degenerate (zero variance).
     """
     arr = check_min_length(values, "values", MIN_LENGTH)
-    if calibration not in ("fgn", "asymptotic"):
-        raise EstimationError(
-            f"calibration must be 'fgn' or 'asymptotic', "
-            f"got {calibration!r}"
-        )
     if taus is None:
         min_tau = check_positive_int(min_tau, "min_tau")
         taus = _octave_taus(arr.size, min_tau, max_tau)
@@ -285,38 +268,29 @@ def mavar_estimate(
     weights = arr.size / taus_arr
     fit, _, _ = fit_weighted_loglog_line(taus_arr, vals_arr, weights)
 
-    if calibration == "asymptotic":
-        hurst = (fit.slope + 2.0) / 2.0
-        objective = float("nan")
-    else:
-        log_obs = np.log10(vals_arr)
-        norm_w = weights / weights.sum()
-        int_taus = tuple(int(n) for n in taus_arr)
+    log_obs = np.log10(vals_arr)
+    norm_w = weights / weights.sum()
+    int_taus = tuple(int(n) for n in taus_arr)
 
-        def matching_objective(h: float) -> float:
-            expected = fgn_expected_mavar(h, int_taus)
-            resid = log_obs - np.log10(expected)
-            resid = resid - float((norm_w * resid).sum())
-            return float((norm_w * resid * resid).sum())
+    def matching_objective(h: float) -> float:
+        expected = fgn_expected_mavar(h, int_taus)
+        resid = log_obs - np.log10(expected)
+        resid = resid - float((norm_w * resid).sum())
+        return float((norm_w * resid * resid).sum())
 
-        result = minimize_scalar(
-            matching_objective,
-            bounds=bounds,
-            method="bounded",
-            options={"xatol": 1e-5},
-        )
-        if not result.success:  # pragma: no cover - bounded rarely fails
-            raise EstimationError(
-                f"MAVAR calibration failed: {result.message}"
-            )
-        hurst = float(result.x)
-        objective = float(result.fun)
+    result = minimize_scalar(
+        matching_objective,
+        bounds=bounds,
+        method="bounded",
+        options={"xatol": 1e-5},
+    )
+    if not result.success:  # pragma: no cover - bounded rarely fails
+        raise EstimationError(f"MAVAR calibration failed: {result.message}")
 
     return MavarEstimate(
-        hurst=hurst,
-        calibration=calibration,
+        hurst=float(result.x),
         fit=fit,
         taus=np.asarray(taus, dtype=float),
         mavar_values=mavar_values,
-        objective=objective,
+        objective=float(result.fun),
     )

@@ -15,7 +15,6 @@ from .attenuation import (
     transformed_acf,
 )
 from .empirical import EmpiricalDistribution
-from .fitting import fit_gamma, fit_gamma_pareto, fit_pareto_tail
 from .parametric import (
     GammaDistribution,
     GammaParetoDistribution,
@@ -39,7 +38,4 @@ __all__ = [
     "measured_attenuation",
     "transformed_acf",
     "hermite_coefficients",
-    "fit_gamma",
-    "fit_pareto_tail",
-    "fit_gamma_pareto",
 ]

@@ -1,16 +1,10 @@
 """Empirical marginal distributions via histogram inversion.
 
 The paper obtains ``F_Y`` "by inverting the empirical distribution
-directly" (§3.1) rather than by fitting a parametric model.  Two
-inversion flavours are provided:
-
-- ``method="histogram"`` — the paper's histogram-based technique: the
-  CDF is piecewise linear across histogram bins, so the inverse spreads
-  samples uniformly within each bin (smooth output, no repeated
-  values).
-- ``method="exact"`` — straight ECDF inversion, i.e. the quantile
-  function of the raw samples (output values are a resampling of the
-  observed ones).
+directly" (§3.1) rather than by fitting a parametric model.  Its
+histogram-based technique makes the CDF piecewise linear across
+histogram bins, so the inverse spreads samples uniformly within each
+bin (smooth output, no repeated values).
 """
 
 from __future__ import annotations
@@ -20,7 +14,6 @@ from typing import Sequence, Union
 import numpy as np
 
 from .._validation import check_min_length, check_positive_int
-from ..exceptions import ValidationError
 from ..stats.histogram import Histogram, frequency_histogram
 from .parametric import MarginalDistribution
 
@@ -37,10 +30,7 @@ class EmpiricalDistribution(MarginalDistribution):
     samples:
         Observed values (e.g. bytes per frame of an empirical trace).
     bins:
-        Number of histogram bins for ``method="histogram"``.
-    method:
-        ``"histogram"`` (piecewise-linear CDF over bins, the paper's
-        technique) or ``"exact"`` (raw ECDF inversion).
+        Number of histogram bins; the CDF is piecewise linear over them.
     """
 
     def __init__(
@@ -48,14 +38,8 @@ class EmpiricalDistribution(MarginalDistribution):
         samples: Sequence[float],
         *,
         bins: int = 200,
-        method: str = "histogram",
     ) -> None:
         self._samples = np.sort(check_min_length(samples, "samples", 2))
-        if method not in ("histogram", "exact"):
-            raise ValidationError(
-                f"method must be 'histogram' or 'exact', got {method!r}"
-            )
-        self.method = method
         self.bins = check_positive_int(bins, "bins")
         self._histogram = frequency_histogram(self._samples, bins=self.bins)
         edges = self._histogram.edges
@@ -84,29 +68,19 @@ class EmpiricalDistribution(MarginalDistribution):
         return float(self._samples.var(ddof=1))
 
     def cdf(self, x: ArrayLike) -> ArrayLike:
-        """Evaluate the (histogram or exact) empirical CDF."""
+        """Evaluate the piecewise-linear histogram CDF."""
         x_arr = np.asarray(x, dtype=float)
-        if self.method == "histogram":
-            out = np.interp(
-                x_arr, self._cdf_x, self._cdf_y, left=0.0, right=1.0
-            )
-        else:
-            out = np.searchsorted(
-                self._samples, x_arr, side="right"
-            ) / self._samples.size
+        out = np.interp(x_arr, self._cdf_x, self._cdf_y, left=0.0, right=1.0)
         return float(out) if np.isscalar(x) else np.asarray(out, dtype=float)
 
     def ppf(self, q: ArrayLike) -> ArrayLike:
         """Invert the empirical CDF at probability levels ``q``."""
         q_arr = np.clip(np.asarray(q, dtype=float), 0.0, 1.0)
-        if self.method == "histogram":
-            out = np.interp(q_arr, self._cdf_y, self._cdf_x)
-        else:
-            out = np.quantile(self._samples, q_arr)
+        out = np.interp(q_arr, self._cdf_y, self._cdf_x)
         return float(out) if np.isscalar(q) else np.asarray(out, dtype=float)
 
     def __repr__(self) -> str:
         return (
             f"EmpiricalDistribution(n={self._samples.size}, "
-            f"bins={self.bins}, method={self.method!r})"
+            f"bins={self.bins})"
         )

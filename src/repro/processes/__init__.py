@@ -22,7 +22,7 @@ synthesize correlated Gaussian *background* processes:
   unifying all six generators behind one swappable interface.
 - :mod:`repro.processes.registry` — the string-keyed backend registry
   with capability flags and the ``auto`` selection policy.
-- :mod:`repro.processes.chunked` — the scene-chunked, process-parallel
+- :mod:`repro.processes.chunked` — the chunked, chunk-parallel
   generation pipeline with conditional Gaussian-bridge stitching.
 """
 

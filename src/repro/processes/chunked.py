@@ -1,23 +1,20 @@
-"""Scene-chunked generation with conditional Gaussian-bridge stitching.
+"""Chunked generation with conditional Gaussian-bridge stitching.
 
 The §3 recipes (Hosking, Davies-Harte) are single-pass: one call
 materializes the whole horizon, so trace length is capped by the
 working set of one FFT (Davies-Harte) or one coefficient table
 (Hosking).  The multi-hour MPEG sequences the §4 queueing experiments
 imply at scale need horizons of 10^8-10^9 frames, which only fit if
-generation is *chunked*: split the horizon into scene-aligned chunks,
-generate chunks as independently schedulable jobs (the architecture of
-scene-chunked encoders), and stitch them so the dependence structure
-survives the chunk boundaries.
+generation is *chunked*: split the horizon into GOP-aligned chunks,
+generate chunks as independently schedulable jobs, and stitch them so
+the dependence structure survives the chunk boundaries.
 
 Three pieces live here:
 
 - :func:`plan_chunks` — a planner that splits a horizon into chunks
-  whose edges land on an alignment grid (the GOP period ``K_I`` of
-  :class:`~repro.video.gop.GopStructure`) or on explicit scene
-  boundaries (:func:`~repro.video.scenes.detect_scene_changes`),
-  covering the horizon exactly once while respecting a minimum-chunk
-  floor.
+  whose interior edges land on an alignment grid (the GOP period
+  ``K_I`` of :class:`~repro.video.gop.GopStructure`), covering the
+  horizon exactly once.
 - :class:`ChunkedGenerator` — the pipeline: per-chunk raw generation
   jobs (dispatched through :func:`~repro.simulation.parallel.run_tasks`
   in-line or on a thread pool) followed by a sequential stitch pass in
@@ -169,18 +166,15 @@ class ChunkPlan:
     chunk_frames:
         The requested nominal chunk size.
     alignment:
-        Grid every interior edge lands on (1 = unconstrained) when no
-        explicit boundaries were given.
-    min_chunk:
-        The enforced minimum chunk length (the final chunk may only be
-        shorter when the horizon itself is).
+        Grid every interior edge lands on (1 = unconstrained), and the
+        minimum chunk length (the final chunk may only be shorter when
+        the horizon itself is).
     """
 
     horizon: int
     chunks: Tuple[Chunk, ...]
     chunk_frames: int
     alignment: int
-    min_chunk: int
 
     @property
     def num_chunks(self) -> int:
@@ -202,10 +196,8 @@ def plan_chunks(
     chunk_frames: int,
     *,
     alignment: int = 1,
-    boundaries: Optional[Sequence[int]] = None,
-    min_chunk: Optional[int] = None,
 ) -> ChunkPlan:
-    """Split ``horizon`` frames into scene/GOP-aligned chunks.
+    """Split ``horizon`` frames into GOP-aligned chunks.
 
     Parameters
     ----------
@@ -216,20 +208,10 @@ def plan_chunks(
         a multiple of it as the alignment allows.
     alignment:
         Interior edges land on multiples of this grid — pass the GOP
-        period ``K_I`` so every chunk starts on an I frame.  Ignored
-        when ``boundaries`` is given.
-    boundaries:
-        Explicit candidate edge positions (e.g. scene cuts from
-        :func:`~repro.video.scenes.detect_scene_changes`).  Interior
-        edges are then chosen from this set only: each edge is the
-        boundary closest to the nominal target that keeps both
-        neighbouring chunks at or above ``min_chunk``.  When no such
-        boundary exists the current chunk simply extends (scene lengths
-        bound chunk lengths from below, never from above).
-    min_chunk:
-        Minimum chunk length (default ``max(alignment, 1)``).  Every
-        chunk respects it, except that a horizon shorter than
-        ``min_chunk`` yields a single short chunk.
+        period ``K_I`` so every chunk starts on an I frame.  It is also
+        the minimum chunk length: a tail shorter than it merges into
+        the chunk before, and only a horizon shorter than it yields a
+        shorter (single) chunk.
 
     Returns
     -------
@@ -239,46 +221,20 @@ def plan_chunks(
     horizon = check_positive_int(horizon, "horizon")
     chunk_frames = check_positive_int(chunk_frames, "chunk_frames")
     alignment = check_positive_int(alignment, "alignment")
-    if min_chunk is None:
-        min_chunk = max(alignment, 1)
-    min_chunk = check_positive_int(min_chunk, "min_chunk")
-    if chunk_frames < min_chunk:
+    if chunk_frames < alignment:
         raise ValidationError(
-            f"chunk_frames ({chunk_frames}) must be >= min_chunk "
-            f"({min_chunk})"
+            f"chunk_frames ({chunk_frames}) must be >= alignment "
+            f"({alignment})"
         )
-
-    allowed: Optional[np.ndarray] = None
-    if boundaries is not None:
-        allowed = np.unique(np.asarray(boundaries, dtype=int))
-        allowed = allowed[(allowed > 0) & (allowed < horizon)]
 
     edges = [0]
     cursor = 0
     while horizon - cursor > chunk_frames:
-        target = cursor + chunk_frames
-        if allowed is not None:
-            # Scene mode: the admissible boundaries leave both sides of
-            # the cut at least min_chunk long.
-            lo, hi = cursor + min_chunk, horizon - min_chunk
-            candidates = allowed[(allowed >= lo) & (allowed <= hi)]
-            candidates = candidates[candidates > cursor]
-            if candidates.size == 0:
-                break
-            edge = int(candidates[np.argmin(np.abs(candidates - target))])
-            if edge <= cursor:
-                break
-            # A scene longer than chunk_frames extends the chunk; never
-            # loop in place.
-        else:
-            edge = int(round(target / alignment)) * alignment
-            lo = cursor + min_chunk
-            if edge < lo:
-                # Round up to the first aligned edge that respects the
-                # floor.
-                edge = int(-(-lo // alignment)) * alignment
-            if horizon - edge < min_chunk or edge >= horizon:
-                break
+        # The cursor is on the grid and chunk_frames >= alignment, so
+        # the nearest aligned edge is at least one grid step ahead.
+        edge = int(round((cursor + chunk_frames) / alignment)) * alignment
+        if horizon - edge < alignment:
+            break
         edges.append(edge)
         cursor = edge
     edges.append(horizon)
@@ -292,7 +248,6 @@ def plan_chunks(
         chunks=chunks,
         chunk_frames=chunk_frames,
         alignment=alignment,
-        min_chunk=min_chunk,
     )
 
 
@@ -463,9 +418,9 @@ class ChunkedGenerator:
     chunk_frames:
         Nominal chunk length (part of the law; see the module
         docstring's seeding contract).
-    alignment, boundaries, min_chunk:
-        Forwarded to :func:`plan_chunks` — pass the GOP period or scene
-        cuts so chunk edges land on scene structure.
+    alignment:
+        Forwarded to :func:`plan_chunks` — pass the GOP period so every
+        chunk starts on an I frame.
     stitch_window:
         Boundary-history window of the bridge stitch (ignored in exact
         mode).
@@ -486,8 +441,6 @@ class ChunkedGenerator:
         *,
         chunk_frames: int,
         alignment: int = 1,
-        boundaries: Optional[Sequence[int]] = None,
-        min_chunk: Optional[int] = None,
         stitch_window: int = DEFAULT_STITCH_WINDOW,
         processes: Optional[int] = None,
     ) -> None:
@@ -506,8 +459,6 @@ class ChunkedGenerator:
         self.source = source
         self.chunk_frames = check_positive_int(chunk_frames, "chunk_frames")
         self.alignment = check_positive_int(alignment, "alignment")
-        self.boundaries = boundaries
-        self.min_chunk = min_chunk
         self.stitch_window = check_positive_int(
             stitch_window, "stitch_window"
         )
@@ -523,13 +474,7 @@ class ChunkedGenerator:
 
     def plan(self, n: int) -> ChunkPlan:
         """The chunk plan :meth:`generate` would use for ``n`` frames."""
-        return plan_chunks(
-            n,
-            self.chunk_frames,
-            alignment=self.alignment,
-            boundaries=self.boundaries,
-            min_chunk=self.min_chunk,
-        )
+        return plan_chunks(n, self.chunk_frames, alignment=self.alignment)
 
     # -- bridge mode ---------------------------------------------------
 

@@ -70,10 +70,8 @@ class CoefficientTable(AcvfTable):
     acvf:
         Autocovariance sequence ``r(0), ..., r(n-1)`` (copied).  The
         table supports generating up to ``n`` samples, i.e. recursion
-        steps ``1 .. n-1``.
-    precompute:
-        Materialize every row eagerly.  The default builds rows on
-        demand (see :meth:`ensure`), so consumers that stop early —
+        steps ``1 .. n-1``.  Rows are built on demand (see
+        :meth:`ensure`), so consumers that stop early —
         importance-sampling replications that all crossed the buffer,
         say — never pay for rows past their stopping time.
 
@@ -90,12 +88,7 @@ class CoefficientTable(AcvfTable):
 
     lookup = "get_coefficient_table"
 
-    def __init__(
-        self,
-        acvf: Union[Sequence[float], np.ndarray],
-        *,
-        precompute: bool = False,
-    ) -> None:
+    def __init__(self, acvf: Union[Sequence[float], np.ndarray]) -> None:
         super().__init__(acvf)
         r = self._acvf
         self._state = DurbinLevinson(r)
@@ -108,8 +101,6 @@ class CoefficientTable(AcvfTable):
         self._sqrt_variances[0] = np.sqrt(self._state.variance)
         self._phi_sums[0] = 0.0
         self._built = 0
-        if precompute:
-            self.ensure(self.max_step)
 
     # ------------------------------------------------------------------
     # Introspection

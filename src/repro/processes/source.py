@@ -73,14 +73,14 @@ class SourceCapabilities(NamedTuple):
     conditional:
         The backend exposes the exact conditional recursion: its paths
         are built step by step from the exact conditional
-        distributions (Hosking), so the scene-chunked pipeline can
+        distributions (Hosking), so the chunked pipeline can
         stitch chunks with the exact bridge.
     batch:
         ``sample(n, size=k)`` is natively vectorised across
         replications (a single shared pass); backends without the flag
         still honor ``size`` by looping per replication.
     chunked:
-        The source can drive the scene-chunked pipeline of
+        The source can drive the chunked pipeline of
         :mod:`repro.processes.chunked`: its sampled law is an exact
         Gaussian law fully described by :meth:`GaussianSource.acvf`,
         so per-chunk draws stitched through conditional-Gaussian

@@ -10,7 +10,7 @@ randomness.
 
 One engine serves every pooled job, reached through :func:`run_tasks`
 (collect every result) and :func:`reduce_tasks` (stream results into
-an ordered fold): the IS legs (:func:`run_legs`), the scene-chunked
+an ordered fold): the IS legs (:func:`run_legs`), the chunked
 generation pipeline (:mod:`repro.processes.chunked`) and the sharded
 aggregate engine (:mod:`repro.core.aggregate`).  Tasks run on a
 private thread pool per call.  Their heavy work — FFTs, BLAS products,

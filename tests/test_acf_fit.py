@@ -16,8 +16,7 @@ class TestFitCompositeAcf:
     def test_recovers_paper_parameters_noiseless(self):
         truth = CompositeCorrelation.paper_fit()
         acf = synthetic_acf(truth, 500)
-        fit = fit_composite_acf(acf, knee=60, lrd_exponent=0.2,
-                                fit_nugget=False)
+        fit = fit_composite_acf(acf, knee=60, lrd_exponent=0.2)
         assert fit.model.srd.rates[0] == pytest.approx(0.00565, rel=1e-3)
         assert fit.model.lrd_amplitude == pytest.approx(1.59468, rel=1e-3)
         assert fit.rmse < 1e-6
@@ -25,7 +24,7 @@ class TestFitCompositeAcf:
     def test_free_exponent_recovery(self):
         truth = CompositeCorrelation.paper_fit()
         acf = synthetic_acf(truth, 500)
-        fit = fit_composite_acf(acf, knee=60, fit_nugget=False)
+        fit = fit_composite_acf(acf, knee=60)
         assert fit.model.lrd_exponent == pytest.approx(0.2, rel=1e-3)
         assert fit.hurst == pytest.approx(0.9, abs=1e-3)
 
@@ -42,28 +41,6 @@ class TestFitCompositeAcf:
         fit = fit_composite_acf(acf, knee=50, lrd_exponent=0.25)
         assert fit.model.nugget == pytest.approx(0.12, abs=0.01)
         assert fit.model.srd.rates[0] == pytest.approx(0.008, rel=0.05)
-
-    def test_nugget_disabled_gives_zero(self):
-        truth = CompositeCorrelation.paper_fit()
-        acf = synthetic_acf(truth, 300)
-        fit = fit_composite_acf(acf, knee=60, fit_nugget=False)
-        assert fit.model.nugget == 0.0
-
-    def test_two_exponential_head(self):
-        truth = CompositeCorrelation(
-            srd_weights=[0.6, 0.4],
-            srd_rates=[0.003, 0.08],
-            lrd_amplitude=0.9,
-            lrd_exponent=0.2,
-            knee=80.0,
-        )
-        acf = synthetic_acf(truth, 400)
-        fit = fit_composite_acf(
-            acf, knee=80, num_exponentials=2, lrd_exponent=0.2,
-            fit_nugget=False,
-        )
-        assert fit.srd_rmse < 5e-3
-        assert fit.model.srd.rates.size == 2
 
     def test_noisy_fit_reasonable(self):
         rng = np.random.default_rng(0)
@@ -94,12 +71,6 @@ class TestDetectKnee:
     def test_finds_true_knee_region(self):
         truth = CompositeCorrelation.paper_fit().with_continuity()
         acf = synthetic_acf(truth, 400)
-        knee = detect_knee(acf, lrd_exponent=0.2, fit_nugget=False)
+        knee = detect_knee(acf, lrd_exponent=0.2)
         # Noise-free detection should land near the true knee of 60.
         assert 30 <= knee <= 110
-
-    def test_explicit_candidates(self):
-        truth = CompositeCorrelation.paper_fit().with_continuity()
-        acf = synthetic_acf(truth, 300)
-        knee = detect_knee(acf, candidates=[40, 60, 80], fit_nugget=False)
-        assert knee in (40, 60, 80)

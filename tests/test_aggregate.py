@@ -472,34 +472,11 @@ class TestProcessInvariance:
 
 
 class TestFeedDtype:
-    def test_float32_opt_in(self, mixed_population):
-        engine = ShardedAggregateModel(mixed_population, batch_size=4)
-        ref = engine.generate(64, random_state=9).arrivals
-        feed = engine.generate(64, dtype="float32", random_state=9)
-        assert feed.arrivals.dtype == np.float32
-        np.testing.assert_allclose(feed.arrivals, ref, rtol=1e-5)
-
-    def test_float32_pooled_matches_serial(self, mixed_population):
-        engine = ShardedAggregateModel(mixed_population, batch_size=4)
-        serial = engine.generate(
-            64, dtype=np.float32, random_state=9
-        ).arrivals
-        pooled = engine.generate(
-            64, dtype=np.float32, processes=2, random_state=9
-        ).arrivals
-        np.testing.assert_array_equal(pooled, serial)
-
     def test_default_is_float64(self, mixed_population):
         engine = ShardedAggregateModel(mixed_population, batch_size=8)
         assert engine.generate(16, random_state=0).arrivals.dtype == (
             np.float64
         )
-
-    def test_rejects_other_dtypes(self, mixed_population):
-        engine = ShardedAggregateModel(mixed_population)
-        for bad in ("float16", np.int32, "complex128", object):
-            with pytest.raises(ValidationError):
-                engine.generate(16, dtype=bad)
 
 
 class TestFeedMemoryFlatness:

@@ -1,10 +1,10 @@
-"""The scene-chunked generation pipeline (repro.processes.chunked).
+"""The chunked generation pipeline (repro.processes.chunked).
 
 Four contract families:
 
 - **Planning** (hypothesis): planned chunks cover the horizon exactly
-  once, interior edges land on the alignment grid (or on the provided
-  scene boundaries), and the minimum-chunk floor holds.
+  once, interior edges land on the alignment grid, and no chunk is
+  shorter than one grid step.
 - **Exact stitch**: the chunked Hosking-path output is bit-identical
   to ``hosking_generate`` on the chunk-seeded innovations at any chunk
   size, from the cached table and from the in-step recursion above the
@@ -89,36 +89,9 @@ class TestPlanChunks:
         for edge in edges[1:-1]:
             assert edge % alignment == 0
         # Floor: every chunk but possibly a short total horizon.
-        if horizon >= plan.min_chunk:
+        if horizon >= alignment:
             for chunk in plan.chunks:
-                assert chunk.length >= plan.min_chunk
-
-    @FAST
-    @given(
-        horizon=st.integers(min_value=100, max_value=4000),
-        chunk_frames=st.integers(min_value=50, max_value=1000),
-    )
-    def test_scene_boundary_edges(self, horizon, chunk_frames):
-        rng = np.random.default_rng(horizon * 7 + chunk_frames)
-        cuts = np.unique(
-            rng.integers(1, horizon, size=rng.integers(1, 20))
-        )
-        min_chunk = 25
-        if chunk_frames < min_chunk:
-            chunk_frames = min_chunk
-        plan = plan_chunks(
-            horizon,
-            chunk_frames,
-            boundaries=cuts,
-            min_chunk=min_chunk,
-        )
-        edges = plan.edges
-        assert edges[0] == 0 and edges[-1] == horizon
-        # Interior edges are scene cuts, and the floor holds.
-        for edge in edges[1:-1]:
-            assert edge in cuts
-        for chunk in plan.chunks:
-            assert chunk.length >= min_chunk
+                assert chunk.length >= alignment
 
     def test_gop_alignment_uses_i_period(self):
         gop = GopStructure.paper()
@@ -135,15 +108,15 @@ class TestPlanChunks:
         assert plan.chunks[0].length == 100
 
     def test_min_chunk_floor_merges_tail(self):
-        # 1000 = 3 x 300 + 100; with min_chunk=150 the 100-frame tail
+        # 1000 = 3 x 300 + 100; with alignment=150 the 100-frame tail
         # must not appear as its own chunk.
-        plan = plan_chunks(1000, 300, min_chunk=150)
+        plan = plan_chunks(1000, 300, alignment=150)
         assert all(c.length >= 150 for c in plan.chunks)
         assert plan.edges[-1] == 1000
 
     def test_rejects_chunk_below_floor(self):
         with pytest.raises(ValidationError):
-            plan_chunks(1000, 10, min_chunk=50)
+            plan_chunks(1000, 10, alignment=50)
 
 
 # ---------------------------------------------------------------------

@@ -68,9 +68,8 @@ class TestCoefficientTable:
         assert table.horizon == 50
 
     def test_precompute(self):
-        table = CoefficientTable(
-            FGNCorrelation(0.7).acvf(20), precompute=True
-        )
+        table = CoefficientTable(FGNCorrelation(0.7).acvf(20))
+        table.ensure(table.max_step)
         assert table.built_step == 19
 
     def test_sqrt_variances_view(self):
@@ -173,7 +172,8 @@ class TestCoefficientTable:
                         if self.variance(k) != variances[k]:
                             errors.append(f"{name}: variance({k})")
 
-        table = ObservedTable(model.acvf(40), precompute=True)
+        table = ObservedTable(model.acvf(40))
+        table.ensure(table.max_step)
         table.checking = True
         for horizon in (80, 160, 320, 640, final):
             table.extend(model.acvf(horizon))
@@ -181,7 +181,8 @@ class TestCoefficientTable:
         assert not errors, errors[:5]
         assert len(published) == 5 * len(PUBLISHED_BUFFERS)
         table.ensure(final - 1)
-        fresh = CoefficientTable(model.acvf(final), precompute=True)
+        fresh = CoefficientTable(model.acvf(final))
+        fresh.ensure(fresh.max_step)
         for k in (1, 39, 639, final - 1):
             np.testing.assert_array_equal(table.phi_row(k), fresh.phi_row(k))
 
@@ -272,7 +273,8 @@ class TestFingerprintCache:
         tables = {id(tbl) for _, tbl in results}
         assert len(tables) == 1
         table = results[0][1]
-        fresh = CoefficientTable(model.acvf(120), precompute=True)
+        fresh = CoefficientTable(model.acvf(120))
+        fresh.ensure(fresh.max_step)
         for k in (1, 40, 79, 119):
             np.testing.assert_array_equal(
                 table.phi_row(k), fresh.phi_row(k)

@@ -34,17 +34,6 @@ class TestEmpiricalDistribution:
         assert d.ppf(0.0) >= 10.0 - 1e-9
         assert d.ppf(1.0) <= 20.0 + 1e-9
 
-    def test_exact_method_returns_observed_values(self, rng):
-        data = np.sort(rng.normal(size=101))
-        d = EmpiricalDistribution(data, method="exact")
-        assert d.ppf(0.5) == pytest.approx(np.quantile(data, 0.5))
-
-    def test_exact_cdf_step_function(self):
-        d = EmpiricalDistribution([1.0, 2.0, 3.0, 4.0], method="exact")
-        assert d.cdf(2.5) == pytest.approx(0.5)
-        assert d.cdf(0.0) == 0.0
-        assert d.cdf(10.0) == 1.0
-
     def test_quantiles_of_resampled_match(self, rng):
         data = rng.gamma(3.0, 200.0, size=20_000)
         d = EmpiricalDistribution(data, bins=200)
@@ -67,10 +56,6 @@ class TestEmpiricalDistribution:
         d = EmpiricalDistribution([1.0, 2.0, 3.0])
         assert d.ppf(-0.5) == d.ppf(0.0)
         assert d.ppf(1.5) == d.ppf(1.0)
-
-    def test_rejects_bad_method(self):
-        with pytest.raises(ValidationError):
-            EmpiricalDistribution([1.0, 2.0], method="kde")
 
     def test_rejects_single_sample(self):
         with pytest.raises(ValidationError):

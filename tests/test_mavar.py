@@ -74,19 +74,18 @@ class TestEstimate:
         assert scaled == pytest.approx(base, abs=1e-9)
 
     def test_asymptotic_mode(self):
+        # Every estimate also reports the Bregni log-log slope reading.
         x = fgn_generate(0.8, 16_384, random_state=5)
-        est = mavar_estimate(x, calibration="asymptotic")
-        assert est.calibration == "asymptotic"
-        assert est.hurst == est.asymptotic_hurst
-        assert est.hurst == pytest.approx((est.fit.slope + 2.0) / 2.0)
-        assert np.isnan(est.objective)
-        assert abs(est.hurst - 0.8) < 0.1
+        est = mavar_estimate(x)
+        assert est.asymptotic_hurst == pytest.approx(
+            (est.fit.slope + 2.0) / 2.0
+        )
+        assert abs(est.asymptotic_hurst - 0.8) < 0.1
 
     def test_fgn_mode_fields(self):
         x = fgn_generate(0.7, 4096, random_state=9)
         est = mavar_estimate(x)
         assert isinstance(est, MavarEstimate)
-        assert est.calibration == "fgn"
         assert np.isfinite(est.objective) and est.objective >= 0
         assert est.taus.size == est.mavar_values.size
         np.testing.assert_allclose(est.log_taus, np.log10(est.taus))
@@ -110,10 +109,6 @@ class TestEstimate:
     def test_rejects_constant_series(self):
         with pytest.raises(EstimationError, match="degenerate"):
             mavar_estimate(np.full(1024, 5.0))
-
-    def test_rejects_unknown_calibration(self):
-        with pytest.raises(EstimationError, match="calibration"):
-            mavar_estimate(np.ones(64), calibration="loglog")
 
     def test_rejects_single_usable_tau(self):
         x = fgn_generate(0.8, 1024, random_state=4)

@@ -113,9 +113,9 @@ class TestBitIdentity:
     def test_unified_fit_identical_with_metrics(self, intra_trace):
         def fit(ctx):
             with recording(ctx):
-                return UnifiedVBRModel(
-                    max_lag=50, attenuation_method="analytic",
-                ).fit(intra_trace)
+                return UnifiedVBRModel(max_lag=50).fit(
+                    intra_trace, random_state=0
+                )
 
         plain, instrumented = fit(None), fit(RunContext())
         assert instrumented.hurst == plain.hurst
@@ -241,9 +241,9 @@ class TestMetricCoverage:
 
     def test_unified_fit_step_timers(self, intra_trace):
         with recording(RunContext()) as ctx:
-            model = UnifiedVBRModel(
-                max_lag=50, attenuation_method="analytic"
-            ).fit(intra_trace)
+            model = UnifiedVBRModel(max_lag=50).fit(
+                intra_trace, random_state=0
+            )
         entries = ctx.snapshot()
         steps = {
             e["labels"]["step"]

@@ -28,11 +28,3 @@ class TestFitReport:
         text = str(report)
         assert "Knee lag Kt" in text
         assert str(report.knee) in text
-
-    def test_overridden_hurst_shows_na(self, intra_trace):
-        model = UnifiedVBRModel(
-            max_lag=150, hurst_override=0.9, knee=60
-        ).fit(intra_trace.sizes[:40_000], random_state=0)
-        report = fit_report(model)
-        assert report.hurst_variance_time is None
-        assert report.rows()["Hurst (variance-time)"] == "n/a"

@@ -44,7 +44,6 @@ FAST = settings(max_examples=25, deadline=None)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 shapes = st.floats(min_value=0.5, max_value=6.0,
                    allow_nan=False, allow_infinity=False)
-methods = st.sampled_from(["histogram", "exact"])
 
 
 def gamma_sample(seed, shape, size=4000):
@@ -53,32 +52,26 @@ def gamma_sample(seed, shape, size=4000):
     return rng.gamma(shape, 500.0, size=size)
 
 
-def fitted_transform(data, method):
-    return MarginalTransform(
-        EmpiricalDistribution(data, bins=200, method=method)
-    )
+def fitted_transform(data):
+    return MarginalTransform(EmpiricalDistribution(data, bins=200))
 
 
 class TestRoundTrip:
     @FAST
-    @given(seed=seeds, shape=shapes, method=methods)
-    def test_inverse_recovers_interior_gaussian_range(
-        self, seed, shape, method
-    ):
-        tr = fitted_transform(gamma_sample(seed, shape), method)
+    @given(seed=seeds, shape=shapes)
+    def test_inverse_recovers_interior_gaussian_range(self, seed, shape):
+        tr = fitted_transform(gamma_sample(seed, shape))
         x = np.linspace(-2.5, 2.5, 101)
         back = tr.inverse(tr(x))
         # The histogram inversion's piecewise-linear CDF round-trips to
-        # float precision; the exact (step-CDF) inversion quantizes at
-        # the sample resolution.
-        tol = 1e-9 if method == "histogram" else 0.05
-        np.testing.assert_allclose(back, x, atol=tol)
+        # float precision.
+        np.testing.assert_allclose(back, x, atol=1e-9)
 
     @FAST
     @given(seed=seeds, shape=shapes)
     def test_forward_roundtrip_on_observed_quantiles(self, seed, shape):
         data = gamma_sample(seed, shape)
-        tr = fitted_transform(data, "histogram")
+        tr = fitted_transform(data)
         y = np.quantile(data, np.linspace(0.05, 0.95, 19))
         np.testing.assert_allclose(
             tr(tr.inverse(y)), y, rtol=1e-6, atol=1e-6
@@ -87,9 +80,9 @@ class TestRoundTrip:
 
 class TestMonotonicity:
     @FAST
-    @given(seed=seeds, shape=shapes, method=methods)
-    def test_sorted_input_gives_sorted_output(self, seed, shape, method):
-        tr = fitted_transform(gamma_sample(seed, shape), method)
+    @given(seed=seeds, shape=shapes)
+    def test_sorted_input_gives_sorted_output(self, seed, shape):
+        tr = fitted_transform(gamma_sample(seed, shape))
         rng = np.random.default_rng(seed + 1)
         x = np.sort(rng.standard_normal(500))
         y = tr(x)
@@ -99,7 +92,7 @@ class TestMonotonicity:
     @given(seed=seeds, shape=shapes)
     def test_inverse_is_monotone_on_support(self, seed, shape):
         data = gamma_sample(seed, shape)
-        tr = fitted_transform(data, "histogram")
+        tr = fitted_transform(data)
         y = np.linspace(data.min(), data.max(), 300)
         x = tr.inverse(y)
         assert np.all(np.diff(x) >= 0)
@@ -112,7 +105,7 @@ class TestMarginalMatch:
         self, seed, shape
     ):
         data = gamma_sample(seed, shape)
-        tr = fitted_transform(data, "histogram")
+        tr = fitted_transform(data)
         rng = np.random.default_rng(seed + 2)
         y = tr(rng.standard_normal(50_000))
         assert y.mean() == pytest.approx(data.mean(), rel=0.05)
@@ -128,10 +121,10 @@ class TestMarginalMatch:
             ) <= 0.08 * data.std()
 
     @FAST
-    @given(seed=seeds, shape=shapes, method=methods)
-    def test_support_is_respected(self, seed, shape, method):
+    @given(seed=seeds, shape=shapes)
+    def test_support_is_respected(self, seed, shape):
         data = gamma_sample(seed, shape)
-        tr = fitted_transform(data, method)
+        tr = fitted_transform(data)
         rng = np.random.default_rng(seed + 3)
         y = np.asarray(tr(rng.standard_normal(10_000)), dtype=float)
         assert y.min() >= data.min() - 1e-9

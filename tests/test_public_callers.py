@@ -29,8 +29,6 @@ ALLOWLIST = {
     "ExponentialCorrelation": "the SRD building block of eq. 10-13",
     "PowerLawCorrelation": "the LRD building block of eq. 10-13",
     "WhiteNoiseCorrelation": "the i.i.d. member of the §2 model family",
-    "detect_scene_changes": "the scene cuts plan_chunks(boundaries=) "
-    "takes (DESIGN.md §5g)",
 }
 
 

@@ -20,11 +20,10 @@ from repro.video.synthetic import SyntheticCodecConfig, SyntheticMPEGCodec
 
 _GAMMA_VALUES = np.random.default_rng(11).gamma(3.0, 1.0, size=500)
 
-# Targets that take the generic copula branch: both empirical methods
-# and one parametric marginal without a fast path.
+# Targets that take the generic copula branch: the empirical histogram
+# inversion and one parametric marginal without a fast path.
 _GENERIC_TARGETS = (
     EmpiricalDistribution(_GAMMA_VALUES),
-    EmpiricalDistribution(_GAMMA_VALUES, method="exact"),
     LognormalDistribution(1.0, 0.5),
 )
 

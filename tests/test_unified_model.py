@@ -9,10 +9,6 @@ from repro.processes.correlation import CompositeCorrelation
 
 
 class TestConstruction:
-    def test_rejects_bad_attenuation_method(self):
-        with pytest.raises(ValidationError):
-            UnifiedVBRModel(attenuation_method="magic")
-
     def test_rejects_bad_background_method(self):
         with pytest.raises(ValidationError):
             UnifiedVBRModel(background_method="magic")
@@ -51,15 +47,6 @@ class TestFit:
             fitted_unified.background_correlation.acvf(500)
         )
 
-    def test_hurst_override_skips_estimation(self, intra_trace):
-        m = UnifiedVBRModel(
-            max_lag=200, hurst_override=0.9, knee=60
-        ).fit(intra_trace, random_state=1)
-        assert m.hurst == 0.9
-        assert m.variance_time_ is None
-        assert m.rs_ is None
-        assert m.acf_fit_.model.lrd_exponent == pytest.approx(0.2)
-
     def test_fit_accepts_plain_series(self, intra_trace):
         m = UnifiedVBRModel(max_lag=150).fit(
             intra_trace.sizes[:40_000], random_state=2
@@ -79,26 +66,6 @@ class TestFit:
         series = np.diff(rng.normal(size=50_001)) * 100.0 + 1000.0
         with pytest.raises(ValidationError, match="long-range"):
             UnifiedVBRModel(max_lag=100).fit(series)
-
-    def test_analytic_attenuation_method(self, intra_trace):
-        m = UnifiedVBRModel(
-            max_lag=150, attenuation_method="analytic"
-        ).fit(intra_trace.sizes[:40_000])
-        assert 0.0 < m.attenuation <= 1.0
-
-    def test_gamma_pareto_marginal_method(self, intra_trace):
-        from repro.marginals.parametric import GammaParetoDistribution
-
-        m = UnifiedVBRModel(
-            max_lag=150, marginal_method="gamma-pareto"
-        ).fit(intra_trace.sizes[:40_000], random_state=4)
-        assert isinstance(m.marginal_, GammaParetoDistribution)
-        y = m.generate(500, random_state=5)
-        assert np.all(y >= 0)
-
-    def test_rejects_bad_marginal_method(self):
-        with pytest.raises(ValidationError):
-            UnifiedVBRModel(marginal_method="kde")
 
 
 class TestGenerate:
