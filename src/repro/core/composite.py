@@ -55,9 +55,7 @@ class GopPhaseArrivalTransform:
         counts = gop.type_counts()
         total = 0.0
         for frame_type, marginal in model.marginals_.items():
-            from ..video.gop import FrameType as _FT
-
-            total += counts[_FT(frame_type)] * marginal.mean
+            total += counts[FrameType(frame_type)] * marginal.mean
         self.mean_frame_size = total / gop.i_period
         # Per-GOP-position transform lookup.
         self._transforms = [

@@ -28,6 +28,7 @@ from scipy.optimize import minimize_scalar
 from .._validation import check_in_range, check_min_length, check_positive_int
 from ..exceptions import EstimationError, ValidationError
 from ..processes.correlation import FGNCorrelation
+from ._scale import centred_in_safe_range
 
 __all__ = [
     "MIN_LENGTH",
@@ -40,11 +41,6 @@ __all__ = [
 #: Whittle objective is meaningfully peaked (the default keeps at
 #: least 8 ordinates).
 MIN_LENGTH = 64
-
-#: Largest binary exponent (either sign) of the centred series' peak
-#: magnitude that the periodogram squares without overflow or
-#: underflow.  A series outside is rescaled by an exact power of two.
-_SAFE_EXPONENT = 256
 
 
 def fgn_spectral_density(
@@ -137,10 +133,10 @@ def whittle_estimate(
     Raises
     ------
     ValidationError
-        If the periodogram or the objective is not finite: the series'
-        mean overflows, or the series is constant.  A bounded search on
-        such an objective would return a search bound as if it were an
-        estimate.
+        If the centred series or the objective is not finite: the
+        series' mean overflows, or the series is constant.  A bounded
+        search on such an objective would return a search bound as if
+        it were an estimate.
     """
     arr = check_min_length(values, "values", MIN_LENGTH)
     fraction = check_in_range(
@@ -148,19 +144,11 @@ def whittle_estimate(
         inclusive_low=False,
     )
     n = arr.size
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        centered = arr - arr.mean()
-        # frexp reads exponent 0 for a zero or non-finite peak.
-        _, exponent = np.frexp(np.max(np.abs(centered)))
-        if abs(int(exponent)) > _SAFE_EXPONENT:
-            centered = np.ldexp(centered, -exponent)
+    # The centred peak is below 2^256, so the periodogram is finite.
+    centered = centred_in_safe_range(arr, "values")
+    with np.errstate(under="ignore"):
         spectrum = np.fft.rfft(centered)
         power = (np.abs(spectrum[1:]) ** 2) / (2.0 * np.pi * n)
-    if not np.all(np.isfinite(power)):
-        raise ValidationError(
-            "values overflow the periodogram (it is not finite); "
-            "rescale the series"
-        )
     freqs = 2.0 * np.pi * np.arange(1, power.size + 1) / n
     keep = max(8, int(power.size * fraction))
     power = power[:keep]
@@ -176,8 +164,7 @@ def whittle_estimate(
         if not np.isfinite(value):
             raise ValidationError(
                 f"values give a non-finite Whittle objective at "
-                f"H = {hurst:.4g}: the periodogram overflows or "
-                "underflows, or the series is constant"
+                f"H = {hurst:.4g}: the series is constant"
             )
         return value
 

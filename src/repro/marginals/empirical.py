@@ -50,11 +50,6 @@ class EmpiricalDistribution(MarginalDistribution):
         self._cdf_y = cum
 
     @property
-    def samples(self) -> np.ndarray:
-        """The sorted observed samples (a copy)."""
-        return self._samples.copy()
-
-    @property
     def histogram(self) -> Histogram:
         """The underlying frequency histogram."""
         return self._histogram

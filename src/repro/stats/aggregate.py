@@ -1,4 +1,4 @@
-"""Series aggregation used by variance-time analysis.
+"""The aggregation levels of the variance-time analysis.
 
 For a process ``X`` the *m-aggregated* process is
 
@@ -8,7 +8,8 @@ For a process ``X`` the *m-aggregated* process is
 
 i.e. the series of non-overlapping block means of block size ``m``.
 Self-similar processes satisfy ``var(X^(m)) ~ m^{-beta}`` which is the
-basis of the variance-time plot (Fig. 3 of the paper).
+basis of the variance-time plot (Fig. 3 of the paper);
+:func:`aggregation_levels` picks the levels ``m`` it plots.
 """
 
 from __future__ import annotations
@@ -21,17 +22,6 @@ from .._validation import check_positive_int
 from ..exceptions import ValidationError
 
 __all__ = ["aggregation_levels"]
-
-
-def _block_means(arr: np.ndarray, m: int) -> np.ndarray:
-    """Means of the complete length-``m`` blocks of a validated ``arr``.
-
-    This is ``X^(m)``; trailing samples that do not fill a block are
-    discarded, matching the standard variance-time methodology.  The
-    variance-time estimator validates its series once for every level.
-    """
-    blocks = arr.size // m
-    return arr[: blocks * m].reshape(blocks, m).mean(axis=1)
 
 
 def aggregation_levels(

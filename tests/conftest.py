@@ -10,6 +10,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core import CompositeMPEGModel, UnifiedVBRModel
 from repro.processes.coeff_table import (
@@ -23,6 +24,13 @@ from repro.processes.spectral_cache import (
     spectral_cache_info,
 )
 from repro.video import SyntheticCodecConfig, SyntheticMPEGCodec
+
+# Every run draws the same Hypothesis examples: the seed derives from
+# each test, and no example database carries failures between runs.
+# The test modules' own ``settings(...)`` objects inherit this profile,
+# since it is loaded before they are imported.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def pytest_addoption(parser):

@@ -48,10 +48,6 @@ class TestEmpiricalDistribution:
         d = EmpiricalDistribution(data, bins=25)
         assert d.histogram.total == 500
 
-    def test_samples_property_sorted_copy(self):
-        d = EmpiricalDistribution([3.0, 1.0, 2.0])
-        np.testing.assert_array_equal(d.samples, [1.0, 2.0, 3.0])
-
     def test_ppf_clips_probs(self):
         d = EmpiricalDistribution([1.0, 2.0, 3.0])
         assert d.ppf(-0.5) == d.ppf(0.0)

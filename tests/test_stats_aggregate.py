@@ -4,35 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.stats.aggregate import _block_means, aggregation_levels
-
-
-class TestAggregateSeries:
-    """The block means behind the variance-time estimator."""
-
-    def test_m1_is_identity(self):
-        x = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(_block_means(x, 1), x)
-
-    def test_block_means(self):
-        x = np.array([1.0, 3.0, 5.0, 7.0])
-        np.testing.assert_array_equal(_block_means(x, 2), [2.0, 6.0])
-
-    def test_trailing_partial_block_dropped(self):
-        x = np.arange(7, dtype=float)
-        out = _block_means(x, 3)
-        np.testing.assert_array_equal(out, [1.0, 4.0])
-
-    def test_mean_preserved_for_exact_blocks(self):
-        x = np.random.default_rng(0).normal(size=120)
-        assert _block_means(x, 4).mean() == pytest.approx(x.mean())
-
-    def test_variance_shrinks_for_iid(self):
-        x = np.random.default_rng(1).normal(size=10_000)
-        v1 = x.var()
-        v10 = _block_means(x, 10).var()
-        # iid: var(X^(m)) ~ var(X)/m.
-        assert v10 == pytest.approx(v1 / 10, rel=0.25)
+from repro.stats.aggregate import aggregation_levels
 
 
 class TestAggregationLevels:
